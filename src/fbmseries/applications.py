@@ -49,11 +49,7 @@ from .fbm import McConfig, simulate
 from .functional import (GridPath, TimeGrid, TimeIntBSq, evaluate, make_exp,
                          scale, time_int_b)
 from .kernel import _hval
-from .special import stirling2, stirling_falling_sum
-
-
-def _beta(a: float, b: float) -> float:
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+from .special import beta_fn, stirling2, stirling_falling_sum
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def cir_small_t(big_t, h) -> CirExpansion:
     c1 = -1.0 / (2.0 * hh + 1.0)
     c2 = ((8.0 * hh * hh + 18.0 * hh + 5.0)
           / (4.0 * (2.0 * hh + 1.0) ** 2 * (4.0 * hh + 1.0))
-          - _beta(2.0 * hh + 1.0, 2.0 * hh + 2.0) / (2.0 * hh + 1.0))
+          - beta_fn(2.0 * hh + 1.0, 2.0 * hh + 2.0) / (2.0 * hh + 1.0))
     # rebuild c2 from the ordered-domain integrals; pure algebra, so any
     # disagreement beyond roundoff means one of the closed forms is wrong
     scale_t = big_t if big_t > 0.0 else 1.0

@@ -9,7 +9,8 @@ is a relative path and FBMSERIES_OUTPUT_DIR is set, the file lands in
 that directory.
 
 Exit codes: 0 success, 2 invalid configuration or expression, 3 failure
-inside a numerical engine, 4 output I/O failure.
+inside a numerical engine (a NaN or infinity in the output document counts
+as one, whatever the format), 4 output I/O failure.
 
 Output documents are flat key/value maps whose list-valued entries all
 describe per-order (or per-path) rows.  JSON prints every float with 17
@@ -62,8 +63,6 @@ def _json_text(obj) -> str:
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise EngineError(f"non-finite value {obj} in output")
         return _fmt_float(obj)
     if isinstance(obj, int):
         return str(obj)
@@ -72,15 +71,31 @@ def _json_text(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_table(doc: dict) -> str:
-    """Aligned text rendering; a pure function of the output document."""
+def _check_finite(obj) -> None:
+    """Raise EngineError for a NaN or infinity anywhere in an output document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            _check_finite(v)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise EngineError(f"non-finite value {obj} in output")
+
+
+def _split(doc: dict, prefix: str) -> tuple:
+    """(scalar lines "<prefix>key = value", {list key: rows}) of a document."""
     scalars, lists = [], {}
     for k, v in doc.items():
         if isinstance(v, (list, tuple)):
             lists[k] = list(v)
         else:
-            scalars.append(f"{k} = {v if isinstance(v, str) else _render_num(v)}")
-    lines = scalars
+            scalars.append(f"{prefix}{k} = {v if isinstance(v, str) else _render_num(v)}")
+    return scalars, lists
+
+
+def render_table(doc: dict) -> str:
+    """Aligned text rendering; a pure function of the output document."""
+    lines, lists = _split(doc, "")
     if lists:
         def cell(v):
             if isinstance(v, (list, tuple)):
@@ -94,7 +109,7 @@ def render_table(doc: dict) -> str:
             rows.append([str(i)] + [cell(lists[k][i]) if i < len(lists[k]) else ""
                                     for k in keys])
         widths = [max(len(r[j]) for r in rows) for j in range(len(keys) + 1)]
-        if scalars:
+        if lines:
             lines.append("")
         for r in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
@@ -106,13 +121,7 @@ def _csv_text(doc: dict) -> str:
         lines = [",".join(_fmt_float(t) for t in doc["times"])]
         lines += [",".join(_fmt_float(x) for x in row) for row in doc["values"]]
         return "\n".join(lines) + "\n"
-    scalars, lists = [], {}
-    for k, v in doc.items():
-        if isinstance(v, (list, tuple)):
-            lists[k] = list(v)
-        else:
-            scalars.append(f"# {k} = {v if isinstance(v, str) else _render_num(v)}")
-    lines = scalars
+    lines, lists = _split(doc, "# ")
     if lists:
         keys = list(lists)
         n = max(len(v) for v in lists.values())
@@ -198,24 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description="series engines for conditional "
                                               "expectations of fBm functionals")
     subs = top.add_subparsers(dest="subcommand", required=True)
-    for name in ("simulate", "taylor", "expform", "merton", "cir", "lognormal"):
+    for name in _RUNNERS:
         sp = subs.add_parser(name)
-        sp.add_argument("--hurst", type=float, default=None)
-        sp.add_argument("--r", type=float, default=None)
-        sp.add_argument("--T", dest="big_t", type=float, default=None)
-        sp.add_argument("--grid", type=_grid_list, default=None)
-        sp.add_argument("--expr", type=str, default=None)
-        sp.add_argument("--order", type=int, default=None)
-        sp.add_argument("--sigma", type=float, default=None)
-        sp.add_argument("--mu", type=float, default=None)
-        sp.add_argument("--z", type=float, default=None)
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--mc.paths", dest="mc_paths", type=int, default=None)
-        sp.add_argument("--mc.seed", dest="mc_seed", type=int, default=None)
-        sp.add_argument("--mc.refinement", dest="mc_refinement", type=int,
-                        default=None)
-        sp.add_argument("--format", choices=("json", "csv", "table"), default=None)
-        sp.add_argument("--output", type=str, default=None)
+        for key, (dest, conv) in _CONFIG_KEYS.items():
+            choices = ("json", "csv", "table") if key == "format" else None
+            sp.add_argument("--" + key, dest=dest, type=conv, default=None,
+                            choices=choices)
         sp.add_argument("--config", type=str, default=None)
     return top
 
@@ -457,6 +454,7 @@ def main(argv=None, stdout=None) -> int:
                 if getattr(args, dest, None) is None:
                     setattr(args, dest, val)
         doc = _RUNNERS[args.subcommand](args)
+        _check_finite(doc)
     except (ConfigError, ParseError, ValueError) as e:
         print(f"fbmseries: configuration error: {e}", file=sys.stderr)
         return 2

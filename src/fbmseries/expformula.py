@@ -49,8 +49,8 @@ from .functional import (
     UIntegral,
     ZERO,
     _combine_pwpoly,
-    children,
     collect_terms,
+    directional,
     evaluate,
     expand,
     free_vars,
@@ -59,7 +59,7 @@ from .functional import (
     is_deterministic,
     make_product,
     make_sum,
-    malliavin,
+    nodes,
     product_factors,
     scale,
     to_sexpr,
@@ -67,6 +67,7 @@ from .functional import (
 from .kernel import _hval, poly_rect_integral
 from .quadrature import adaptive_panels, gauss_nodes, graded_points, nested_simplex
 from .results import SeriesResult
+from .special import beta_fn
 
 
 class EngineError(RuntimeError):
@@ -89,8 +90,8 @@ def _uname(k: int) -> str:
 
 def second_derivative(x: Expr, k: int) -> Expr:
     """D_{u_k} D_{v_k} x with the level-k variable names."""
-    d = collect_terms(malliavin(x, _vname(k)))
-    return collect_terms(malliavin(d, _uname(k)))
+    d = collect_terms(directional(x, _vname(k)))
+    return collect_terms(directional(d, _uname(k)))
 
 
 def derivative_levels(f: Expr, order: int) -> list:
@@ -164,16 +165,13 @@ def _u_pair(facs, k, r, big_t) -> Expr:
 def _kinks(expr: Expr) -> set:
     """Constants where a level integrand can lose smoothness."""
     out = set()
-    if isinstance(expr, Indicator):
-        out |= {expr.lo, expr.hi}
-    elif isinstance(expr, RampMax):
-        out |= {expr.cap, *[a for a in expr.args if not isinstance(a, str)]}
-    elif isinstance(expr, (PhiMoment, UIntegral)):
-        out |= {expr.lo, expr.hi}
-    elif isinstance(expr, TimeIntB):
-        out |= {expr.upper, *[a for a in expr.lower if not isinstance(a, str)]}
-    for c in children(expr):
-        out |= _kinks(c)
+    for n in nodes(expr):
+        if isinstance(n, (Indicator, PhiMoment, UIntegral)):
+            out |= {n.lo, n.hi}
+        elif isinstance(n, RampMax):
+            out |= {n.cap, *[a for a in n.args if not isinstance(a, str)]}
+        elif isinstance(n, TimeIntB):
+            out |= {n.upper, *[a for a in n.lower if not isinstance(a, str)]}
     return out
 
 
@@ -301,10 +299,6 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
                         diagnostics=diags)
 
 
-def _beta(a: float, b: float) -> float:
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
 def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
                               rel_tol: float = 1e-7) -> tuple:
     """Ordered-domain pieces of the level-2 term for F = exp(-int_0^T B^2).
@@ -331,7 +325,7 @@ def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
         raise ValueError("horizon must be positive")
     tp = big_t ** (4.0 * hh + 2.0)
     if method == "closed":
-        b = _beta(2.0 * hh + 1.0, 2.0 * hh + 2.0)
+        b = beta_fn(2.0 * hh + 1.0, 2.0 * hh + 2.0)
         i1 = (2.0 * hh - 1.0) * (hh + 2.0) \
             / ((2.0 * hh + 1.0) * (4.0 * hh + 2.0) * (4.0 * hh - 1.0)) * tp
         i2 = ((8.0 * hh * hh + 14.0 * hh - 1.0)

@@ -26,9 +26,9 @@ from .functional import (
     TimeIntB,
     TimeIntBSq,
     WienerInt,
-    children,
     evaluate,
     free_vars,
+    nodes,
 )
 from .kernel import _hval, abs_pow
 
@@ -118,18 +118,16 @@ def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
 def needed_times(expr: Expr) -> set:
     """Every time the functional mentions: samples and integral endpoints."""
     out = set()
-    if isinstance(expr, FbmSample):
-        out.add(expr.t)
-    elif isinstance(expr, WienerInt):
-        out |= {expr.lo, expr.hi} | {b for b in expr.weight.breaks
-                                     if expr.lo <= b <= expr.hi}
-    elif isinstance(expr, TimeIntB):
-        out.add(expr.upper)
-        out |= {a for a in expr.lower if not isinstance(a, str)}
-    elif isinstance(expr, TimeIntBSq):
-        out |= {expr.lo, expr.hi}
-    for c in children(expr):
-        out |= needed_times(c)
+    for n in nodes(expr):
+        if isinstance(n, FbmSample):
+            out.add(n.t)
+        elif isinstance(n, WienerInt):
+            out |= {n.lo, n.hi} | {b for b in n.weight.breaks if n.lo <= b <= n.hi}
+        elif isinstance(n, TimeIntB):
+            out.add(n.upper)
+            out |= {a for a in n.lower if not isinstance(a, str)}
+        elif isinstance(n, TimeIntBSq):
+            out |= {n.lo, n.hi}
     return out
 
 

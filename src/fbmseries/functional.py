@@ -2,17 +2,17 @@
 
 An Expr is an immutable tree built from samples B_t, Wiener integrals
 int f dB, time integrals int B ds and int B^2 ds, and the closure of those
-under sums, products, integer powers, exp, and Hermite polynomials.  Three
+under sums, products, integer powers, exp, and Hermite polynomials.  Two
 operations drive everything else:
 
-  * malliavin:   the fractional pathwise derivative D_u with a free variable
-                 u; D_u B_t = 1_{[0,t]}(u), D_u int_a^b f dB = f(u) 1_{[a,b]}(u),
-                 D_u int_a^b B ds = (b - max(a, u))^+, plus product, power,
-                 and chain rules.
-  * directional: the grid-time derivative at tau, which differentiates with
-                 respect to every sample at a time >= tau (the derivative
-                 direction is the indicator 1_{[0, t]} evaluated just left
-                 of each sample).
+  * directional: the fractional pathwise derivative D_at, taken in one of
+                 two directions.  With a variable name u it is the Malliavin
+                 derivative in a free variable: D_u B_t = 1_{[0,t]}(u),
+                 D_u int_a^b f dB = f(u) 1_{[a,b]}(u),
+                 D_u int_a^b B ds = (b - max(a, u))^+.  With a grid time tau
+                 it is the same derivative with u bound to tau, which
+                 differentiates with respect to every sample at a time
+                 >= tau.  Product, power and chain rules are shared.
   * freeze:      composition with the path stopped at r (B_s -> B_{min(s,r)});
                  time integrals split into their observed part on [a, min(b,r)]
                  plus B_{min(b,r)} times the remaining length.
@@ -32,7 +32,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .kernel import Interval, PiecewisePoly, phi, phi_poly_moment
+from .kernel import Interval, PiecewisePoly, _hval, phi_poly_moment
 from .special import hermite_eval
 
 
@@ -66,11 +66,6 @@ class FbmSample:
     """B_t for a fixed time t > 0 (t = 0 folds to the constant 0)."""
 
     t: float
-
-
-@dataclass(frozen=True)
-class FreeVar:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,7 @@ class UIntegral:
     partner: str
 
 
-Expr = Union[Const, FbmSample, FreeVar, WienerInt, TimeIntB, TimeIntBSq,
+Expr = Union[Const, FbmSample, WienerInt, TimeIntB, TimeIntBSq,
              RampMax, Indicator, PolyInVar, HermitePoly, Sum, Product,
              Power, Exp, PhiMoment, UIntegral]
 
@@ -349,54 +344,49 @@ def children(expr: Expr) -> tuple:
     return ()
 
 
+def nodes(expr: Expr):
+    """Every node of the tree in pre-order (repeated subtrees repeat)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def fbm_times(expr: Expr) -> set:
     """Times of every B_t sample appearing in the tree."""
-    if isinstance(expr, FbmSample):
-        return {expr.t}
-    out = set()
-    for c in children(expr):
-        out |= fbm_times(c)
-    return out
+    return {n.t for n in nodes(expr) if isinstance(n, FbmSample)}
 
 
 def horizon(expr: Expr) -> float:
     """Largest time constant mentioned anywhere (samples and integral limits)."""
     top = 0.0
-    if isinstance(expr, FbmSample):
-        top = expr.t
-    elif isinstance(expr, WienerInt):
-        top = expr.hi
-    elif isinstance(expr, TimeIntB):
-        top = max([expr.upper] + [a for a in expr.lower if not isinstance(a, str)])
-    elif isinstance(expr, TimeIntBSq):
-        top = expr.hi
-    elif isinstance(expr, (RampMax,)):
-        top = max([expr.cap] + [a for a in expr.args if not isinstance(a, str)])
-    for c in children(expr):
-        top = max(top, horizon(c))
+    for n in nodes(expr):
+        if isinstance(n, FbmSample):
+            top = max(top, n.t)
+        elif isinstance(n, (WienerInt, TimeIntBSq)):
+            top = max(top, n.hi)
+        elif isinstance(n, TimeIntB):
+            top = max([top, n.upper] + [a for a in n.lower if not isinstance(a, str)])
+        elif isinstance(n, RampMax):
+            top = max([top, n.cap] + [a for a in n.args if not isinstance(a, str)])
     return top
 
 
 def is_discrete(expr: Expr) -> bool:
     """True when the only random dependence is through B_t samples."""
-    if isinstance(expr, (WienerInt, TimeIntB, TimeIntBSq, UIntegral)):
-        return False
-    return all(is_discrete(c) for c in children(expr))
+    return not any(isinstance(n, (WienerInt, TimeIntB, TimeIntBSq, UIntegral))
+                   for n in nodes(expr))
 
 
 def is_deterministic(expr: Expr) -> bool:
-    if isinstance(expr, (FbmSample, WienerInt, TimeIntB, TimeIntBSq)):
-        return False
-    return all(is_deterministic(c) for c in children(expr))
+    return not any(isinstance(n, (FbmSample, WienerInt, TimeIntB, TimeIntBSq))
+                   for n in nodes(expr))
 
 
 def free_vars(expr: Expr) -> set:
     out = set()
-    if isinstance(expr, FreeVar):
-        out.add(expr.name)
-    elif isinstance(expr, Indicator):
-        out.add(expr.var)
-    elif isinstance(expr, PolyInVar):
+    if isinstance(expr, (Indicator, PolyInVar)):
         out.add(expr.var)
     elif isinstance(expr, (TimeIntB,)):
         out |= {a for a in expr.lower if isinstance(a, str)}
@@ -413,42 +403,52 @@ def free_vars(expr: Expr) -> set:
     return out
 
 
-def depends_on_var(expr: Expr, name: str) -> bool:
-    return name in free_vars(expr)
-
-
 # ---------------------------------------------------------------------------
-# Malliavin derivative with a free variable
+# the pathwise derivative, in a free variable or at a grid time
 
 
-def malliavin(expr: Expr, var: str) -> Expr:
-    """Fractional pathwise derivative D_var, var ranging over [0, horizon]."""
-    if isinstance(expr, (Const, FreeVar, RampMax, Indicator, PolyInVar, PhiMoment)):
+def directional(expr: Expr, at: "str | float") -> Expr:
+    """Fractional pathwise derivative D_at.
+
+    A variable name gives the Malliavin derivative in that free variable,
+    ranging over [0, horizon]; a time tau gives the grid-time derivative,
+    d/dB applied to every sample at time >= tau.  Only samples and Wiener
+    integrals need to tell the two apart: the ramps of time integrals fold
+    a constant direction on construction.
+    """
+    if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
         return ZERO
+    free = isinstance(at, str)
     if isinstance(expr, FbmSample):
-        return Indicator(var, 0.0, expr.t)
+        if free:
+            return Indicator(at, 0.0, expr.t)
+        return ONE if at <= expr.t else ZERO
     if isinstance(expr, WienerInt):
+        if not free:
+            if expr.lo <= at <= expr.hi:
+                return Const(float(expr.weight(at)))
+            return ZERO
         terms = []
         for a, b, c in expr.weight.pieces():
             aa, bb = max(a, expr.lo), min(b, expr.hi)
             if aa < bb:
-                terms.append(make_product([PolyInVar(tuple(float(x) for x in c), var),
-                                           Indicator(var, aa, bb)]))
+                terms.append(make_product([PolyInVar(tuple(float(x) for x in c), at),
+                                           Indicator(at, aa, bb)]))
         return make_sum(terms)
     if isinstance(expr, TimeIntB):
-        return ramp_max(expr.upper, expr.lower + (var,))
+        return ramp_max(expr.upper, expr.lower + (at,))
     if isinstance(expr, TimeIntBSq):
-        return scale(time_int_b((expr.lo, var), expr.hi), 2.0)
+        return scale(time_int_b((expr.lo, at), expr.hi), 2.0)
     if isinstance(expr, HermitePoly):
         return make_product([Const(float(expr.degree)),
                              hermite_factor(expr.degree - 1, expr.arg),
-                             malliavin(expr.arg, var)])
+                             directional(expr.arg, at)])
     if isinstance(expr, Sum):
-        return make_sum(malliavin(t, var) for t in expr.terms)
+        return make_sum(directional(t, at) for t in expr.terms)
     if isinstance(expr, Product):
         terms = []
         for i, f in enumerate(expr.factors):
-            d = malliavin(f, var)
+            d = directional(f, at)
             if d != ZERO:
                 rest = expr.factors[:i] + expr.factors[i + 1:]
                 terms.append(make_product(list(rest) + [d]))
@@ -456,46 +456,9 @@ def malliavin(expr: Expr, var: str) -> Expr:
     if isinstance(expr, Power):
         return make_product([Const(float(expr.exponent)),
                              make_power(expr.base, expr.exponent - 1),
-                             malliavin(expr.base, var)])
+                             directional(expr.base, at)])
     if isinstance(expr, Exp):
-        return make_product([expr, malliavin(expr.arg, var)])
-    raise UnsupportedNodeError(f"malliavin undefined for {type(expr).__name__}")
-
-
-def directional(expr: Expr, tau: float) -> Expr:
-    """Grid-time derivative at tau: d/dB applied to every sample at time >= tau."""
-    if isinstance(expr, (Const, FreeVar, RampMax, Indicator, PolyInVar, PhiMoment)):
-        return ZERO
-    if isinstance(expr, FbmSample):
-        return ONE if tau <= expr.t else ZERO
-    if isinstance(expr, WienerInt):
-        if expr.lo <= tau <= expr.hi:
-            return Const(float(expr.weight(tau)))
-        return ZERO
-    if isinstance(expr, TimeIntB):
-        return ramp_max(expr.upper, expr.lower + (float(tau),))
-    if isinstance(expr, TimeIntBSq):
-        return scale(time_int_b((expr.lo, float(tau)), expr.hi), 2.0)
-    if isinstance(expr, HermitePoly):
-        return make_product([Const(float(expr.degree)),
-                             hermite_factor(expr.degree - 1, expr.arg),
-                             directional(expr.arg, tau)])
-    if isinstance(expr, Sum):
-        return make_sum(directional(t, tau) for t in expr.terms)
-    if isinstance(expr, Product):
-        terms = []
-        for i, f in enumerate(expr.factors):
-            d = directional(f, tau)
-            if d != ZERO:
-                rest = expr.factors[:i] + expr.factors[i + 1:]
-                terms.append(make_product(list(rest) + [d]))
-        return make_sum(terms)
-    if isinstance(expr, Power):
-        return make_product([Const(float(expr.exponent)),
-                             make_power(expr.base, expr.exponent - 1),
-                             directional(expr.base, tau)])
-    if isinstance(expr, Exp):
-        return make_product([expr, directional(expr.arg, tau)])
+        return make_product([expr, directional(expr.arg, at)])
     raise UnsupportedNodeError(f"directional undefined for {type(expr).__name__}")
 
 
@@ -507,7 +470,7 @@ def freeze(expr: Expr, r: float) -> Expr:
     r = float(r)
     if r < 0.0:
         raise ValueError("freeze time must be >= 0")
-    if isinstance(expr, (Const, FreeVar, RampMax, Indicator, PolyInVar, PhiMoment)):
+    if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
         return expr
     if isinstance(expr, FbmSample):
         return fbm_sample(min(expr.t, r))
@@ -680,44 +643,34 @@ def factor_to_pwpoly(factor: Expr, ivar: str, lo: float, hi: float,
     Returns a float for factors constant in ivar and None for an identically
     zero restriction.
     """
-    if isinstance(factor, Const):
-        return factor.value
-    if isinstance(factor, Indicator):
-        if factor.var != ivar:
-            v = _resolve_args([factor.var], bindings)[0]
-            return 1.0 if factor.lo <= v <= factor.hi else 0.0
+    if not isinstance(factor, (Const, Indicator, PolyInVar, RampMax)):
+        raise UnsupportedNodeError(
+            f"{type(factor).__name__} is not a deterministic factor in '{ivar}'")
+    if isinstance(factor, Indicator) and factor.var == ivar:
         aa, bb = max(factor.lo, lo), min(factor.hi, hi)
         return PiecewisePoly.indicator(aa, bb) if aa < bb else None
-    if isinstance(factor, PolyInVar):
-        if factor.var != ivar:
-            v = _resolve_args([factor.var], bindings)[0]
-            return float(np.polynomial.polynomial.polyval(v, np.asarray(factor.coeffs)))
+    if isinstance(factor, PolyInVar) and factor.var == ivar:
         return PiecewisePoly.from_poly(factor.coeffs, lo, hi) if lo < hi else None
-    if isinstance(factor, RampMax):
-        names = [a for a in factor.args if isinstance(a, str)]
-        if ivar not in names:
-            vals = _resolve_args(factor.args, bindings)
-            return max(0.0, factor.cap - max(vals))
-        others = [a for a in factor.args if a != ivar]
-        floor = max(_resolve_args(others, bindings)) if others else 0.0
-        cap = factor.cap
-        if floor >= cap:
-            return None
-        # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
-        pieces_lo, pieces_hi = max(lo, 0.0), min(hi, cap)
-        breaks, coeffs = [pieces_lo], []
-        knee = min(max(floor, pieces_lo), pieces_hi)
-        if knee > pieces_lo:
-            breaks.append(knee)
-            coeffs.append((cap - floor,))
-        if pieces_hi > knee:
-            breaks.append(pieces_hi)
-            coeffs.append((cap, -1.0))
-        if not coeffs:
-            return None
-        return PiecewisePoly(tuple(breaks), tuple(coeffs))
-    raise UnsupportedNodeError(
-        f"{type(factor).__name__} is not a deterministic factor in '{ivar}'")
+    if not (isinstance(factor, RampMax) and ivar in factor.args):
+        return evaluate(factor, bindings=bindings)  # constant in ivar
+    others = [a for a in factor.args if a != ivar]
+    floor = max(_resolve_args(others, bindings)) if others else 0.0
+    cap = factor.cap
+    if floor >= cap:
+        return None
+    # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
+    pieces_lo, pieces_hi = max(lo, 0.0), min(hi, cap)
+    breaks, coeffs = [pieces_lo], []
+    knee = min(max(floor, pieces_lo), pieces_hi)
+    if knee > pieces_lo:
+        breaks.append(knee)
+        coeffs.append((cap - floor,))
+    if pieces_hi > knee:
+        breaks.append(pieces_hi)
+        coeffs.append((cap, -1.0))
+    if not coeffs:
+        return None
+    return PiecewisePoly(tuple(breaks), tuple(coeffs))
 
 
 def _combine_pwpoly(factors, ivar, lo, hi, bindings):
@@ -756,8 +709,6 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
         if path is None:
             raise EvalError("path required to evaluate B_t")
         return path.value(expr.t)
-    if isinstance(expr, FreeVar):
-        return _resolve_args([expr.name], bindings)[0]
     if isinstance(expr, Indicator):
         v = _resolve_args([expr.var], bindings)[0]
         return 1.0 if expr.lo <= v <= expr.hi else 0.0
@@ -838,13 +789,8 @@ def _eval_u_integral(node: UIntegral, h, path, bindings):
             breaks.add(fac.cap)
             breaks |= {_resolve_args([a], bindings)[0]
                        for a in fac.args if a != node.ivar}
-    return phi_weighted_integral(f, node.lo, node.hi, v, _hcheck(h),
+    return phi_weighted_integral(f, node.lo, node.hi, v, _hval(h),
                                  breaks=sorted(breaks), rel_tol=1e-10)
-
-
-def _hcheck(h) -> float:
-    from .kernel import _hval
-    return _hval(h)
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +835,6 @@ def to_sexpr(expr: Expr, rename: "dict | None" = None) -> str:
         return _fmt(expr.value)
     if isinstance(expr, FbmSample):
         return f"(B {_fmt(expr.t)})"
-    if isinstance(expr, FreeVar):
-        return f"(var {_name(expr.name, rename)})"
     if isinstance(expr, WienerInt):
         pieces = " ".join(
             f"({_fmt(a)} {_fmt(b)} {' '.join(_fmt(c) for c in cs)})"

@@ -77,9 +77,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def is_empty(self) -> bool:
-        return self.hi <= self.lo
-
 
 def abs_pow(x, p: float):
     """|x|**p via exp(p log|x|), with the convention 0**p = 0 (p may be fractional)."""
@@ -315,8 +312,3 @@ def poly_rect_integral(wu: PiecewisePoly, wv: PiecewisePoly, h) -> float:
                         total += cui * cvp * coef \
                             * _int_v_poly_shifted(vp + p, c, d, e, k, m, h)
     return total
-
-
-def inner_product(f: PiecewisePoly, g: PiecewisePoly, h) -> float:
-    """Inner product <f, g>_H = iint f(s) g(t) phi_H(s, t) ds dt, exact."""
-    return poly_rect_integral(f, g, h)

@@ -30,18 +30,3 @@ class SeriesResult:
         """Size of the last term, a crude truncation indicator."""
         last = self.terms[-1]
         return float(np.max(np.abs(last)))
-
-    def to_json_dict(self) -> dict:
-        def as_float(x):
-            arr = np.asarray(x)
-            if arr.ndim != 0:
-                raise TypeError("vector-valued series results are not "
-                                "JSON-serializable; evaluate on a single path")
-            return float(arr)
-
-        return {
-            "order": self.order,
-            "terms": [as_float(t) for t in self.terms],
-            "partial_sums": [as_float(p) for p in self.partial_sums],
-            "diagnostics": self.diagnostics,
-        }

@@ -16,40 +16,23 @@ raises OverflowError at the conversion site).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-
-@dataclass
-class HermiteTable:
-    """Exact integer coefficient rows of the probabilists' Hermite polynomials.
-
-    rows[n] holds ascending-power coefficients of h_n; extended on demand.
-    """
-
-    rows: list = field(default_factory=lambda: [[1], [0, 1]])
-
-    def extend_to(self, n: int) -> None:
-        while len(self.rows) <= n:
-            m = len(self.rows)
-            prev, prev2 = self.rows[m - 1], self.rows[m - 2]
-            row = [0] + list(prev)
-            for i, c in enumerate(prev2):
-                row[i] -= (m - 1) * c
-            self.rows.append(row)
-
-    def coefficients(self, n: int) -> tuple:
-        if n < 0:
-            raise ValueError("Hermite degree must be >= 0")
-        self.extend_to(n)
-        return tuple(self.rows[n])
-
-
-_TABLE = HermiteTable()
+# rows[n] holds the ascending-power coefficients of h_n, grown on demand
+_HERMITE_ROWS = [[1], [0, 1]]
 
 
 def hermite_coefficients(n: int) -> tuple:
     """Ascending-power integer coefficients of h_n."""
-    return _TABLE.coefficients(n)
+    if n < 0:
+        raise ValueError("Hermite degree must be >= 0")
+    rows = _HERMITE_ROWS
+    while len(rows) <= n:
+        m = len(rows)
+        row = [0] + rows[m - 1]
+        for i, c in enumerate(rows[m - 2]):
+            row[i] -= (m - 1) * c
+        rows.append(row)
+    return tuple(rows[n])
 
 
 def hermite_eval(n: int, x):
@@ -84,36 +67,25 @@ def hermite_shift_identity_gap(l: int, x: float, y: float) -> float:
     return abs(acc - hermite_eval(l, x + y))
 
 
-@dataclass
-class StirlingTable:
-    """Second-kind Stirling numbers {j, k} as exact integers, grown on demand."""
-
-    rows: list = field(default_factory=lambda: [[1]])
-
-    def extend_to(self, j: int) -> None:
-        while len(self.rows) <= j:
-            m = len(self.rows)
-            prev = self.rows[m - 1]
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = (prev[k] * k if k < len(prev) else 0) + prev[k - 1]
-            self.rows.append(row)
-
-    def value(self, j: int, k: int) -> int:
-        if j < 0 or k < 0:
-            raise ValueError("Stirling indices must be >= 0")
-        if k > j:
-            return 0
-        self.extend_to(j)
-        return self.rows[j][k]
-
-
-_STIRLING = StirlingTable()
+# rows[j][k] holds {j, k}, grown on demand
+_STIRLING_ROWS = [[1]]
 
 
 def stirling2(j: int, k: int) -> int:
     """Stirling number of the second kind {j, k}, exact."""
-    return _STIRLING.value(j, k)
+    if j < 0 or k < 0:
+        raise ValueError("Stirling indices must be >= 0")
+    if k > j:
+        return 0
+    rows = _STIRLING_ROWS
+    while len(rows) <= j:
+        m = len(rows)
+        prev = rows[m - 1]
+        row = [0] * (m + 1)
+        for i in range(1, m + 1):
+            row[i] = (prev[i] * i if i < len(prev) else 0) + prev[i - 1]
+        rows.append(row)
+    return rows[j][k]
 
 
 def stirling_falling_sum(p: int, n: int) -> int:

@@ -68,11 +68,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def locate_segment(r: float, grid: TimeGrid) -> int:
-    """1-based index of the grid cell whose right-closed interval contains r."""
-    return grid.locate(r)
-
-
 @dataclass(frozen=True)
 class PsiSpec:
     """Iterated kernel integral over [r, t_j], applied k times."""
@@ -92,9 +87,9 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
                t_final: float) -> list:
     """[psi_0(x), .., psi_k_max(x)] over the partition from x's sample times.
 
-    One recursive walk over the cells shares every derivative chain across
-    the multi-indices of all orders, instead of redoing the chains per
-    order and per composition.
+    One depth-first walk over the cells shares every derivative chain
+    across the multi-indices of all orders, instead of redoing the chains
+    per order and per composition.
     """
     hh = _hval(h)
     if x == ZERO or k_max == 0:
@@ -104,20 +99,22 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
     rng = Interval(a, b)
     rects = [rect_integral(Interval(lo, hi), rng, hh) for lo, hi in cells]
     acc = [[] for _ in range(k_max + 1)]
-
-    def walk(ci: int, used: int, d: Expr, coeff: float) -> None:
+    # depth first over (cell, orders used, derivative, coefficient); the
+    # children of a cell are pushed in reverse so they pop in order j = 0, 1, ..
+    stack = [(0, 0, x, 1.0)]
+    while stack:
+        ci, used, d, coeff = stack.pop()
         if ci == len(cells):
             acc[used].append(scale(d, coeff))
-            return
-        walk(ci + 1, used, d, coeff)
+            continue
         hi, ri = cells[ci][1], rects[ci]
+        kids = [(ci + 1, used, d, coeff)]
         for j in range(1, k_max - used + 1):
             d = collect_terms(directional(d, hi))
             if d == ZERO:
-                return
-            walk(ci + 1, used + j, d, coeff * ri ** j / math.factorial(j))
-
-    walk(0, 0, x, 1.0)
+                break
+            kids.append((ci + 1, used + j, d, coeff * ri ** j / math.factorial(j)))
+        stack.extend(reversed(kids))
     return [collect_terms(make_sum(p)) if p else ZERO for p in acc]
 
 

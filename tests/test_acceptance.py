@@ -18,7 +18,7 @@ from fbmseries.expformula import cir_fourth_order_integral, exp_series
 from fbmseries.fbm import McConfig, covariance, mc_expect, simulate
 from fbmseries.functional import (GridPath, TimeGrid, TimeIntBSq, evaluate,
                                   fbm_sample, freeze, make_exp, make_product,
-                                  make_sum, malliavin, scale, time_int_b,
+                                  make_sum, directional, scale, time_int_b,
                                   to_sexpr, grid_partials)
 from fbmseries.kernel import Interval, PiecewisePoly, phi_poly_moment, rect_integral
 from fbmseries.parser import parse
@@ -285,9 +285,9 @@ def test_criterion_9_property_suite():
              (parse("IB(0,1)"), parse("B(0.5)^3"))]
     ok = True
     for x, y in pairs:
-        lhs = malliavin(make_product([x, y]), "u")
-        rhs = make_sum([make_product([x, malliavin(y, "u")]),
-                        make_product([y, malliavin(x, "u")])])
+        lhs = directional(make_product([x, y]), "u")
+        rhs = make_sum([make_product([x, directional(y, "u")]),
+                        make_product([y, directional(x, "u")])])
         for u in (0.2, 0.6, 0.9):
             a = evaluate(lhs, 0.7, path, {"u": u})
             b = evaluate(rhs, 0.7, path, {"u": u})

@@ -138,6 +138,18 @@ class TestExitCodes:
                            "--order", "1", "--mc.paths", "2"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["lognormal", "--hurst", "0.75", "--T", "1", "--sigma", "1e200", "--p", "2"],
+        ["cir", "--hurst", "0.7", "--T", "1.5", "--mc.paths", "100"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_non_finite_output_is_engine_error(self, argv, fmt, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        assert run_cli(argv + ["--format", fmt]) == (3, "")
+        assert "non-finite" in capsys.readouterr().err
+        assert run_cli(argv + ["--format", fmt, "--output", str(target)]) == (3, "")
+        assert not target.exists()
+
     def test_unwritable_output_is_io_error(self):
         assert run_cli(["merton", "--hurst", "0.75", "--T", "1",
                         "--output", "/nonexistent/dir/out.json"])[0] == 4

@@ -14,8 +14,8 @@ from fbmseries.expformula import (
 )
 from fbmseries.functional import (
     Expr,
-    FreeVar,
     GridPath,
+    Indicator,
     TimeGrid,
     TimeIntBSq,
     ZERO,
@@ -171,7 +171,7 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         exp_series(f, 0.0, 1.0, 0.7, -1)
     with pytest.raises(ValueError):
-        exp_series(FreeVar("x"), 0.0, 1.0, 0.7, 1)
+        exp_series(Indicator("x", 0.0, 1.0), 0.0, 1.0, 0.7, 1)
 
 
 def test_assumption_bound_certifies_exponential():

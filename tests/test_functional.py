@@ -37,7 +37,6 @@ from fbmseries.functional import (
     make_power,
     make_product,
     make_sum,
-    malliavin,
     path_from_dict,
     ramp_max,
     scale,
@@ -99,33 +98,33 @@ class TestQueries:
         assert not is_deterministic(parse("B(0.25)"))
 
     def test_free_vars(self):
-        d = malliavin(parse("IB2(0,1)"), "u")
+        d = directional(parse("IB2(0,1)"), "u")
         assert free_vars(d) == {"u"}
 
 
 class TestMalliavin:
     def test_sample_rule(self):
-        assert malliavin(fbm_sample(0.7), "u") == Indicator("u", 0.0, 0.7)
+        assert directional(fbm_sample(0.7), "u") == Indicator("u", 0.0, 0.7)
 
     def test_wiener_rule(self):
         w = WienerInt(PiecewisePoly.from_poly((1.0, 2.0), 0.0, 1.0), 0.0, 1.0)
-        d = malliavin(w, "u")
+        d = directional(w, "u")
         assert d == make_product([PolyInVar((1.0, 2.0), "u"), Indicator("u", 0.0, 1.0)])
 
     def test_time_integral_rules(self):
-        assert malliavin(time_int_b((0.2,), 1.0), "u") == RampMax(1.0, (0.2, "u"))
-        d = malliavin(TimeIntBSq(0.0, 1.0), "u")
+        assert directional(time_int_b((0.2,), 1.0), "u") == RampMax(1.0, (0.2, "u"))
+        d = directional(TimeIntBSq(0.0, 1.0), "u")
         assert d == scale(TimeIntB((0.0, "u"), 1.0), 2.0)
 
     def test_chain_rule_exp(self):
         f = make_exp(fbm_sample(1.0))
-        d = malliavin(f, "u")
+        d = directional(f, "u")
         assert d == make_product([f, Indicator("u", 0.0, 1.0)])
 
     def test_second_derivative_of_cubic(self):
         # D_u D_v (B_t^2 B_T): six chain terms collapse to three products
         f = parse("B(0.5)^2*B(1)")
-        d2 = malliavin(malliavin(f, "v"), "u")
+        d2 = directional(directional(f, "v"), "u")
         path = sample_path(1)
         bt, bT = path.value(0.5), path.value(1.0)
         for u in (0.1, 0.4, 0.6, 0.9):
@@ -163,7 +162,7 @@ class TestMalliavin:
             bump = eps * ((ts > u) + 0.5 * (ts == u))
             fd = (evaluate(f, path=GridPath(path.times, path.values + bump))
                   - evaluate(f, path=GridPath(path.times, path.values - bump))) / (2 * eps)
-            sym = evaluate(malliavin(f, "u"), path=path, bindings={"u": u})
+            sym = evaluate(directional(f, "u"), path=path, bindings={"u": u})
             assert fd == pytest.approx(sym, rel=1e-6, abs=1e-6)
 
     def test_third_order_mixed_finite_difference(self):
@@ -190,10 +189,21 @@ class TestMalliavin:
             sym = directional(sym, tau)
         assert fd == pytest.approx(evaluate(sym, path=path), rel=1e-5, abs=1e-5)
 
+    @pytest.mark.parametrize("src", ["WI(1+s;0,1)*B(1)", "IB(0.25,1)*B(0.5)",
+                                     "IB2(0,1)*exp(0.1*B(1))", "B(0.5)^2*B(1)"])
+    def test_grid_time_direction_is_free_direction_bound(self, src):
+        f = parse(src)
+        path = sample_path(5, times=tuple(k / 40 for k in range(41)))
+        free = directional(f, "u")
+        for tau in (0.2, 0.5, 0.8):
+            want = evaluate(free, path=path, bindings={"u": tau})
+            got = evaluate(directional(f, tau), path=path)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_malliavin_of_residual_integral_unsupported(self):
         node = UIntegral((fbm_sample(0.5),), "u", 0.0, 1.0, "v")
         with pytest.raises(UnsupportedNodeError):
-            malliavin(node, "w")
+            directional(node, "w")
 
 
 class TestFreeze:
@@ -345,8 +355,8 @@ class TestSerialization:
         assert to_sexpr(parse("exp(-1*IB2(0,1))")) == "(exp (* -1.0 (IB2 0.0 1.0)))"
 
     def test_rename_for_structural_matching(self):
-        a = malliavin(fbm_sample(0.5), "u1")
-        b = malliavin(fbm_sample(0.5), "u2")
+        a = directional(fbm_sample(0.5), "u1")
+        b = directional(fbm_sample(0.5), "u2")
         assert to_sexpr(a, rename={"u1": "%"}) == to_sexpr(b, rename={"u2": "%"})
 
     def test_expand_distributes(self):

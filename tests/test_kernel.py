@@ -11,7 +11,6 @@ from fbmseries.kernel import (
     Interval,
     PiecewisePoly,
     abs_pow,
-    inner_product,
     int_pow_phi,
     phi,
     phi_antiderivative,
@@ -139,8 +138,8 @@ class TestClosedForms:
         h = 0.65
         for s in np.linspace(0.1, 1.0, 10):
             for t in np.linspace(0.1, 1.0, 10):
-                ip = inner_product(PiecewisePoly.indicator(0.0, s),
-                                   PiecewisePoly.indicator(0.0, t), h)
+                ip = poly_rect_integral(PiecewisePoly.indicator(0.0, s),
+                                        PiecewisePoly.indicator(0.0, t), h)
                 cov = 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h))
                 assert abs(ip - cov) < 1e-14
 

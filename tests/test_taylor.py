@@ -1,5 +1,6 @@
 """Backward Taylor engine against closed-form conditional expectations."""
 
+import gc
 import math
 
 import numpy as np
@@ -21,13 +22,13 @@ from fbmseries.functional import (
     time_int_b,
 )
 from fbmseries.kernel import Interval, rect_integral
+from fbmseries.parser import parse
 from fbmseries.taylor import (
     PsiSpec,
     assumption_a_sequence,
     backward_taylor,
     compositions,
     iter_kernel_integral,
-    locate_segment,
     mc_sup_norm,
     psi,
     psi_orders,
@@ -92,6 +93,17 @@ def test_psi_orders_consistent_with_single_calls():
         assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
 
 
+def test_psi_orders_leaves_no_reference_cycle():
+    f = parse("exp(0.5*B(1))*B(0.5)^2")
+    gc.collect()
+    gc.disable()
+    try:
+        psi_orders(f, 0.0, 0.5, 6, 0.7, 1.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_psi_invariant_under_partition_refinement():
     # padding with a sample that cancels refines the internal partition but
     # must not change the value: the rectangle integrals are additive
@@ -121,9 +133,9 @@ def test_psi_validation():
 
 def test_locate_segment_matches_grid():
     grid = TimeGrid((0.0, 0.25, 1.0))
-    assert locate_segment(0.0, grid) == 1
-    assert locate_segment(0.25, grid) == 1
-    assert locate_segment(0.3, grid) == 2
+    assert grid.locate(0.0) == 1
+    assert grid.locate(0.25) == 1
+    assert grid.locate(0.3) == 2
 
 
 # ---------------------------------------------------------------------------
