@@ -239,12 +239,6 @@ def lognormal_cf_series(z, big_t, h, sigma, mu: float = 0.0,
                            tuple(terms), tuple(sums))
 
 
-def lognormal_cf_partial(z, big_t, h, sigma, mu: float = 0.0,
-                         n_max: int = 30) -> complex:
-    """Partial sum through n_max of the characteristic-function series."""
-    return lognormal_cf_series(z, big_t, h, sigma, mu, n_max).value
-
-
 def lognormal_moment(p: int, big_t, h, sigma, n_max: int = 60) -> float:
     """E[exp(p sigma B_T)] via the Stirling falling-factorial reduction.
 

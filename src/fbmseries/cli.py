@@ -32,8 +32,8 @@ import numpy as np
 from .applications import (cir_mc_check, cir_small_t, lognormal_cf_series,
                            lognormal_moment, merton_bond_price)
 from .expformula import EngineError, exp_series
-from .fbm import McConfig, needed_times, simulate
-from .functional import EvalError, TimeGrid, evaluate
+from .fbm import McConfig, simulate
+from .functional import EvalError, TimeGrid, evaluate, is_deterministic, times
 from .parser import ParseError, parse
 from .taylor import backward_taylor
 
@@ -245,12 +245,8 @@ def _hurst(args) -> float:
 
 def _symbol_grid(args):
     """Grid backing the t1..tJ / T symbols in --expr, if any is known."""
-    times = set(args.grid or ())
-    if args.big_t is not None:
-        times.add(args.big_t)
-    if not times:
-        return None
-    return TimeGrid(tuple([0.0] + sorted(t for t in times if t > 0.0)))
+    known = set(args.grid or ()) | ({args.big_t} if args.big_t is not None else set())
+    return TimeGrid.covering(known) if known else None
 
 
 def _parse_expr(args) -> "tuple":
@@ -258,10 +254,15 @@ def _parse_expr(args) -> "tuple":
     return parse(src, _symbol_grid(args)), src
 
 
-def _sim_grid(f, r, extra, refinement: int) -> TimeGrid:
-    times = {0.0, float(r)} | set(extra) | needed_times(f)
-    grid = TimeGrid(tuple(sorted(t for t in times if t >= 0.0)))
-    return grid.refine(refinement) if refinement > 1 else grid
+def _sim_path(args, f, h, extra) -> tuple:
+    """(path, n_paths) simulated on a grid carrying f's times and extra.
+
+    One simulated path gives a single GridPath, more give the ensemble view.
+    """
+    cfg = _mc_config(args, default_paths=1)
+    grid = TimeGrid.covering(times(f) | set(extra)).refine(cfg.grid_refinement)
+    ens = simulate(grid, h, cfg)
+    return (ens.path(0) if cfg.n_paths == 1 else ens.as_grid_path()), cfg.n_paths
 
 
 # ---------------------------------------------------------- subcommands
@@ -270,13 +271,10 @@ def _run_simulate(args) -> dict:
     h = _hurst(args)
     cfg = _mc_config(args, default_paths=16)
     if args.grid:
-        grid = TimeGrid(tuple([0.0] + sorted(t for t in set(args.grid)
-                                             if t > 0.0)))
-        if cfg.grid_refinement > 1:
-            grid = grid.refine(cfg.grid_refinement)
+        grid = TimeGrid.covering(args.grid)
     else:
-        big_t = _require(args, "big_t", "--grid or --T")
-        grid = TimeGrid((0.0, big_t)).refine(max(cfg.grid_refinement, 1))
+        grid = TimeGrid((0.0, _require(args, "big_t", "--grid or --T")))
+    grid = grid.refine(cfg.grid_refinement)
     ens = simulate(grid, h, cfg)
     return {
         "subcommand": "simulate",
@@ -315,15 +313,11 @@ def _run_taylor(args) -> dict:
     order = args.order if args.order is not None else 6
     r = args.r if args.r is not None else 0.0
     f, _ = _parse_expr(args)
-    expand_grid = TimeGrid(tuple([0.0] + sorted(t for t in set(grid_times)
-                                                if t > 0.0)))
-    cfg = _mc_config(args, default_paths=1)
-    sim = _sim_grid(f, r, expand_grid.times, cfg.grid_refinement)
-    ens = simulate(sim, h, cfg)
-    path = ens.path(0) if cfg.n_paths == 1 else ens.as_grid_path()
+    expand_grid = TimeGrid.covering(grid_times)
+    path, n_paths = _sim_path(args, f, h, expand_grid.times + (r,))
     res = backward_taylor(f, r, expand_grid, order, h, path=path)
     args.r = r
-    return _series_doc(args, res, cfg.n_paths)
+    return _series_doc(args, res, n_paths)
 
 
 def _run_expform(args) -> dict:
@@ -332,18 +326,15 @@ def _run_expform(args) -> dict:
     order = args.order if args.order is not None else 10
     r = args.r if args.r is not None else 0.0
     f, _ = _parse_expr(args)
-    res = exp_series(f, r, big_t, h, order)
-    n_paths = 0
-    try:
+    if r > 0.0 and not is_deterministic(f):
+        # the frozen series depends on the path up to r; simulate one
+        path, n_paths = _sim_path(args, f, h, (r, big_t))
+        res = exp_series(f, r, big_t, h, order, path=path)
+    else:
+        res = exp_series(f, r, big_t, h, order)
         res.terms = [float(evaluate(t, h)) for t in res.terms]
         res.partial_sums = [float(evaluate(p, h)) for p in res.partial_sums]
-    except EvalError:
-        # the frozen series depends on the path up to r; simulate one
-        cfg = _mc_config(args, default_paths=1)
-        ens = simulate(_sim_grid(f, r, (big_t,), cfg.grid_refinement), h, cfg)
-        path = ens.path(0) if cfg.n_paths == 1 else ens.as_grid_path()
-        res = exp_series(f, r, big_t, h, order, path=path)
-        n_paths = cfg.n_paths
+        n_paths = 0
     args.r = r
     doc = _series_doc(args, res, n_paths)
     doc["T"] = big_t

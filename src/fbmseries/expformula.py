@@ -37,16 +37,8 @@ import math
 import numpy as np
 
 from .functional import (
-    Const,
     Expr,
     GridPath,
-    Indicator,
-    PhiMoment,
-    PolyInVar,
-    RampMax,
-    Sum,
-    TimeIntB,
-    UIntegral,
     ZERO,
     _combine_pwpoly,
     collect_terms,
@@ -55,13 +47,15 @@ from .functional import (
     expand,
     free_vars,
     freeze,
-    horizon,
     is_deterministic,
+    is_pw_factor,
     make_product,
     make_sum,
-    nodes,
+    phi_integral,
     product_factors,
     scale,
+    sum_terms,
+    times,
     to_sexpr,
 )
 from .kernel import _hval, poly_rect_integral
@@ -73,9 +67,6 @@ from .special import beta_fn
 class EngineError(RuntimeError):
     """A level integrand falls outside every implemented integration route."""
 
-
-# factor kinds with an exact piecewise-polynomial restriction in one variable
-_PW_FACTORS = (Const, Indicator, PolyInVar, RampMax)
 
 _MAX_SIMPLEX_DIM = 3
 
@@ -133,7 +124,7 @@ def _cluster_value(u_facs, v_facs, k, r, big_t, hh):
     None signals a factor without a piecewise-polynomial form, in which
     case the caller must fall back to quadrature.
     """
-    if not all(isinstance(f, _PW_FACTORS) for f in u_facs + v_facs):
+    if not all(map(is_pw_factor, u_facs + v_facs)):
         return None
     su, wu = _combine_pwpoly(u_facs, _uname(k), 0.0, big_t, None)
     sv, wv = _combine_pwpoly(v_facs, _vname(k), r, big_t, None)
@@ -155,24 +146,9 @@ def _canonical_cluster(u_facs, v_facs, uv_facs, k) -> tuple:
 
 def _u_pair(facs, k, r, big_t) -> Expr:
     """Replace the u_k factors by the averaged phi_H(u_k, v_k) integral."""
-    node = PhiMoment if all(isinstance(f, _PW_FACTORS) for f in facs) else UIntegral
-    halves = [scale(node(tuple(facs), _uname(k), 0.0, big_t, _vname(k)), 0.5)]
-    if r > 0.0:
-        halves.append(scale(node(tuple(facs), _uname(k), 0.0, r, _vname(k)), 0.5))
-    return make_sum(halves)
-
-
-def _kinks(expr: Expr) -> set:
-    """Constants where a level integrand can lose smoothness."""
-    out = set()
-    for n in nodes(expr):
-        if isinstance(n, (Indicator, PhiMoment, UIntegral)):
-            out |= {n.lo, n.hi}
-        elif isinstance(n, RampMax):
-            out |= {n.cap, *[a for a in n.args if not isinstance(a, str)]}
-        elif isinstance(n, TimeIntB):
-            out |= {n.upper, *[a for a in n.lower if not isinstance(a, str)]}
-    return out
+    his = (big_t, r) if r > 0.0 else (big_t,)
+    return make_sum([scale(phi_integral(facs, _uname(k), 0.0, hi, _vname(k)), 0.5)
+                     for hi in his])
 
 
 def _attach(s_expr, integral, path, hh):
@@ -204,7 +180,9 @@ def _quadrature_value(term, i, r, big_t, hh, path, rel_tol):
         if np.ndim(path.values) > 1:
             raise EngineError(
                 "stochastic simplex integrand supports single paths only")
-    breaks = sorted(c for c in _kinks(g_expr) if r < c < big_t)
+    # the frozen path's times are <= r, so what is left are the kinks of
+    # ramps, indicators and kernel moments
+    breaks = sorted(c for c in times(g_expr) if r < c < big_t)
 
     def g(vs):
         b = {_vname(k + 1): float(vs[k]) for k in range(i)}
@@ -275,7 +253,7 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
         raise ValueError("series order must be >= 0")
     if free_vars(f):
         raise ValueError("functional must not contain free variables")
-    if horizon(f) > big_t * (1.0 + 1e-12):
+    if max(times(f), default=0.0) > big_t * (1.0 + 1e-12):
         raise ValueError("functional looks beyond the declared horizon")
 
     terms, sums, diags = [], [], []
@@ -285,8 +263,7 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
         if i:
             x = second_derivative(x, i)
         frozen = collect_terms(make_sum(expand(freeze(x, r))))
-        prods = [t for t in (frozen.terms if isinstance(frozen, Sum) else (frozen,))
-                 if t != ZERO]
+        prods = [t for t in sum_terms(frozen) if t != ZERO]
         val, route = _level_value(prods, i, r, big_t, hh, path, rel_tol)
         terms.append(val)
         if path is None:

@@ -14,22 +14,11 @@ by the seed, which makes every ensemble bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import (
-    Expr,
-    FbmSample,
-    GridPath,
-    TimeGrid,
-    TimeIntB,
-    TimeIntBSq,
-    WienerInt,
-    evaluate,
-    free_vars,
-    nodes,
-)
+from .functional import Expr, GridPath, TimeGrid, evaluate, free_vars, times
 from .kernel import _hval, abs_pow
 
 
@@ -115,28 +104,9 @@ def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
     return FbmEnsemble(grid, vals, hh, cfg.seed)
 
 
-def needed_times(expr: Expr) -> set:
-    """Every time the functional mentions: samples and integral endpoints."""
-    out = set()
-    for n in nodes(expr):
-        if isinstance(n, FbmSample):
-            out.add(n.t)
-        elif isinstance(n, WienerInt):
-            out |= {n.lo, n.hi} | {b for b in n.weight.breaks if n.lo <= b <= n.hi}
-        elif isinstance(n, TimeIntB):
-            out.add(n.upper)
-            out |= {a for a in n.lower if not isinstance(a, str)}
-        elif isinstance(n, TimeIntBSq):
-            out |= {n.lo, n.hi}
-    return out
-
-
 def grid_for(expr: Expr, refinement: int = 1) -> TimeGrid:
     """Smallest grid carrying the functional's times, refined per cell."""
-    ts = sorted(t for t in needed_times(expr) if t > 0.0)
-    if not ts:
-        raise ValueError("functional mentions no positive times")
-    return TimeGrid(tuple([0.0] + ts)).refine(refinement)
+    return TimeGrid.covering(times(expr)).refine(refinement)
 
 
 @dataclass

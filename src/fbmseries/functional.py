@@ -301,6 +301,18 @@ def hermite_factor(degree: int, arg: Expr) -> Expr:
     return HermitePoly(degree, arg)
 
 
+def is_pw_factor(expr: Expr) -> bool:
+    """True for factor kinds with an exact piecewise-polynomial form in one variable."""
+    return isinstance(expr, (Const, Indicator, PolyInVar, RampMax))
+
+
+def phi_integral(factors, ivar: str, lo: float, hi: float, partner: str) -> Expr:
+    """int_lo^hi prod(factors)(ivar) phi_H(ivar, partner) d ivar: a closed-form
+    PhiMoment when every factor is piecewise polynomial, else a UIntegral."""
+    node = PhiMoment if all(map(is_pw_factor, factors)) else UIntegral
+    return node(tuple(factors), ivar, lo, hi, partner)
+
+
 def collect_terms(expr: Expr) -> Expr:
     """Combine sum terms that agree up to a constant factor.
 
@@ -358,19 +370,23 @@ def fbm_times(expr: Expr) -> set:
     return {n.t for n in nodes(expr) if isinstance(n, FbmSample)}
 
 
-def horizon(expr: Expr) -> float:
-    """Largest time constant mentioned anywhere (samples and integral limits)."""
-    top = 0.0
+def times(expr: Expr) -> set:
+    """Every time constant in the tree: sample times, integral limits,
+    Wiener-weight breakpoints inside the limits, ramp caps, the constant
+    arguments of max() and indicator and kernel-moment limits."""
+    out = set()
     for n in nodes(expr):
         if isinstance(n, FbmSample):
-            top = max(top, n.t)
-        elif isinstance(n, (WienerInt, TimeIntBSq)):
-            top = max(top, n.hi)
+            out.add(n.t)
+        elif isinstance(n, WienerInt):
+            out |= {n.lo, n.hi} | {b for b in n.weight.breaks if n.lo <= b <= n.hi}
+        elif isinstance(n, (TimeIntBSq, Indicator, PhiMoment, UIntegral)):
+            out |= {n.lo, n.hi}
         elif isinstance(n, TimeIntB):
-            top = max([top, n.upper] + [a for a in n.lower if not isinstance(a, str)])
+            out |= {n.upper, *[a for a in n.lower if not isinstance(a, str)]}
         elif isinstance(n, RampMax):
-            top = max([top, n.cap] + [a for a in n.args if not isinstance(a, str)])
-    return top
+            out |= {n.cap, *[a for a in n.args if not isinstance(a, str)]}
+    return out
 
 
 def is_discrete(expr: Expr) -> bool:
@@ -534,12 +550,6 @@ class TimeGrid:
     def final_time(self) -> float:
         return self.times[-1]
 
-    def cell(self, i: int) -> tuple:
-        """Cell i in 1-based indexing: (t_{i-1}, t_i)."""
-        if not (1 <= i <= self.n_cells):
-            raise IndexError(f"cell index {i} outside 1..{self.n_cells}")
-        return self.times[i - 1], self.times[i]
-
     def locate(self, r: float) -> int:
         """1-based index of the cell whose right-closed interval contains r.
 
@@ -556,19 +566,19 @@ class TimeGrid:
                 return i
         raise AssertionError("unreachable")
 
+    @classmethod
+    def covering(cls, times: Iterable[float]) -> "TimeGrid":
+        """Smallest grid carrying every positive time given, from 0."""
+        return cls(tuple([0.0] + sorted({t for t in map(float, times) if t > 0.0})))
+
     def refine(self, k: int) -> "TimeGrid":
-        """Subdivide every cell into k equal parts."""
+        """Subdivide every cell into k equal parts, keeping every grid time."""
         if k < 1:
             raise ValueError("refinement factor must be >= 1")
         out = [0.0]
         for a, b in zip(self.times, self.times[1:]):
-            for j in range(1, k + 1):
-                out.append(a + (b - a) * j / k)
+            out += [a + (b - a) * j / k for j in range(1, k)] + [b]
         return TimeGrid(tuple(out))
-
-    def with_times(self, extra: Iterable[float]) -> "TimeGrid":
-        ts = sorted(set(self.times) | {float(t) for t in extra if float(t) > 0.0})
-        return TimeGrid(tuple([0.0] + [t for t in ts if t > 0.0]))
 
 
 class GridPath:
@@ -608,7 +618,7 @@ class GridPath:
         i, j = self.index_of(lo), self.index_of(hi)
         ts = np.asarray(self.times[i:j + 1])
         mids = 0.5 * (ts[:-1] + ts[1:])
-        f = np.asarray([weight(m) for m in mids])
+        f = weight(mids)
         db = np.diff(self.values[..., i:j + 1], axis=-1)
         return np.sum(f * db, axis=-1)
 
@@ -643,7 +653,7 @@ def factor_to_pwpoly(factor: Expr, ivar: str, lo: float, hi: float,
     Returns a float for factors constant in ivar and None for an identically
     zero restriction.
     """
-    if not isinstance(factor, (Const, Indicator, PolyInVar, RampMax)):
+    if not is_pw_factor(factor):
         raise UnsupportedNodeError(
             f"{type(factor).__name__} is not a deterministic factor in '{ivar}'")
     if isinstance(factor, Indicator) and factor.var == ivar:
@@ -811,6 +821,10 @@ def expand(expr: Expr) -> list:
             terms = [make_product([acc, alt]) for acc in terms for alt in alternatives]
         return terms
     return [expr]
+
+
+def sum_terms(expr: Expr) -> tuple:
+    return expr.terms if isinstance(expr, Sum) else (expr,)
 
 
 def product_factors(term: Expr) -> tuple:

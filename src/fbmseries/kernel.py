@@ -199,10 +199,6 @@ class PiecewisePoly:
                 out[mask] = np.polynomial.polynomial.polyval(xs[mask], np.asarray(c))
         return float(out) if np.ndim(x) == 0 else out
 
-    def scale(self, factor: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks,
-                             tuple(tuple(factor * ci for ci in c) for c in self.coeffs))
-
     def restrict(self, lo: float, hi: float) -> "PiecewisePoly | None":
         """Clip support to [lo, hi]; None if the overlap has zero length."""
         pieces = []

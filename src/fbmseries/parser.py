@@ -29,7 +29,6 @@ from .functional import (
     TimeGrid,
     TimeIntBSq,
     WienerInt,
-    ZERO,
     fbm_sample,
     make_exp,
     make_power,

@@ -11,7 +11,6 @@ panels converge quickly.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 

@@ -52,6 +52,7 @@ from .functional import (
     make_product,
     make_sum,
     scale,
+    sum_terms,
 )
 from .kernel import Interval, _hval, rect_integral
 from .results import SeriesResult
@@ -236,8 +237,7 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
         layer = nxt
 
     term_exprs = [layer.get(l, ZERO) for l in range(order + 1)]
-    n_counts = [len(t.terms) if hasattr(t, "terms") else (0 if t == ZERO else 1)
-                for t in term_exprs]
+    n_counts = [0 if t == ZERO else len(sum_terms(t)) for t in term_exprs]
     return _package(order, term_exprs, n_counts, hh, path)
 
 

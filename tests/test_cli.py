@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fbmseries.cli import main, render_table
+from fbmseries.expformula import exp_series
 from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import TimeGrid
 from fbmseries.parser import parse
@@ -64,6 +65,30 @@ class TestSubcommands:
         vt = json.loads(out_t)["value"]
         ve = json.loads(out_e)["value"]
         assert ve == pytest.approx(vt, rel=1e-9)
+
+    def test_refined_grid_keeps_the_functional_times(self):
+        # refining every cell by 3 must keep 0.45 on the simulation grid
+        args = ["--hurst", "0.7", "--r", "0.1", "--expr", "B(0.45)*B(1)",
+                "--order", "3", "--mc.refinement", "3", "--format", "json"]
+        code_t, out_t = run_cli(["taylor", "--grid", "0,0.45,1"] + args)
+        code_e, out_e = run_cli(["expform", "--T", "1"] + args)
+        assert code_t == 0 and code_e == 0
+        assert json.loads(out_t)["value"] == pytest.approx(
+            json.loads(out_e)["value"], rel=1e-9)
+
+    def test_expform_runs_the_engine_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("path") is not None)
+            return exp_series(*args, **kwargs)
+
+        monkeypatch.setattr("fbmseries.cli.exp_series", counted)
+        code, out = run_cli(["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+                             "--expr", "IB2(0,1)", "--order", "2", "--format", "json"])
+        assert code == 0
+        assert calls == [True]
+        assert json.loads(out)["n_paths"] == 1
 
     def test_merton_csv_schema(self):
         code, out = run_cli(["merton", "--hurst", "0.75", "--T", "1",

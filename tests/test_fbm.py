@@ -11,10 +11,9 @@ from fbmseries.fbm import (
     covariance,
     grid_for,
     mc_expect,
-    needed_times,
     simulate,
 )
-from fbmseries.functional import TimeGrid, evaluate
+from fbmseries.functional import TimeGrid, evaluate, times
 from fbmseries.parser import parse
 
 
@@ -107,7 +106,13 @@ class TestMcExpect:
 class TestGridFor:
     def test_needed_times(self):
         e = parse("B(0.5)*IB(0.25,1)+WI(s;0.1,0.9)")
-        assert needed_times(e) == {0.5, 0.25, 1.0, 0.1, 0.9}
+        assert times(e) == {0.5, 0.25, 1.0, 0.1, 0.9}
+
+    def test_functional_times_stay_on_the_grid(self):
+        # 0.1 + (0.45 - 0.1) is not 0.45 in floating point
+        est = mc_expect(parse("B(0.1)*B(0.45)"), 0.7, McConfig(n_paths=500))
+        assert {0.1, 0.45} <= set(est.grid.times)
+        assert abs(est.estimate - covariance(0.1, 0.45, 0.7)) < 4.0 * est.stderr
 
     def test_refinement(self):
         g = grid_for(parse("IB2(0,0.3)"), refinement=3)

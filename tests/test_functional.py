@@ -30,7 +30,6 @@ from fbmseries.functional import (
     free_vars,
     freeze,
     grid_partials,
-    horizon,
     is_deterministic,
     is_discrete,
     make_exp,
@@ -41,6 +40,7 @@ from fbmseries.functional import (
     ramp_max,
     scale,
     time_int_b,
+    times,
     to_sexpr,
 )
 from fbmseries.kernel import PiecewisePoly, phi_antiderivative
@@ -88,7 +88,14 @@ class TestQueries:
     def test_fbm_times_and_horizon(self):
         e = parse("B(0.5)^2*B(1)+IB(0,0.75)")
         assert fbm_times(e) == {0.5, 1.0}
-        assert horizon(e) == 1.0
+        assert max(times(e)) == 1.0
+
+    def test_times_lists_every_time_constant(self):
+        e = make_product([RampMax(0.9, (0.2, "u")), Indicator("u", 0.1, 0.6),
+                          PhiMoment((Indicator("w", 0.05, 0.4),), "w", 0.0, 0.7, "u"),
+                          parse("WI(1;0.3,0.8)"), time_int_b((0.15, "u"), 0.95)])
+        assert times(e) == {0.9, 0.2, 0.1, 0.6, 0.05, 0.4, 0.0, 0.7, 0.3, 0.8,
+                            0.15, 0.95}
 
     def test_discrete_and_deterministic(self):
         assert is_discrete(parse("B(0.5)^2*B(1)"))
@@ -273,6 +280,16 @@ class TestEvaluate:
         increments = path.value(1.0) - path.value(0.0)
         assert evaluate(w1, path=path) == pytest.approx(increments, rel=1e-12)
 
+    def test_stieltjes_equals_the_per_midpoint_sum(self):
+        paths = sample_path(11, times=tuple(k / 16 for k in range(17)), n=8)
+        w = PiecewisePoly((0.0, 0.3, 1.0), ((1.0, 2.0), (0.5, -1.0, 3.0)))
+        i, j = paths.index_of(0.125), paths.index_of(1.0)
+        ts = np.asarray(paths.times[i:j + 1])
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        want = np.sum(np.asarray([w(m) for m in mids])
+                      * np.diff(paths.values[..., i:j + 1], axis=-1), axis=-1)
+        assert np.array_equal(paths.stieltjes(w, 0.125, 1.0), want)
+
     def test_phi_moment_indicator(self):
         node = PhiMoment((Indicator("u", 0.0, 0.5),), "u", 0.0, 1.0, "v")
         got = evaluate(node, h=0.7, bindings={"v": 0.8})
@@ -345,7 +362,21 @@ class TestTimeGrid:
     def test_refine_and_union(self):
         g = TimeGrid((0.0, 0.5, 1.0)).refine(2)
         assert g.times == (0.0, 0.25, 0.5, 0.75, 1.0)
-        assert g.with_times((0.6,)).times == (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
+        assert TimeGrid.covering(g.times + (0.6,)).times == (0.0, 0.25, 0.5, 0.6,
+                                                             0.75, 1.0)
+
+    def test_refine_keeps_every_grid_time(self):
+        # a + (b - a) * k / k misses b = 0.45 by one ulp
+        assert TimeGrid((0.0, 0.1, 0.45)).refine(1).times == (0.0, 0.1, 0.45)
+        for k in (2, 3, 7):
+            fine = TimeGrid((0.0, 0.1, 0.45, 1.0)).refine(k).times
+            assert len(fine) == 3 * k + 1
+            assert {0.1, 0.45, 1.0} <= set(fine)
+
+    def test_covering_adds_the_origin_and_drops_duplicates(self):
+        assert TimeGrid.covering((1.0, 0.5, 0.0, 0.5)).times == (0.0, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            TimeGrid.covering((0.0,))
 
 
 class TestSerialization:

@@ -1,0 +1,47 @@
+"""Panel quadrature: breakpoints, the singular kernel weight, simplex integrals."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fbmseries.kernel import phi_antiderivative
+from fbmseries.quadrature import (adaptive_panels, graded_points,
+                                  nested_simplex, phi_weighted_integral)
+
+
+def test_adaptive_panels_splits_at_a_kink():
+    # |x - 0.3| on [0, 1]: 0.3^2 / 2 + 0.7^2 / 2
+    got = adaptive_panels(lambda xs: np.abs(np.asarray(xs) - 0.3), 0.0, 1.0,
+                          breaks=(0.3,))
+    assert got == pytest.approx(0.29, rel=1e-13)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.4, 0.9, 1.3])
+def test_phi_weighted_unit_integrand_is_the_antiderivative(v):
+    h = 0.7
+    got = phi_weighted_integral(lambda us: np.ones_like(np.asarray(us)),
+                                0.1, 0.9, v, h)
+    assert got == pytest.approx(phi_antiderivative(0.1, 0.9, v, h), rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nested_simplex_volume(dim):
+    r, t = 0.2, 1.0
+    got = nested_simplex(lambda vs: 1.0, r, t, dim, n=8)
+    assert got == pytest.approx((t - r) ** dim / math.factorial(dim), rel=1e-12)
+
+
+def test_nested_simplex_symmetric_product_is_half_the_square():
+    r, t = 0.2, 1.0
+    got = nested_simplex(lambda vs: math.exp(vs[0]) * math.exp(vs[1]), r, t, 2,
+                         rel_tol=1e-12)
+    assert got == pytest.approx((math.exp(t) - math.exp(r)) ** 2 / 2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("toward_start", [True, False])
+def test_graded_points_keep_endpoints_and_increase(toward_start):
+    pts = graded_points(0.25, 1.0, 6, ratio=0.15, toward_start=toward_start)
+    assert pts[0] == 0.25 and pts[-1] == 1.0
+    assert len(pts) == 7
+    assert all(a < b for a, b in zip(pts, pts[1:]))
