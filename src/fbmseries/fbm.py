@@ -86,11 +86,12 @@ class FbmEnsemble:
 def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
     """Sample an ensemble with the exact joint law on the grid times."""
     hh = _hval(h)
+    p = 2.0 * hh
     ts = np.asarray(grid.times[1:])
-    cov = np.empty((ts.size, ts.size))
-    for i, s in enumerate(ts):
-        for j, t in enumerate(ts):
-            cov[i, j] = covariance(s, t, hh)
+    # covariance(s, t) for s = ts[i], t = ts[j], in the same operation order
+    pow_t = _abs_pow_each(ts, p)
+    lag_pow = _abs_pow_each(ts[None, :] - ts[:, None], p)
+    cov = 0.5 * ((pow_t[:, None] + pow_t[None, :]) - lag_pow)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -102,6 +103,12 @@ def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
     z = rng.standard_normal((cfg.n_paths, ts.size))
     vals = np.hstack([np.zeros((cfg.n_paths, 1)), z @ chol.T])
     return FbmEnsemble(grid, vals, hh, cfg.seed)
+
+
+def _abs_pow_each(x: np.ndarray, p: float) -> np.ndarray:
+    """Scalar abs_pow at every entry of x, called once per distinct value."""
+    distinct, where = np.unique(x, return_inverse=True)
+    return np.asarray([abs_pow(v, p) for v in distinct])[where].reshape(x.shape)
 
 
 def grid_for(expr: Expr, refinement: int = 1) -> TimeGrid:
@@ -135,7 +142,7 @@ def mc_expect(expr: Expr, h, cfg: McConfig, grid: "TimeGrid | None" = None,
     samples = np.asarray(evaluate(expr, h=ensemble.h,
                                   path=ensemble.as_grid_path()), dtype=float)
     samples = np.broadcast_to(samples, (ensemble.n_paths,))
-    mean = math.fsum(samples) / samples.size
-    var = math.fsum((x - mean) ** 2 for x in samples) / (samples.size - 1)
+    mean = math.fsum(samples.tolist()) / samples.size
+    var = math.fsum(((samples - mean) ** 2).tolist()) / (samples.size - 1)
     return McEstimate(mean, math.sqrt(var / samples.size),
                       ensemble.n_paths, ensemble.grid)

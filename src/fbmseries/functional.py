@@ -1,9 +1,12 @@
 """Symbolic functionals of a fractional Brownian path and their calculus.
 
-An Expr is an immutable tree built from samples B_t, Wiener integrals
-int f dB, time integrals int B ds and int B^2 ds, and the closure of those
-under sums, products, integer powers, exp, and Hermite polynomials.  Two
-operations drive everything else:
+An Expr is an immutable expression DAG built from samples B_t, Wiener
+integrals int f dB, time integrals int B ds and int B^2 ds, and the closure
+of those under sums, products, integer powers, exp, and Hermite polynomials.
+Nodes are hash-consed: constructing a node equal to a live one returns that
+node, so equal subexpressions are shared, equality is identity, and the
+derivative, freeze, evaluation and the structural queries each handle a
+distinct node once.  Two operations drive everything else:
 
   * directional: the fractional pathwise derivative D_at, taken in one of
                  two directions.  With a variable name u it is the Malliavin
@@ -27,7 +30,8 @@ error, never an interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -53,23 +57,91 @@ class UnsupportedNodeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# node kinds
+# node kinds: an interned DAG
 
 
-@dataclass(frozen=True)
-class Const:
+_interned = {}   # construction key -> weak reference to the live node
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref, table=_interned):
+    """Drop a dead node's entry (the table is bound early for interpreter exit)."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _exact(value):
+    """Key part of a plain field: nonzero floats as they are, anything else by
+    repr, which keeps 0.0 apart from -0.0 and 1 apart from 1.0."""
+    return value if type(value) is float and value else repr(value)
+
+
+class _Node:
+    """Base of every node kind.
+
+    Nodes are interned: constructing a node structurally equal to a live one
+    returns that node, so equality is identity and a node hashes by
+    identity, in constant time, however large the subexpression below it.
+    The intern table holds weak references, so an entry goes when its node
+    does.  It is not locked: two threads building equal nodes at once may
+    get two nodes, which collect_terms then keeps as separate terms.
+    _plain lists the positions of the fields that hold plain values
+    rather than nodes (see _kind); _plan caches the evaluation schedule of
+    a node evaluated as a root.
+    """
+
+    __slots__ = ("_plan", "__weakref__")
+    _plain = ()
+
+    def __new__(cls, *args):
+        plain = cls._plain
+        key = (cls, *args, *[_exact(args[i]) for i in plain]) if plain else (cls, *args)
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        names = cls.__match_args__
+        if len(args) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields")
+        node = object.__new__(cls)
+        for name, value in zip(names, args):
+            object.__setattr__(node, name, value)
+        if hasattr(node, "__post_init__"):
+            node.__post_init__()
+        ref = _interned[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+def _kind(cls):
+    """Declare a node kind: a frozen, slotted dataclass compared by identity.
+    Fields annotated with Expr hold nodes, the others plain values."""
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    cls._plain = tuple(i for i, f in enumerate(fields(cls)) if "Expr" not in f.type)
+    return cls
+
+
+@_kind
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class FbmSample:
+@_kind
+class FbmSample(_Node):
     """B_t for a fixed time t > 0 (t = 0 folds to the constant 0)."""
 
     t: float
 
 
-@dataclass(frozen=True)
-class WienerInt:
+@_kind
+class WienerInt(_Node):
     """int_lo^hi f(s) dB_s with a deterministic piecewise-polynomial f."""
 
     weight: PiecewisePoly
@@ -77,32 +149,32 @@ class WienerInt:
     hi: float
 
 
-@dataclass(frozen=True)
-class TimeIntB:
+@_kind
+class TimeIntB(_Node):
     """int_{max(lower)}^{upper} B_s ds; lower mixes constants and variable names."""
 
     lower: tuple
     upper: float
 
 
-@dataclass(frozen=True)
-class TimeIntBSq:
+@_kind
+class TimeIntBSq(_Node):
     """int_lo^hi B_s^2 ds."""
 
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
-class RampMax:
+@_kind
+class RampMax(_Node):
     """max(0, cap - max(args)); args mix constants and variable names."""
 
     cap: float
     args: tuple
 
 
-@dataclass(frozen=True)
-class Indicator:
+@_kind
+class Indicator(_Node):
     """1_{[lo, hi]}(var)."""
 
     var: str
@@ -110,35 +182,35 @@ class Indicator:
     hi: float
 
 
-@dataclass(frozen=True)
-class PolyInVar:
+@_kind
+class PolyInVar(_Node):
     """Polynomial in a free variable, ascending coefficients."""
 
     coeffs: tuple
     var: str
 
 
-@dataclass(frozen=True)
-class HermitePoly:
+@_kind
+class HermitePoly(_Node):
     """h_n(arg) in the probabilists' normalization, kept unexpanded for stability."""
 
     degree: int
-    arg: "Expr"
+    arg: Expr
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+@_kind
+class Sum(_Node):
+    terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+@_kind
+class Product(_Node):
+    factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Expr"
+@_kind
+class Power(_Node):
+    base: Expr
     exponent: int
 
     def __post_init__(self):
@@ -146,13 +218,13 @@ class Power:
             raise ValueError("Power exponent must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "Expr"
+@_kind
+class Exp(_Node):
+    arg: Expr
 
 
-@dataclass(frozen=True)
-class PhiMoment:
+@_kind
+class PhiMoment(_Node):
     """Deferred exact kernel moment int_lo^hi w(u) phi_H(u, partner) du.
 
     factors are deterministic functions of the integration variable ivar
@@ -160,22 +232,22 @@ class PhiMoment:
     is produced at evaluation time once every other variable is bound.
     """
 
-    factors: tuple
+    factors: tuple[Expr, ...]
     ivar: str
     lo: float
     hi: float
     partner: str
 
 
-@dataclass(frozen=True)
-class UIntegral:
+@_kind
+class UIntegral(_Node):
     """Residual int_lo^hi (prod factors)(u) phi_H(u, partner) du, numeric at eval.
 
     Used when the integrand is not deterministic in u, so no closed form
     applies; evaluation falls back to singularity-split Gauss panels.
     """
 
-    factors: tuple
+    factors: tuple[Expr, ...]
     ivar: str
     lo: float
     hi: float
@@ -239,11 +311,7 @@ def make_sum(terms: Iterable[Expr]) -> Expr:
     flat = []
     const = 0.0
     for t in terms:
-        if isinstance(t, Sum):
-            inner = list(t.terms)
-        else:
-            inner = [t]
-        for u in inner:
+        for u in t.terms if isinstance(t, Sum) else (t,):
             if isinstance(u, Const):
                 const += u.value
             else:
@@ -257,8 +325,7 @@ def make_product(factors: Iterable[Expr]) -> Expr:
     flat = []
     const = 1.0
     for f in factors:
-        items = list(f.factors) if isinstance(f, Product) else [f]
-        for u in items:
+        for u in f.factors if isinstance(f, Product) else (f,):
             if isinstance(u, Const):
                 const *= u.value
             else:
@@ -317,8 +384,8 @@ def collect_terms(expr: Expr) -> Expr:
     """Combine sum terms that agree up to a constant factor.
 
     Repeated differentiation of products grows sums exponentially unless
-    duplicates produced by the product rule are merged; nodes are frozen
-    dataclasses, so the non-constant part itself serves as the bucket key.
+    duplicates produced by the product rule are merged; nodes are interned,
+    so equal non-constant parts are the same node and key one bucket.
     """
     if not isinstance(expr, Sum):
         return expr
@@ -331,18 +398,21 @@ def collect_terms(expr: Expr) -> Expr:
             rest = tail[0] if len(tail) == 1 else Product(tail)
         elif isinstance(t, Const):
             coeff, rest = t.value, ONE
-        if rest in buckets:
-            buckets[rest][0] += coeff
-        else:
+        acc = buckets.get(rest)
+        if acc is None:
             buckets[rest] = [coeff]
+        else:
+            acc[0] += coeff
     return make_sum([scale(r, c) for r, (c,) in buckets.items() if c != 0.0])
 
 
 # ---------------------------------------------------------------------------
-# structural queries
+# structural queries and the DAG fold
 
 
-def children(expr: Expr) -> tuple:
+def _operands(expr: Expr) -> tuple:
+    """The children a node's value and derivative are computed from; the
+    factors of kernel integrals are functions of their bound variable."""
     if isinstance(expr, Sum):
         return expr.terms
     if isinstance(expr, Product):
@@ -351,27 +421,48 @@ def children(expr: Expr) -> tuple:
         return (expr.base,)
     if isinstance(expr, (Exp, HermitePoly)):
         return (expr.arg,)
-    if isinstance(expr, (PhiMoment, UIntegral)):
-        return expr.factors
     return ()
 
 
+def children(expr: Expr) -> tuple:
+    if isinstance(expr, (PhiMoment, UIntegral)):
+        return expr.factors
+    return _operands(expr)
+
+
+def _fold(expr: Expr, rule, arg=None, kids=_operands, done=None):
+    """rule(node, [its results at kids(node)], arg) once per distinct node,
+    operands first and left to right; the result at expr."""
+    if done is None:
+        done = {}
+    out = done.get(id(expr))
+    if out is None:
+        ks = kids(expr)
+        if ks:
+            ks = [_fold(c, rule, arg, kids, done) for c in ks]
+        out = done[id(expr)] = rule(expr, ks, arg)
+    return out
+
+
 def nodes(expr: Expr):
-    """Every node of the tree in pre-order (repeated subtrees repeat)."""
+    """Every distinct node of the DAG once, in pre-order."""
+    seen = set()
     stack = [expr]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(children(node)))
 
 
 def fbm_times(expr: Expr) -> set:
-    """Times of every B_t sample appearing in the tree."""
+    """Times of every B_t sample in the expression."""
     return {n.t for n in nodes(expr) if isinstance(n, FbmSample)}
 
 
 def times(expr: Expr) -> set:
-    """Every time constant in the tree: sample times, integral limits,
+    """Every time constant in the expression: sample times, integral limits,
     Wiener-weight breakpoints inside the limits, ramp caps, the constant
     arguments of max() and indicator and kernel-moment limits."""
     out = set()
@@ -400,23 +491,23 @@ def is_deterministic(expr: Expr) -> bool:
                    for n in nodes(expr))
 
 
-def free_vars(expr: Expr) -> set:
-    out = set()
+def _free_vars_rule(expr: Expr, inner, _) -> set:
+    out = set().union(*inner)
     if isinstance(expr, (Indicator, PolyInVar)):
         out.add(expr.var)
-    elif isinstance(expr, (TimeIntB,)):
+    elif isinstance(expr, TimeIntB):
         out |= {a for a in expr.lower if isinstance(a, str)}
     elif isinstance(expr, RampMax):
         out |= {a for a in expr.args if isinstance(a, str)}
     elif isinstance(expr, (PhiMoment, UIntegral)):
         out.add(expr.partner)
-        for f in expr.factors:
-            out |= free_vars(f)
         out.discard(expr.ivar)
-        return out
-    for c in children(expr):
-        out |= free_vars(c)
     return out
+
+
+def free_vars(expr: Expr) -> set:
+    """Variable names left unbound; kernel integrals bind their ivar."""
+    return _fold(expr, _free_vars_rule, kids=children)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +521,14 @@ def directional(expr: Expr, at: "str | float") -> Expr:
     ranging over [0, horizon]; a time tau gives the grid-time derivative,
     d/dB applied to every sample at time >= tau.  Only samples and Wiener
     integrals need to tell the two apart: the ramps of time integrals fold
-    a constant direction on construction.
+    a constant direction on construction.  Each distinct node of the DAG is
+    differentiated once.
     """
+    return _fold(expr, _derivative, at)
+
+
+def _derivative(expr: Expr, ds: list, at) -> Expr:
+    """D_at of one node, given D_at of each of its operands."""
     if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
         return ZERO
     free = isinstance(at, str)
@@ -457,24 +554,20 @@ def directional(expr: Expr, at: "str | float") -> Expr:
         return scale(time_int_b((expr.lo, at), expr.hi), 2.0)
     if isinstance(expr, HermitePoly):
         return make_product([Const(float(expr.degree)),
-                             hermite_factor(expr.degree - 1, expr.arg),
-                             directional(expr.arg, at)])
+                             hermite_factor(expr.degree - 1, expr.arg), ds[0]])
     if isinstance(expr, Sum):
-        return make_sum(directional(t, at) for t in expr.terms)
+        return make_sum(ds)
     if isinstance(expr, Product):
         terms = []
-        for i, f in enumerate(expr.factors):
-            d = directional(f, at)
-            if d != ZERO:
-                rest = expr.factors[:i] + expr.factors[i + 1:]
-                terms.append(make_product(list(rest) + [d]))
+        for i, d in enumerate(ds):
+            if d is not ZERO:
+                terms.append(make_product(expr.factors[:i] + expr.factors[i + 1:] + (d,)))
         return make_sum(terms)
     if isinstance(expr, Power):
         return make_product([Const(float(expr.exponent)),
-                             make_power(expr.base, expr.exponent - 1),
-                             directional(expr.base, at)])
+                             make_power(expr.base, expr.exponent - 1), ds[0]])
     if isinstance(expr, Exp):
-        return make_product([expr, directional(expr.arg, at)])
+        return make_product([expr, ds[0]])
     raise UnsupportedNodeError(f"directional undefined for {type(expr).__name__}")
 
 
@@ -483,9 +576,15 @@ def directional(expr: Expr, at: "str | float") -> Expr:
 
 
 def freeze(expr: Expr, r: float) -> Expr:
+    """expr on the path stopped at r; each distinct node is frozen once."""
     r = float(r)
     if r < 0.0:
         raise ValueError("freeze time must be >= 0")
+    return _fold(expr, _frozen, r)
+
+
+def _frozen(expr: Expr, fs: list, r: float) -> Expr:
+    """One node on the path stopped at r, given its frozen operands."""
     if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
         return expr
     if isinstance(expr, FbmSample):
@@ -508,15 +607,15 @@ def freeze(expr: Expr, r: float) -> Expr:
                              Const(max(0.0, expr.hi - max(expr.lo, c)))])
         return make_sum([observed, tail])
     if isinstance(expr, HermitePoly):
-        return hermite_factor(expr.degree, freeze(expr.arg, r))
+        return hermite_factor(expr.degree, fs[0])
     if isinstance(expr, Sum):
-        return make_sum(freeze(t, r) for t in expr.terms)
+        return make_sum(fs)
     if isinstance(expr, Product):
-        return make_product(freeze(f, r) for f in expr.factors)
+        return make_product(fs)
     if isinstance(expr, Power):
-        return make_power(freeze(expr.base, r), expr.exponent)
+        return make_power(fs[0], expr.exponent)
     if isinstance(expr, Exp):
-        return make_exp(freeze(expr.arg, r))
+        return make_exp(fs[0])
     if isinstance(expr, UIntegral):
         return UIntegral(tuple(freeze(f, r) for f in expr.factors),
                          expr.ivar, expr.lo, expr.hi, expr.partner)
@@ -711,14 +810,88 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
     """Evaluate on a path (scalar or vectorized across an ensemble).
 
     h is only needed for deferred kernel nodes; bindings supply free
-    variables.  Every time lookup is strict to the path grid.
+    variables.  Every time lookup is strict to the path grid.  Each
+    distinct node is computed once, in the order a recursive walk would
+    first reach it, and its value is dropped at its last use, so a shared
+    subtree costs one evaluation and few values are alive at a time.
     """
+    if not isinstance(expr, _Node):
+        raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
+    plan = getattr(expr, "_plan", None)
+    if plan is None:
+        plan = _schedule(expr)
+        object.__setattr__(expr, "_plan", plan)
+    n_slots, steps = plan
+    vals = [None] * n_slots
+    for node, slot, arg, last in steps:
+        node = node or expr
+        if arg is None:
+            vals[slot] = _value(node, None, h, path, bindings)
+        elif node.__class__ is Sum:
+            vals[slot] = vals[slot] + vals[arg]
+        elif node.__class__ is Product:
+            vals[slot] = vals[slot] * vals[arg]
+        else:
+            vals[slot] = _value(node, vals[arg], h, path, bindings)
+        for j in last:
+            vals[j] = None
+    return vals[0]
+
+
+def _schedule(expr: Expr) -> tuple:
+    """(number of value slots, steps) evaluating expr, built once per root.
+
+    A step (node, slot, arg, last) stores in slot the value of a node
+    without operands (arg None) or of a unary node applied to the value in
+    slot arg, or folds the value in slot arg into the sum or product
+    accumulating in slot, which starts from its empty value; last holds
+    arg when no later step reads it.  The root's slot is 0 and the root
+    appears as None, so the schedule cached on it holds no reference back
+    to it.
+    """
+    slots, steps = {}, []
+    _emit(expr, slots, steps)
+    out, read = [], set()
+    for node, slot, arg in reversed(steps):
+        last = () if arg is None or arg in read else (arg,)
+        read.add(arg)
+        out.append((None if node is expr else node, slot, arg, last))
+    return len(slots), tuple(reversed(out))
+
+
+def _emit(node: Expr, slots: dict, steps: list) -> int:
+    """Append the steps (node, slot, arg) computing node, unless already
+    scheduled; its slot."""
+    slot = slots.get(id(node))
+    if slot is not None:
+        return slot
+    slot = slots[id(node)] = len(slots)
+    ops = _operands(node)
+    if not ops or isinstance(node, (Sum, Product)):
+        steps.append((node, slot, None))
+    for c in ops:
+        steps.append((node, slot, _emit(c, slots, steps)))
+    return slot
+
+
+def _value(expr: Expr, x, h, path, bindings):
+    """One node's value; x is the operand's value for a unary node."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, FbmSample):
         if path is None:
             raise EvalError("path required to evaluate B_t")
         return path.value(expr.t)
+    if isinstance(expr, Sum):
+        return 0.0  # the empty sum; evaluate folds the terms in one by one
+    if isinstance(expr, Product):
+        return 1.0
+    if isinstance(expr, HermitePoly):
+        return hermite_eval(expr.degree, x)
+    if isinstance(expr, Power):
+        return x ** expr.exponent
+    if isinstance(expr, Exp):
+        return np.exp(x)
     if isinstance(expr, Indicator):
         v = _resolve_args([expr.var], bindings)[0]
         return 1.0 if expr.lo <= v <= expr.hi else 0.0
@@ -726,8 +899,7 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
         v = _resolve_args([expr.var], bindings)[0]
         return float(np.polynomial.polynomial.polyval(v, np.asarray(expr.coeffs)))
     if isinstance(expr, RampMax):
-        vals = _resolve_args(expr.args, bindings)
-        return max(0.0, expr.cap - max(vals))
+        return max(0.0, expr.cap - max(_resolve_args(expr.args, bindings)))
     if isinstance(expr, WienerInt):
         if path is None:
             raise EvalError("path required to evaluate a Wiener integral")
@@ -743,22 +915,6 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
         if path is None:
             raise EvalError("path required to evaluate a time integral")
         return path.trapezoid(lambda b: b * b, expr.lo, expr.hi)
-    if isinstance(expr, HermitePoly):
-        return hermite_eval(expr.degree, evaluate(expr.arg, h, path, bindings))
-    if isinstance(expr, Sum):
-        acc = 0.0
-        for t in expr.terms:
-            acc = acc + evaluate(t, h, path, bindings)
-        return acc
-    if isinstance(expr, Product):
-        acc = 1.0
-        for f in expr.factors:
-            acc = acc * evaluate(f, h, path, bindings)
-        return acc
-    if isinstance(expr, Power):
-        return evaluate(expr.base, h, path, bindings) ** expr.exponent
-    if isinstance(expr, Exp):
-        return np.exp(evaluate(expr.arg, h, path, bindings))
     if isinstance(expr, PhiMoment):
         if h is None:
             raise EvalError("Hurst index required to evaluate a kernel moment")

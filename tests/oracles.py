@@ -10,7 +10,10 @@ import warnings
 import numpy as np
 from scipy import integrate
 
+from fbmseries.functional import (Const, Exp, FbmSample, HermitePoly, Power,
+                                  Product, Sum, children, evaluate)
 from fbmseries.kernel import phi
+from fbmseries.special import hermite_eval
 
 warnings.filterwarnings("ignore", category=integrate.IntegrationWarning)
 
@@ -84,3 +87,39 @@ def mc_stderr(samples):
     mean = float(np.mean(x))
     se = float(np.std(x, ddof=1) / np.sqrt(x.size))
     return mean, se
+
+
+def tree_evaluate(expr, h=None, path=None, bindings=None):
+    """Plain recursive evaluation that recomputes every occurrence of a
+    shared subtree; the package's evaluate only serves the leaf kinds
+    beyond constants and samples (integrals, free-variable helpers)."""
+
+    def rec(e):
+        return tree_evaluate(e, h, path, bindings)
+
+    if isinstance(expr, Sum):
+        acc = 0.0
+        for t in expr.terms:
+            acc = acc + rec(t)
+        return acc
+    if isinstance(expr, Product):
+        acc = 1.0
+        for f in expr.factors:
+            acc = acc * rec(f)
+        return acc
+    if isinstance(expr, Power):
+        return rec(expr.base) ** expr.exponent
+    if isinstance(expr, Exp):
+        return np.exp(rec(expr.arg))
+    if isinstance(expr, HermitePoly):
+        return hermite_eval(expr.degree, rec(expr.arg))
+    if isinstance(expr, FbmSample):
+        return path.value(expr.t)
+    if isinstance(expr, Const):
+        return expr.value
+    return evaluate(expr, h, path, bindings)
+
+
+def tree_size(expr):
+    """Node count of the expression as a tree: shared subtrees count each time."""
+    return 1 + sum(tree_size(c) for c in children(expr))

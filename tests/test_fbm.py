@@ -39,6 +39,20 @@ class TestSimulate:
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("times", [
+        tuple(k / 512 for k in range(513)),
+        tuple(sorted({k / 64 for k in range(65)} | {0.3})),
+        (0.0, 0.1, 0.45, 0.5, 1.0),
+        tuple([0.0] + sorted(np.random.default_rng(2).uniform(0.0, 3.0, 200))),
+    ], ids=["512", "64+r", "5", "random200"])
+    def test_paths_equal_the_entrywise_covariance_bit_for_bit(self, times):
+        g = TimeGrid(times)
+        ts = g.times[1:]
+        cov = np.array([[covariance(s, t, 0.7) for t in ts] for s in ts])
+        z = np.random.Generator(np.random.Philox(key=3)).standard_normal((4, len(ts)))
+        e = simulate(g, 0.7, McConfig(n_paths=4, seed=3))
+        assert np.array_equal(e.values[:, 1:], z @ np.linalg.cholesky(cov).T)
+
     def test_starts_at_zero(self):
         g = TimeGrid((0.0, 0.5, 1.0))
         e = simulate(g, 0.8, McConfig(n_paths=10, seed=0))
@@ -94,6 +108,15 @@ class TestMcExpect:
         from fbmseries.functional import TimeIntB
         with pytest.raises(ValueError):
             mc_expect(TimeIntB((0.0, "u"), 1.0), 0.7, McConfig(n_paths=10, seed=0))
+
+    def test_moments_are_exactly_rounded_sums(self):
+        e = simulate(TimeGrid((0.0, 0.5, 1.0)), 0.7, McConfig(n_paths=3000, seed=8))
+        est = mc_expect(parse("exp(B(1))*B(0.5)"), 0.7, McConfig(n_paths=3000), ensemble=e)
+        x = [float(v) for v in np.exp(e.values[:, 2]) * e.values[:, 1]]
+        mean = math.fsum(x) / len(x)
+        var = math.fsum((v - mean) ** 2 for v in x) / (len(x) - 1)
+        assert est.estimate == mean
+        assert est.stderr == math.sqrt(var / len(x))
 
     def test_reuses_ensemble(self):
         g = TimeGrid((0.0, 0.5, 1.0))

@@ -1,11 +1,18 @@
 """Symbolic calculus tests: derivatives, freezing, strict evaluation, parsing."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from fbmseries import functional
+from fbmseries.expformula import exp_series
+from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import (
+    ONE,
     Const,
     FbmSample,
     GridPath,
@@ -22,6 +29,7 @@ from fbmseries.functional import (
     UnsupportedNodeError,
     WienerInt,
     ZERO,
+    collect_terms,
     directional,
     evaluate,
     expand,
@@ -36,6 +44,7 @@ from fbmseries.functional import (
     make_power,
     make_product,
     make_sum,
+    nodes,
     path_from_dict,
     ramp_max,
     scale,
@@ -45,8 +54,9 @@ from fbmseries.functional import (
 )
 from fbmseries.kernel import PiecewisePoly, phi_antiderivative
 from fbmseries.parser import ParseError, parse
+from fbmseries.taylor import backward_taylor
 
-from oracles import quad_phi_moment
+from oracles import quad_phi_moment, tree_evaluate, tree_size
 
 GRID = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
 
@@ -444,3 +454,130 @@ class TestParser:
     def test_float_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse("B(1)^2.5")
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_node(self):
+        src = "exp(0.5*B(1))*B(0.5)^2+IB(0.25,1)"
+        assert parse(src) is parse(src)
+        assert Const(1.0) is ONE
+        assert make_sum([fbm_sample(0.5), fbm_sample(1.0)]) is \
+            Sum((FbmSample(0.5), FbmSample(1.0)))
+        f = parse(src)
+        assert directional(f, 0.5) is directional(f, 0.5)
+        assert freeze(f, 0.3) is freeze(f, 0.3)
+
+    def test_signed_zero_and_number_type_stay_apart(self):
+        # 0.0 == -0.0 and 2 == 2.0, but the serialized forms differ
+        assert Const(-0.0) is not ZERO
+        assert to_sexpr(Const(-0.0)) == "-0.0"
+        plus = PolyInVar((0.0, 1.0), "u")
+        minus = PolyInVar((-0.0, 1.0), "u")
+        assert minus is not plus
+        assert to_sexpr(minus) == "(poly u -0.0 1.0)"
+        two_int, two = Const(2), Const(2.0)
+        assert two_int is not two
+        assert type(two_int.value) is int and type(two.value) is float
+
+    def test_nodes_visits_each_distinct_node_once(self):
+        x = parse("exp(0.5*B(1))")
+        e = make_sum([make_product([x, fbm_sample(0.5)]),
+                      make_product([x, fbm_sample(0.25)])])
+        seen = list(nodes(e))
+        assert len(seen) == len({id(n) for n in seen}) < tree_size(e)
+
+    @pytest.mark.parametrize("rule, op", [
+        ("_derivative", lambda e: directional(e, 0.5)),
+        ("_derivative", lambda e: directional(e, "u")),
+        ("_frozen", lambda e: freeze(e, 0.3)),
+    ])
+    def test_each_distinct_node_is_handled_once(self, monkeypatch, rule, op):
+        x = parse("exp(0.5*B(1))*B(0.75)^2")
+        e = make_sum([make_product([x, fbm_sample(k / 4)]) for k in range(1, 5)])
+        seen, real = [], getattr(functional, rule)
+
+        def counted(node, operands, arg):
+            seen.append(id(node))
+            return real(node, operands, arg)
+
+        monkeypatch.setattr(functional, rule, counted)
+        op(e)
+        assert len(seen) == len(set(seen)) == len(list(nodes(e)))
+
+    @pytest.mark.parametrize("op", [
+        lambda f: directional(f, 0.5),
+        lambda f: directional(directional(f, "v"), "u"),
+        lambda f: freeze(f, 0.3),
+        lambda f: evaluate(f, path=sample_path(3, n=4)),
+        lambda f: backward_taylor(f, 0.3, GRID, 4, 0.7),
+    ], ids=["grid_time", "free", "freeze", "evaluate", "backward_taylor"])
+    def test_leaves_no_reference_cycle(self, op):
+        f = parse("exp(0.5*B(1))*B(0.5)^2+B(0.25)*B(0.75)")
+        gc.collect()
+        gc.disable()
+        try:
+            op(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_intern_entries_go_with_their_nodes(self):
+        before = len(functional._interned)
+        f = parse("exp(0.123*B(0.77))*B(0.5)^3")
+        d = collect_terms(directional(directional(f, 0.5), "u"))
+        evaluate(freeze(d, 0.25), path=sample_path(4), bindings={"u": 0.2})
+        probe = weakref.ref(f)
+        assert len(functional._interned) > before
+        del f, d
+        assert probe() is None
+        assert len(functional._interned) == before
+
+
+def _shared_terms():
+    """Functionals and their symbolic series terms, the DAGs of which share subtrees."""
+    exprs = []
+    for src, r in [("exp(0.5*B(1))", 0.3), ("B(0.5)^2*exp(0.1*B(1))", 0.6),
+                   ("B(0.25)*B(0.75)+B(1)^3", 0.3),
+                   ("exp(0.06*B(0.5)+0.08*B(1))", 0.3)]:
+        f = parse(src)
+        exprs += [f] + backward_taylor(f, r, GRID, 5, 0.7).terms
+    for src in ["IB(0,1)*B(1)", "WI(1+s;0,1)*B(1)", "IB2(0,1)", "exp(IB(0,1))",
+                "B(0.25)*B(0.75)+B(1)^3", "exp(0.5*B(1))"]:
+        f = parse(src)
+        exprs += [f] + exp_series(f, 0.3, 1.0, 0.7, 2).terms
+    return exprs
+
+
+class TestSharedEvaluation:
+    def test_matches_tree_recursive_evaluation_bit_for_bit(self):
+        grid = TimeGrid.covering({k / 16 for k in range(17)} | {0.3, 0.6})
+        ens = simulate(grid, 0.7, McConfig(n_paths=64, seed=21))
+        exprs = _shared_terms()
+        assert any(len(list(nodes(e))) < tree_size(e) for e in exprs)
+        for path in (ens.path(5), ens.as_grid_path()):
+            for e in exprs:
+                got = evaluate(e, h=0.7, path=path)
+                want = tree_evaluate(e, h=0.7, path=path)
+                assert np.array_equal(np.asarray(got), np.asarray(want)), to_sexpr(e)
+
+    def test_peak_memory_stays_a_few_path_widths(self):
+        # a sum of products over a deep chain of shared subtrees: a value
+        # kept past its last use, or the terms of a sum all kept until the
+        # sum is formed, would hold dozens of 40k-path arrays at once
+        n = 40_000
+        paths = sample_path(5, n=n)
+        x, terms = fbm_sample(1.0), []
+        for k in range(24):
+            x = make_exp(scale(make_sum([x, fbm_sample(0.5)]), 0.1))
+            terms.append(make_product([Const(k + 1.0), x, fbm_sample(0.25)]))
+        f = make_sum(terms)
+        want = tree_evaluate(f, path=paths)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = evaluate(f, path=paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 8 * n * 8

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in that module.
+"""Source hygiene: every name a package module imports is used in that
+module, and every node kind is slotted.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -8,10 +9,12 @@ only inside string annotations, which an ast-only check would miss.
 import ast
 import pathlib
 import re
+from typing import get_args
 
 import pytest
 
 import fbmseries
+from fbmseries import functional
 
 MODULES = sorted(pathlib.Path(fbmseries.__file__).parent.glob("*.py"))
 
@@ -35,3 +38,16 @@ def test_every_import_is_used(module):
         if not re.search(rf"\b{re.escape(name)}\b", "\n".join(rest)):
             unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{module.name} imports unused names: {unused}"
+
+
+def test_node_kinds_have_slots_and_no_instance_dict():
+    # an instance dict costs memory per node, and a kind without __slots__
+    # could carry state outside its interning key
+    kinds = [obj for obj in vars(functional).values()
+             if isinstance(obj, type) and issubclass(obj, functional._Node)
+             and obj is not functional._Node]
+    assert set(kinds) == set(get_args(functional.Expr))
+    for kind in kinds:
+        assert "__slots__" in vars(kind), kind.__name__
+        assert kind.__dictoffset__ == 0, kind.__name__
+    assert not hasattr(functional.Const(1.0), "__dict__")
