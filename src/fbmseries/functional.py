@@ -23,12 +23,15 @@ distinct node once.  Two operations drive everything else:
 Deterministic helper nodes (indicators, polynomials of a free variable,
 ramps max(0, b - max(args)), deferred kernel moments) appear as derivative
 output and as partially integrated kernel terms.  Evaluation on a path is
-strict: sampling or integrating at a time that is not a grid point is an
-error, never an interpolation.
+strict: sampling, or integrating between limits of the functional, at a
+time that is not a grid point is an error, never an interpolation.  A time
+integral whose lower limit is a bound variable, which ranges over
+quadrature nodes, starts from the path's linear interpolant there.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass, fields
@@ -514,7 +517,7 @@ def free_vars(expr: Expr) -> set:
 # the pathwise derivative, in a free variable or at a grid time
 
 
-def directional(expr: Expr, at: "str | float") -> Expr:
+def directional(expr: Expr, at: "str | float", done: "dict | None" = None) -> Expr:
     """Fractional pathwise derivative D_at.
 
     A variable name gives the Malliavin derivative in that free variable,
@@ -522,9 +525,11 @@ def directional(expr: Expr, at: "str | float") -> Expr:
     d/dB applied to every sample at time >= tau.  Only samples and Wiener
     integrals need to tell the two apart: the ramps of time integrals fold
     a constant direction on construction.  Each distinct node of the DAG is
-    differentiated once.
+    differentiated once.  done, {id(node): D_at node}, carries that memo
+    across calls in the same direction; it is keyed by identity, so its
+    owner must keep every expr it passed alive while it uses done.
     """
-    return _fold(expr, _derivative, at)
+    return _fold(expr, _derivative, at, done=done)
 
 
 def _derivative(expr: Expr, ds: list, at) -> Expr:
@@ -684,7 +689,8 @@ class GridPath:
     """Path values on a fixed grid; values may be vectors (one entry per path).
 
     Lookup is strict: a time that is not exactly a grid time raises
-    OffGridTimeError rather than interpolating.
+    OffGridTimeError rather than interpolating.  Only the lower limit of
+    trapezoid may fall between grid times.
     """
 
     def __init__(self, times, values):
@@ -704,8 +710,22 @@ class GridPath:
         return self.values[..., self.index_of(t)]
 
     def trapezoid(self, transform, lo: float, hi: float):
-        """Trapezoid rule of transform(B) between two grid times."""
-        i, j = self.index_of(lo), self.index_of(hi)
+        """Trapezoid rule of transform(B) from lo to the grid time hi.
+
+        A lo between grid times starts the rule at lo, from the value of
+        the path's linear interpolant there.
+        """
+        j = self.index_of(hi)
+        i = self._index.get(float(lo))
+        if i is None:
+            i = bisect.bisect(self.times, lo)  # the first grid time after lo
+            if not 0 < i <= j:
+                raise ValueError("integral limits out of order")
+            a, b = self.times[i - 1], self.times[i]
+            left, right = self.values[..., i - 1], self.values[..., i]
+            at_lo = left + (right - left) * ((lo - a) / (b - a))
+            head = 0.5 * (transform(at_lo) + transform(right)) * (b - lo)
+            return head + self.trapezoid(transform, b, hi)
         if j < i:
             raise ValueError("integral limits out of order")
         ts = np.asarray(self.times[i:j + 1])
@@ -805,7 +825,7 @@ def _combine_pwpoly(factors, ivar, lo, hi, bindings):
     return scale_val, poly
 
 
-def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
+def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
              bindings: "dict | None" = None):
     """Evaluate on a path (scalar or vectorized across an ensemble).
 
@@ -813,18 +833,29 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
     variables.  Every time lookup is strict to the path grid.  Each
     distinct node is computed once, in the order a recursive walk would
     first reach it, and its value is dropped at its last use, so a shared
-    subtree costs one evaluation and few values are alive at a time.
+    subtree costs one evaluation and few values are alive at a time.  A
+    list of roots gives the list of their values from one joint schedule,
+    which computes a node shared by several roots once; a single root
+    caches its schedule.
     """
+    if isinstance(expr, list):
+        return _run(_schedule(expr), None, h, path, bindings)
     if not isinstance(expr, _Node):
         raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
     plan = getattr(expr, "_plan", None)
     if plan is None:
-        plan = _schedule(expr)
+        plan = _schedule((expr,), cached=expr)
         object.__setattr__(expr, "_plan", plan)
-    n_slots, steps = plan
+    return _run(plan, expr, h, path, bindings)[0]
+
+
+def _run(plan: tuple, root, h, path, bindings) -> list:
+    """Run a schedule; the values of its roots.  A step's node None stands
+    for root."""
+    n_slots, steps, outs = plan
     vals = [None] * n_slots
     for node, slot, arg, last in steps:
-        node = node or expr
+        node = node or root
         if arg is None:
             vals[slot] = _value(node, None, h, path, bindings)
         elif node.__class__ is Sum:
@@ -835,28 +866,28 @@ def evaluate(expr: Expr, h=None, path: "GridPath | None" = None,
             vals[slot] = _value(node, vals[arg], h, path, bindings)
         for j in last:
             vals[j] = None
-    return vals[0]
+    return [vals[s] for s in outs]
 
 
-def _schedule(expr: Expr) -> tuple:
-    """(number of value slots, steps) evaluating expr, built once per root.
+def _schedule(roots, cached=None) -> tuple:
+    """(number of value slots, steps, root slots) evaluating roots.
 
     A step (node, slot, arg, last) stores in slot the value of a node
     without operands (arg None) or of a unary node applied to the value in
     slot arg, or folds the value in slot arg into the sum or product
     accumulating in slot, which starts from its empty value; last holds
-    arg when no later step reads it.  The root's slot is 0 and the root
-    appears as None, so the schedule cached on it holds no reference back
-    to it.
+    arg when no later step reads it and it is no root's slot.  The node
+    cached appears as None, so a schedule cached on it holds no reference
+    back to it.
     """
     slots, steps = {}, []
-    _emit(expr, slots, steps)
-    out, read = [], set()
+    outs = [_emit(e, slots, steps) for e in roots]
+    out, read = [], set(outs)
     for node, slot, arg in reversed(steps):
         last = () if arg is None or arg in read else (arg,)
         read.add(arg)
-        out.append((None if node is expr else node, slot, arg, last))
-    return len(slots), tuple(reversed(out))
+        out.append((None if node is cached else node, slot, arg, last))
+    return len(slots), tuple(reversed(out)), outs
 
 
 def _emit(node: Expr, slots: dict, steps: list) -> int:
@@ -910,10 +941,13 @@ def _value(expr: Expr, x, h, path, bindings):
         lo = max(_resolve_args(expr.lower, bindings))
         if lo >= expr.upper:
             return 0.0
+        if lo in expr.lower:
+            path.index_of(lo)  # only a bound variable may fall between grid times
         return path.trapezoid(lambda b: b, lo, expr.upper)
     if isinstance(expr, TimeIntBSq):
         if path is None:
             raise EvalError("path required to evaluate a time integral")
+        path.index_of(expr.lo)
         return path.trapezoid(lambda b: b * b, expr.lo, expr.hi)
     if isinstance(expr, PhiMoment):
         if h is None:
@@ -946,8 +980,9 @@ def _eval_u_integral(node: UIntegral, h, path, bindings):
             out.append(np.asarray(evaluate(integrand, h, path, b2), dtype=float))
         return np.stack(out, axis=-1)
 
-    # kinks sit where ramp/indicator breakpoints fall inside the range
-    breaks = set()
+    # kinks sit where ramp/indicator breakpoints fall inside the range, and
+    # at the path's grid times, where a time integral from u bends
+    breaks = set() if path is None else set(path.times)
     for fac in node.factors:
         if isinstance(fac, Indicator):
             breaks |= {fac.lo, fac.hi}

@@ -31,8 +31,6 @@ evaluated by recurrence, which keeps high orders numerically stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -69,30 +67,42 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class PsiSpec:
-    """Iterated kernel integral over [r, t_j], applied k times."""
+class DerivativeMemo:
+    """collect_terms(directional(expr, at)) memoized for one engine call.
 
-    r: float
-    t_j: float
-    k: int
+    The derivatives taken at one grid time share one directional memo, so a
+    node that recurs across the expressions differentiated there is
+    differentiated once, and a repeated (expr, at) request returns the
+    collected result.  The memo is keyed by node identity, so it keeps
+    every expression it differentiated alive; no node refers back to it,
+    and dropping it frees everything it holds.
+    """
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("psi order must be >= 0")
-        if not (0.0 <= self.r <= self.t_j):
-            raise ValueError("need 0 <= r <= t_j")
+    __slots__ = ("_done", "_collected")
+
+    def __init__(self):
+        self._done = {}        # at -> {id(node): D_at node}
+        self._collected = {}   # (id(expr), at) -> (expr, collected D_at expr)
+
+    def __call__(self, expr: Expr, at: float) -> Expr:
+        hit = self._collected.get((id(expr), at))
+        if hit is None:
+            d = collect_terms(directional(expr, at, self._done.setdefault(at, {})))
+            hit = self._collected[id(expr), at] = (expr, d)
+        return hit[1]
 
 
 def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
-               t_final: float) -> list:
+               t_final: float, derive: "DerivativeMemo | None" = None) -> list:
     """[psi_0(x), .., psi_k_max(x)] over the partition from x's sample times.
 
     One depth-first walk over the cells shares every derivative chain
     across the multi-indices of all orders, instead of redoing the chains
-    per order and per composition.
+    per order and per composition.  derive takes the derivatives; a caller
+    passes its own memo to share them with its other calls.
     """
     hh = _hval(h)
+    derive = derive or DerivativeMemo()
     if x == ZERO or k_max == 0:
         return [x] + [ZERO] * k_max
     cuts = sorted(t for t in fbm_times(x) | {t_final} if 0.0 < t <= t_final)
@@ -111,30 +121,12 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
         hi, ri = cells[ci][1], rects[ci]
         kids = [(ci + 1, used, d, coeff)]
         for j in range(1, k_max - used + 1):
-            d = collect_terms(directional(d, hi))
+            d = derive(d, hi)
             if d == ZERO:
                 break
             kids.append((ci + 1, used + j, d, coeff * ri ** j / math.factorial(j)))
         stack.extend(reversed(kids))
     return [collect_terms(make_sum(p)) if p else ZERO for p in acc]
-
-
-def iter_kernel_integral(x: Expr, a: float, b: float, k: int, h,
-                         t_final: float) -> Expr:
-    """psi_k^{(a,b)} over the partition induced by x's own sample times."""
-    if k < 0:
-        raise ValueError("psi order must be >= 0")
-    return psi_orders(x, a, b, k, h, t_final)[k]
-
-
-def psi(f: Expr, spec: PsiSpec, grid: TimeGrid, h) -> Expr:
-    """Public iterated-integral operator for discrete functionals on a grid."""
-    if not is_discrete(f):
-        raise ValueError("psi requires a discrete functional")
-    stray = fbm_times(f) - set(grid.times)
-    if stray:
-        raise ValueError(f"sample times {sorted(stray)} are not grid times")
-    return iter_kernel_integral(f, spec.r, spec.t_j, spec.k, h, grid.final_time)
 
 
 def _segments(grid: TimeGrid, r: float):
@@ -168,16 +160,16 @@ def _setup(f: Expr, r: float, grid: TimeGrid, order: int, hh):
 
 
 def _package(order, term_exprs, n_counts, hh, path) -> SeriesResult:
-    terms, sums, diags = [], [], []
+    """The series result; with a path, the terms are evaluated on one
+    schedule, which computes a node shared across orders once."""
+    terms = term_exprs if path is None else evaluate(term_exprs, h=hh, path=path)
+    sums, diags = [], []
     running = None
-    for l in range(order + 1):
+    for l, term in enumerate(terms):
         if path is None:
-            term = term_exprs[l]
             running = term if running is None else make_sum([running, term])
         else:
-            term = evaluate(term_exprs[l], h=hh, path=path)
             running = term if running is None else running + term
-        terms.append(term)
         sums.append(running)
         diags.append({"order": l, "n_terms": n_counts[l]})
     return SeriesResult(order, terms, sums, diags)
@@ -198,16 +190,24 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
 
     and terms of total order l accumulate by convolving the S_k layers from
     the last segment backwards; this shares all common subchains that the
-    literal enumeration over per-segment multi-indices would recompute (see
-    reference_expansion, kept for cross-checks).  Folding D^{q_k} into
-    segment k is exact because an earlier-time grid derivative commutes
-    with later-segment kernel integrals and passes through their Hermite
-    increment factors.
+    literal enumeration over per-segment multi-indices would recompute (the
+    test suite keeps that enumeration as a cross-check).  Folding D^{q_k}
+    into segment k is exact because an earlier-time grid derivative
+    commutes with later-segment kernel integrals and passes through their
+    Hermite increment factors.
+
+    The chains D^n of the segments and those inside every psi_i overlap,
+    so one DerivativeMemo serves all of them for the length of the call:
+    each node is differentiated once per grid time, and a repeated
+    (expression, time) pair is collected once.  With a path, the order + 1
+    terms are evaluated on one schedule, so a node they share is computed
+    once and dropped after its last use by any term.
     """
     hh = _hval(h)
     pts, deltas, args = _setup(f, r, grid, order, hh)
     n_seg = len(pts) - 1
     t_final = grid.final_time
+    derive = DerivativeMemo()
 
     layer = {0: f}
     for k in range(n_seg - 1, -1, -1):
@@ -216,10 +216,10 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
             d = prev
             for n in range(order - used + 1):
                 if n > 0:
-                    d = collect_terms(directional(d, pts[k + 1]))
+                    d = derive(d, pts[k + 1])
                     if d == ZERO:
                         break
-                psis = psi_orders(d, pts[k], pts[k + 1], n, hh, t_final)
+                psis = psi_orders(d, pts[k], pts[k + 1], n, hh, t_final, derive)
                 pieces = []
                 for i, y in enumerate(psis):
                     if y == ZERO:
@@ -238,55 +238,6 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
 
     term_exprs = [layer.get(l, ZERO) for l in range(order + 1)]
     n_counts = [0 if t == ZERO else len(sum_terms(t)) for t in term_exprs]
-    return _package(order, term_exprs, n_counts, hh, path)
-
-
-def reference_expansion(f: Expr, r: float, grid: TimeGrid, order: int, h,
-                        path: "GridPath | None" = None) -> SeriesResult:
-    """Literal enumeration over per-segment multi-indices.
-
-    Same series as backward_taylor, built term by term from the nested
-    composition without sharing subchains; exponentially slower, kept as an
-    independent cross-check of the layered accumulation.
-    """
-    hh = _hval(h)
-    pts, deltas, args = _setup(f, r, grid, order, hh)
-    n_seg = len(pts) - 1
-
-    term_exprs, n_counts = [], []
-    for l in range(order + 1):
-        contributions = []
-        n_combos = 0
-        for q in compositions(l, n_seg):
-            dq = f
-            for k in range(n_seg):
-                for _ in range(q[k]):
-                    dq = collect_terms(directional(dq, pts[k + 1]))
-                    if dq == ZERO:
-                        break
-                if dq == ZERO:
-                    break
-            if dq == ZERO:
-                continue
-            for choices in iter_product(*(range(qk + 1) for qk in q)):
-                n_combos += 1
-                coeff = 1.0
-                x = dq
-                for k in range(n_seg - 1, -1, -1):
-                    ik = choices[k]
-                    m = q[k] - ik
-                    coeff *= (-1.0) ** ik * deltas[k] ** (m * hh) / math.factorial(m)
-                    x = iter_kernel_integral(x, pts[k], pts[k + 1], ik, hh,
-                                             grid.final_time)
-                    if x == ZERO:
-                        break
-                    if m > 0:
-                        x = make_product([hermite_factor(m, args[k]), x])
-                if x == ZERO:
-                    continue
-                contributions.append(scale(x, (-1.0) ** l * coeff))
-        term_exprs.append(make_sum(contributions))
-        n_counts.append(n_combos)
     return _package(order, term_exprs, n_counts, hh, path)
 
 

@@ -1,19 +1,29 @@
-"""Independent quadrature oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-These deliberately avoid the package's own closed forms and quadrature code:
-everything here goes through scipy's adaptive Gauss-Kronrod integrator with
-explicit singular-point hints, so agreement is evidence and not tautology.
+The quadrature oracles deliberately avoid the package's own closed forms and
+quadrature code: they go through scipy's adaptive Gauss-Kronrod integrator
+with explicit singular-point hints, so agreement is evidence and not
+tautology.  The backward Taylor oracles build the series by the literal
+enumeration over per-segment multi-indices, without the engine's shared
+layers or its derivative memo.
 """
 
+import math
 import warnings
+from dataclasses import dataclass
+from itertools import product as iter_product
 
 import numpy as np
 from scipy import integrate
 
-from fbmseries.functional import (Const, Exp, FbmSample, HermitePoly, Power,
-                                  Product, Sum, children, evaluate)
-from fbmseries.kernel import phi
+from fbmseries.functional import (ZERO, Const, Exp, FbmSample, HermitePoly,
+                                  Power, Product, Sum, children, collect_terms,
+                                  directional, evaluate, fbm_times,
+                                  hermite_factor, is_discrete, make_product,
+                                  make_sum, scale)
+from fbmseries.kernel import _hval, phi
 from fbmseries.special import hermite_eval
+from fbmseries.taylor import _package, _setup, compositions, psi_orders
 
 warnings.filterwarnings("ignore", category=integrate.IntegrationWarning)
 
@@ -123,3 +133,83 @@ def tree_evaluate(expr, h=None, path=None, bindings=None):
 def tree_size(expr):
     """Node count of the expression as a tree: shared subtrees count each time."""
     return 1 + sum(tree_size(c) for c in children(expr))
+
+
+@dataclass(frozen=True)
+class PsiSpec:
+    """Iterated kernel integral over [r, t_j], applied k times."""
+
+    r: float
+    t_j: float
+    k: int
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("psi order must be >= 0")
+        if not (0.0 <= self.r <= self.t_j):
+            raise ValueError("need 0 <= r <= t_j")
+
+
+def iter_kernel_integral(x, a, b, k, h, t_final):
+    """psi_k^{(a,b)} over the partition induced by x's own sample times."""
+    if k < 0:
+        raise ValueError("psi order must be >= 0")
+    return psi_orders(x, a, b, k, h, t_final)[k]
+
+
+def psi(f, spec, grid, h):
+    """Iterated-integral operator for discrete functionals on a grid."""
+    if not is_discrete(f):
+        raise ValueError("psi requires a discrete functional")
+    stray = fbm_times(f) - set(grid.times)
+    if stray:
+        raise ValueError(f"sample times {sorted(stray)} are not grid times")
+    return iter_kernel_integral(f, spec.r, spec.t_j, spec.k, h, grid.final_time)
+
+
+def reference_expansion(f, r, grid, order, h, path=None):
+    """Literal enumeration over per-segment multi-indices.
+
+    Same series as backward_taylor, built term by term from the nested
+    composition without sharing subchains; exponentially slower, kept as an
+    independent cross-check of the layered accumulation.
+    """
+    hh = _hval(h)
+    pts, deltas, args = _setup(f, r, grid, order, hh)
+    n_seg = len(pts) - 1
+
+    term_exprs, n_counts = [], []
+    for l in range(order + 1):
+        contributions = []
+        n_combos = 0
+        for q in compositions(l, n_seg):
+            dq = f
+            for k in range(n_seg):
+                for _ in range(q[k]):
+                    dq = collect_terms(directional(dq, pts[k + 1]))
+                    if dq == ZERO:
+                        break
+                if dq == ZERO:
+                    break
+            if dq == ZERO:
+                continue
+            for choices in iter_product(*(range(qk + 1) for qk in q)):
+                n_combos += 1
+                coeff = 1.0
+                x = dq
+                for k in range(n_seg - 1, -1, -1):
+                    ik = choices[k]
+                    m = q[k] - ik
+                    coeff *= (-1.0) ** ik * deltas[k] ** (m * hh) / math.factorial(m)
+                    x = iter_kernel_integral(x, pts[k], pts[k + 1], ik, hh,
+                                             grid.final_time)
+                    if x == ZERO:
+                        break
+                    if m > 0:
+                        x = make_product([hermite_factor(m, args[k]), x])
+                if x == ZERO:
+                    continue
+                contributions.append(scale(x, (-1.0) ** l * coeff))
+        term_exprs.append(make_sum(contributions))
+        n_counts.append(n_combos)
+    return _package(order, term_exprs, n_counts, hh, path)

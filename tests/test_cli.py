@@ -76,6 +76,13 @@ class TestSubcommands:
         assert json.loads(out_t)["value"] == pytest.approx(
             json.loads(out_e)["value"], rel=1e-9)
 
+    def test_expform_integrates_time_integrals_between_path_times(self):
+        code, out = run_cli(["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+                             "--expr", "IB2(0,1)*IB(0,1)", "--order", "2",
+                             "--format", "json"])
+        assert code == 0
+        assert "quadrature" in json.loads(out)["routes"][1]
+
     def test_expform_runs_the_engine_once(self, monkeypatch):
         calls = []
 

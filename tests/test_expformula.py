@@ -160,6 +160,22 @@ def test_stochastic_simplex_integrand_requires_single_path():
         exp_series(f, 0.5, 1.0, 0.7, 1, path=vec)
 
 
+def test_path_quadrature_between_grid_times():
+    # the level-1 integrand of IB2(0,1)*B(1) at r > 0 holds int_u^1 B ds at
+    # quadrature nodes u off the path grid; on a 4x finer grid carrying the
+    # same piecewise-linear path, the level must not change
+    coarse = TimeGrid((0.0, 0.3, 1.0))
+    path = _random_path(coarse.times, seed=8)
+    fine_times = coarse.refine(4).times
+    fine = GridPath(fine_times, np.interp(fine_times, coarse.times, path.values))
+    f = make_product([TimeIntBSq(0.0, 1.0), fbm_sample(1.0)])
+    got = exp_series(f, 0.3, 1.0, 0.7, 2, path=path)
+    want = exp_series(f, 0.3, 1.0, 0.7, 2, path=fine)
+    assert "quadrature" in got.diagnostics[1]["route"]
+    assert abs(got.terms[1]) > 1e-3
+    assert got.terms[1] == pytest.approx(want.terms[1], rel=1e-9)
+
+
 def test_validation_rejects_bad_inputs():
     f = fbm_sample(1.0)
     with pytest.raises(ValueError):

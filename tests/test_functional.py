@@ -284,6 +284,32 @@ class TestEvaluate:
             single = GridPath(paths.times, paths.values[i])
             assert vec[i] == pytest.approx(evaluate(f, path=single), rel=1e-14)
 
+    def test_time_integral_from_a_bound_variable_follows_the_interpolant(self):
+        # a quadrature node u between grid times starts int_u^1 B ds from the
+        # path's linear interpolant, so a 4x finer grid carrying that same
+        # interpolant gives the same integral
+        coarse = sample_path(6, n=4)
+        fine_times = TimeGrid(coarse.times).refine(4).times
+        fine = GridPath(fine_times, np.stack([np.interp(fine_times, coarse.times, v)
+                                              for v in coarse.values]))
+        f = time_int_b((0.0, "u"), 1.0)
+        for u in (0.1, 0.4, 0.9):
+            assert u not in fine_times
+            at_u = np.stack([np.interp(u, coarse.times, v) for v in coarse.values])
+            ts = [t for t in coarse.times if t > u]
+            vals = [at_u] + [coarse.value(t) for t in ts]
+            want = sum(0.5 * (a + b) * (t1 - t0) for a, b, t0, t1
+                       in zip(vals, vals[1:], [u] + ts, ts))
+            got = evaluate(f, path=coarse, bindings={"u": u})
+            assert got == pytest.approx(want, rel=1e-14)
+            assert evaluate(f, path=fine, bindings={"u": u}) == pytest.approx(
+                got, rel=1e-13)
+        # limits that belong to the functional stay strict
+        with pytest.raises(OffGridTimeError):
+            evaluate(time_int_b((0.1, "u"), 1.0), path=coarse, bindings={"u": 0.05})
+        with pytest.raises(OffGridTimeError):
+            evaluate(TimeIntBSq(0.1, 1.0), path=coarse)
+
     def test_wiener_integral_linearity(self):
         path = sample_path(10)
         w1 = parse("WI(1;0,1)")
@@ -559,6 +585,21 @@ class TestSharedEvaluation:
                 got = evaluate(e, h=0.7, path=path)
                 want = tree_evaluate(e, h=0.7, path=path)
                 assert np.array_equal(np.asarray(got), np.asarray(want)), to_sexpr(e)
+
+    def test_joint_schedule_matches_per_root_evaluation_exactly(self):
+        grid = TimeGrid.covering({k / 16 for k in range(17)} | {0.3, 0.6})
+        ens = simulate(grid, 0.7, McConfig(n_paths=32, seed=22))
+        x = parse("exp(0.5*B(1))")
+        # a root inside another root, and a repeated root, keep their values
+        exprs = _shared_terms() + [make_product([x, fbm_sample(0.5)]), x, x]
+        joint = set().union(*[{id(n) for n in nodes(e)} for e in exprs])
+        assert len(joint) < sum(len(list(nodes(e))) for e in exprs)
+        for path in (ens.path(5), ens.as_grid_path()):
+            got = evaluate(exprs, h=0.7, path=path)
+            assert len(got) == len(exprs)
+            for e, g in zip(exprs, got):
+                want = evaluate(e, h=0.7, path=path)
+                assert np.array_equal(np.asarray(g), np.asarray(want)), to_sexpr(e)
 
     def test_peak_memory_stays_a_few_path_widths(self):
         # a sum of products over a deep chain of shared subtrees: a value

@@ -2,12 +2,15 @@
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fbmseries import functional, taylor
 from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import (
+    ONE,
     GridPath,
     TimeGrid,
     ZERO,
@@ -18,22 +21,22 @@ from fbmseries.functional import (
     make_power,
     make_product,
     make_sum,
+    nodes,
     scale,
     time_int_b,
 )
 from fbmseries.kernel import Interval, rect_integral
 from fbmseries.parser import parse
 from fbmseries.taylor import (
-    PsiSpec,
+    DerivativeMemo,
     assumption_a_sequence,
     backward_taylor,
     compositions,
-    iter_kernel_integral,
     mc_sup_norm,
-    psi,
     psi_orders,
-    reference_expansion,
 )
+
+from oracles import PsiSpec, iter_kernel_integral, psi, reference_expansion
 
 H_VALUES = [0.6, 0.8]
 
@@ -102,6 +105,69 @@ def test_psi_orders_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _memo_case():
+    """exp(0.5 B_1) on four cells at r = 0.3: the grid-time derivative
+    chains of its segments and of every psi_k overlap."""
+    h = 0.7
+    grid = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
+    ens = simulate(TimeGrid((0.0, 0.25, 0.3, 0.5, 0.75, 1.0)), h,
+                   McConfig(n_paths=100, seed=7))
+    return parse("exp(0.5*B(1))"), grid, h, ens.as_grid_path()
+
+
+def test_backward_taylor_differentiates_each_node_once_per_time(monkeypatch):
+    # a memo per directional call ran the rule 72.9k times here
+    f, grid, h, path = _memo_case()
+    calls, real = [], functional._derivative
+
+    def counted(node, operands, at):
+        calls.append((id(node), at))
+        return real(node, operands, at)
+
+    monkeypatch.setattr(functional, "_derivative", counted)
+    backward_taylor(f, 0.3, grid, 8, h, path=path)
+    assert len(calls) == len(set(calls)) <= 10_000
+
+
+def test_backward_taylor_leaves_no_reference_cycle():
+    f, grid, h, path = _memo_case()
+    gc.collect()
+    gc.disable()
+    try:
+        backward_taylor(f, 0.3, grid, 6, h, path=path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_derivative_memo_dies_with_the_call(monkeypatch):
+    f, grid, h, path = _memo_case()
+    probes = []
+
+    class Probed(DerivativeMemo):
+        def __call__(self, expr, at):
+            d = super().__call__(expr, at)
+            probes.append(weakref.ref(d))
+            return d
+
+    monkeypatch.setattr(taylor, "DerivativeMemo", Probed)
+    backward_taylor(f, 0.3, grid, 6, h, path=path)
+    assert len(probes) > 100
+    alive = {p() for p in probes} - {None, ZERO, ONE}
+    assert alive <= set(nodes(f))
+
+
+def test_derivative_memo_matches_fresh_derivatives():
+    derive = DerivativeMemo()
+    f = parse("exp(0.5*B(1))*B(0.5)^2")
+    d = f
+    for at in (1.0, 0.5, 0.5, 1.0):
+        want = collect_terms(functional.directional(d, at))
+        assert derive(d, at) is want
+        assert derive(d, at) is want
+        d = want
 
 
 def test_psi_invariant_under_partition_refinement():
