@@ -40,11 +40,12 @@ to exp(p^2 T^(2H) sigma^2 / 2).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expformula import cir_fourth_order_integral, exp_series
+from .expformula import EngineError, cir_fourth_order_integral, exp_series
 from .fbm import McConfig, simulate
 from .functional import (GridPath, TimeGrid, TimeIntBSq, evaluate, make_exp,
                          scale, time_int_b)
@@ -122,12 +123,15 @@ def cir_small_t(big_t, h) -> CirExpansion:
           / (4.0 * (2.0 * hh + 1.0) ** 2 * (4.0 * hh + 1.0))
           - beta_fn(2.0 * hh + 1.0, 2.0 * hh + 2.0) / (2.0 * hh + 1.0))
     # rebuild c2 from the ordered-domain integrals; pure algebra, so any
-    # disagreement beyond roundoff means one of the closed forms is wrong
-    scale_t = big_t if big_t > 0.0 else 1.0
+    # disagreement beyond roundoff means one of the closed forms is wrong.
+    # The parts scale as T^(4H+2); where that is not a normal float (T = 0
+    # included) they are taken at the unit horizon instead
+    normal = big_t ** (4.0 * hh + 2.0) >= sys.float_info.min
+    scale_t = big_t if normal else 1.0
     parts = cir_fourth_order_integral(scale_t, hh)
     c2_int = sum(parts) / scale_t ** (4.0 * hh + 2.0)
     if abs(c2_int - c2) > 1e-10 * abs(c2):
-        raise RuntimeError("fourth-order coefficient routes disagree")
+        raise EngineError("fourth-order coefficient routes disagree")
     approx = 1.0 + c1 * big_t ** (2.0 * hh + 1.0) + c2 * big_t ** (4.0 * hh + 2.0)
     return CirExpansion(big_t, hh, 1.0, c1, c2, c2_int, approx)
 
@@ -252,6 +256,8 @@ def lognormal_moment(p: int, big_t, h, sigma, n_max: int = 60) -> float:
     big_t = float(big_t)
     if big_t <= 0.0:
         raise ValueError("horizon must be positive")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     c = big_t ** (2.0 * hh) * sigma * sigma / 2.0
     acc = 0.0
     for n in range(n_max + 1):

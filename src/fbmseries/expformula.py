@@ -39,6 +39,7 @@ import numpy as np
 from .functional import (
     Expr,
     GridPath,
+    PhiMoment,
     ZERO,
     _combine_pwpoly,
     collect_terms,
@@ -48,10 +49,8 @@ from .functional import (
     free_vars,
     freeze,
     is_deterministic,
-    is_pw_factor,
     make_product,
     make_sum,
-    phi_integral,
     product_factors,
     scale,
     sum_terms,
@@ -124,7 +123,7 @@ def _cluster_value(u_facs, v_facs, k, r, big_t, hh):
     None signals a factor without a piecewise-polynomial form, in which
     case the caller must fall back to quadrature.
     """
-    if not all(map(is_pw_factor, u_facs + v_facs)):
+    if not all(f.pw for f in u_facs + v_facs):
         return None
     su, wu = _combine_pwpoly(u_facs, _uname(k), 0.0, big_t, None)
     sv, wv = _combine_pwpoly(v_facs, _vname(k), r, big_t, None)
@@ -147,7 +146,7 @@ def _canonical_cluster(u_facs, v_facs, uv_facs, k) -> tuple:
 def _u_pair(facs, k, r, big_t) -> Expr:
     """Replace the u_k factors by the averaged phi_H(u_k, v_k) integral."""
     his = (big_t, r) if r > 0.0 else (big_t,)
-    return make_sum([scale(phi_integral(facs, _uname(k), 0.0, hi, _vname(k)), 0.5)
+    return make_sum([scale(PhiMoment(tuple(facs), _uname(k), 0.0, hi, _vname(k)), 0.5)
                      for hi in his])
 
 

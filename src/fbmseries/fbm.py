@@ -70,18 +70,6 @@ class FbmEnsemble:
     def path(self, i: int) -> GridPath:
         return GridPath(self.grid.times, self.values[i])
 
-    def to_csv(self, fname) -> None:
-        header = ",".join(f"{t!r}" for t in self.grid.times)
-        np.savetxt(fname, self.values, delimiter=",", header=header, comments="")
-
-    @staticmethod
-    def from_csv(fname, h: float, seed: int = -1) -> "FbmEnsemble":
-        data = np.loadtxt(fname, delimiter=",", skiprows=1)
-        with open(fname) as fh:
-            times = tuple(float(x) for x in fh.readline().strip().split(","))
-        data = np.atleast_2d(data)
-        return FbmEnsemble(TimeGrid(times), data, h, seed)
-
 
 def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
     """Sample an ensemble with the exact joint law on the grid times."""

@@ -6,7 +6,10 @@ of those under sums, products, integer powers, exp, and Hermite polynomials.
 Nodes are hash-consed: constructing a node equal to a live one returns that
 node, so equal subexpressions are shared, equality is identity, and the
 derivative, freeze, evaluation and the structural queries each handle a
-distinct node once.  Two operations drive everything else:
+distinct node once.  Each node kind carries its own rules as methods
+(operands, times, free variables, derivative, frozen form, evaluation step,
+S-expression), and one generic fold walks the DAG with them.  Two
+operations drive everything else:
 
   * directional: the fractional pathwise derivative D_at, taken in one of
                  two directions.  With a variable name u it is the Malliavin
@@ -21,18 +24,19 @@ distinct node once.  Two operations drive everything else:
                  plus B_{min(b,r)} times the remaining length.
 
 Deterministic helper nodes (indicators, polynomials of a free variable,
-ramps max(0, b - max(args)), deferred kernel moments) appear as derivative
-output and as partially integrated kernel terms.  Evaluation on a path is
-strict: sampling, or integrating between limits of the functional, at a
-time that is not a grid point is an error, never an interpolation.  A time
-integral whose lower limit is a bound variable, which ranges over
-quadrature nodes, starts from the path's linear interpolant there.
+ramps max(0, b - max(args)), kernel integrals) appear as derivative output
+and as partially integrated kernel terms.  Evaluation on a path is strict:
+sampling, or integrating between limits of the functional, at a time that
+is not a grid point is an error, never an interpolation.  A time integral
+whose lower limit is a bound variable, which ranges over quadrature nodes,
+starts from the path's linear interpolant there.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import weakref
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
@@ -60,7 +64,7 @@ class UnsupportedNodeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# node kinds: an interned DAG
+# node kinds: an interned DAG whose nodes carry their own rules
 
 
 _interned = {}   # construction key -> weak reference to the live node
@@ -83,7 +87,7 @@ def _exact(value):
 
 
 class _Node:
-    """Base of every node kind.
+    """Base of every node kind, holding the rules of a deterministic leaf.
 
     Nodes are interned: constructing a node structurally equal to a live one
     returns that node, so equality is identity and a node hashes by
@@ -94,10 +98,26 @@ class _Node:
     _plain lists the positions of the fields that hold plain values
     rather than nodes (see _kind); _plan caches the evaluation schedule of
     a node evaluated as a root.
+
+    A kind's rules are its methods; the fold rules take the results at the
+    node's operands (or children) and one argument.  Besides the defaults
+    below, every kind defines step, its value given its operand's value,
+    and sexpr, its S-expression given those of its children.  The class
+    flags say
+    whether a kind reads the path (random), whether it depends on the path
+    only through B_t samples if at all (discrete), whether it has an exact
+    piecewise-polynomial form in one variable (pw; such a kind has pwpoly,
+    its concrete piecewise polynomial in a variable it depends on, over
+    [lo, hi], or None for an identically zero restriction), and how an
+    n-ary kind folds an operand's value into its own (combine).
     """
 
     __slots__ = ("_plan", "__weakref__")
     _plain = ()
+    random = False
+    discrete = True
+    pw = False
+    combine = None
 
     def __new__(cls, *args):
         plain = cls._plain
@@ -122,6 +142,35 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
+    def operands(self) -> tuple:
+        """The children a node's value and derivative are computed from."""
+        return ()
+
+    def children(self) -> tuple:
+        """Every child node; a kernel integral's factors are children but not
+        operands, since they are functions of its bound variable."""
+        return self.operands()
+
+    def times(self) -> tuple:
+        """The node's own time constants."""
+        return ()
+
+    def free_vars(self, inner: list, _) -> set:
+        """Unbound names, given those of the children."""
+        return set().union(*inner)
+
+    def derivative(self, ds: list, at) -> Expr:
+        """D_at of the node, given D_at of each operand."""
+        return ZERO
+
+    def frozen(self, fs: list, r: float) -> Expr:
+        """The node on the path stopped at r, given its frozen operands."""
+        return self
+
+    def kinks(self, ivar: str, bindings) -> tuple:
+        """Where the node bends as a function of ivar, for quadrature panels."""
+        return ()
+
 
 def _kind(cls):
     """Declare a node kind: a frozen, slotted dataclass compared by identity.
@@ -131,9 +180,22 @@ def _kind(cls):
     return cls
 
 
+def _on(path, what: str) -> "GridPath":
+    if path is None:
+        raise EvalError(f"path required to evaluate {what}")
+    return path
+
+
 @_kind
 class Const(_Node):
     value: float
+    pw = True
+
+    def step(self, x, h, path, bindings):
+        return self.value
+
+    def sexpr(self, inner, rename) -> str:
+        return _fmt(self.value)
 
 
 @_kind
@@ -141,6 +203,24 @@ class FbmSample(_Node):
     """B_t for a fixed time t > 0 (t = 0 folds to the constant 0)."""
 
     t: float
+    random = True
+
+    def times(self):
+        return (self.t,)
+
+    def derivative(self, ds, at):
+        if isinstance(at, str):
+            return Indicator(at, 0.0, self.t)
+        return ONE if at <= self.t else ZERO
+
+    def frozen(self, fs, r):
+        return fbm_sample(min(self.t, r))
+
+    def step(self, x, h, path, bindings):
+        return _on(path, "B_t").value(self.t)
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(B {_fmt(self.t)})"
 
 
 @_kind
@@ -150,6 +230,40 @@ class WienerInt(_Node):
     weight: PiecewisePoly
     lo: float
     hi: float
+    random = True
+    discrete = False
+
+    def times(self):
+        return (self.lo, self.hi, *[b for b in self.weight.breaks
+                                    if self.lo <= b <= self.hi])
+
+    def derivative(self, ds, at):
+        if not isinstance(at, str):
+            if self.lo <= at <= self.hi:
+                return Const(float(self.weight(at)))
+            return ZERO
+        terms = []
+        for a, b, c in self.weight.pieces():
+            aa, bb = max(a, self.lo), min(b, self.hi)
+            if aa < bb:
+                terms.append(make_product([PolyInVar(tuple(float(x) for x in c), at),
+                                           Indicator(at, aa, bb)]))
+        return make_sum(terms)
+
+    def frozen(self, fs, r):
+        hi = min(self.hi, r)
+        if hi <= self.lo:
+            return ZERO
+        return WienerInt(self.weight, self.lo, hi)
+
+    def step(self, x, h, path, bindings):
+        return _on(path, "a Wiener integral").stieltjes(self.weight, self.lo, self.hi)
+
+    def sexpr(self, inner, rename) -> str:
+        pieces = " ".join(
+            f"({_fmt(a)} {_fmt(b)} {' '.join(_fmt(c) for c in cs)})"
+            for a, b, cs in self.weight.pieces())
+        return f"(WI ({pieces}) {_fmt(self.lo)} {_fmt(self.hi)})"
 
 
 @_kind
@@ -158,6 +272,35 @@ class TimeIntB(_Node):
 
     lower: tuple
     upper: float
+    random = True
+    discrete = False
+
+    def times(self):
+        return (self.upper, *[a for a in self.lower if not isinstance(a, str)])
+
+    def free_vars(self, inner, _):
+        return {a for a in self.lower if isinstance(a, str)}
+
+    def derivative(self, ds, at):
+        return ramp_max(self.upper, self.lower + (at,))
+
+    def frozen(self, fs, r):
+        c = min(self.upper, r)
+        observed = time_int_b(self.lower, c)
+        tail = make_product([fbm_sample(c), ramp_max(self.upper, self.lower + (c,))])
+        return make_sum([observed, tail])
+
+    def step(self, x, h, path, bindings):
+        path = _on(path, "a time integral")
+        lo = max(_resolve_args(self.lower, bindings))
+        if lo >= self.upper:
+            return 0.0
+        if lo in self.lower:
+            path.index_of(lo)  # only a bound variable may fall between grid times
+        return path.trapezoid(lambda b: b, lo, self.upper)
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(IB (max {_args(self.lower, rename)}) {_fmt(self.upper)})"
 
 
 @_kind
@@ -166,6 +309,29 @@ class TimeIntBSq(_Node):
 
     lo: float
     hi: float
+    random = True
+    discrete = False
+
+    def times(self):
+        return (self.lo, self.hi)
+
+    def derivative(self, ds, at):
+        return scale(time_int_b((self.lo, at), self.hi), 2.0)
+
+    def frozen(self, fs, r):
+        c = min(self.hi, r)
+        observed = TimeIntBSq(self.lo, c) if c > self.lo else ZERO
+        tail = make_product([make_power(fbm_sample(c), 2),
+                             Const(max(0.0, self.hi - max(self.lo, c)))])
+        return make_sum([observed, tail])
+
+    def step(self, x, h, path, bindings):
+        path = _on(path, "a time integral")
+        path.index_of(self.lo)
+        return path.trapezoid(lambda b: b * b, self.lo, self.hi)
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(IB2 {_fmt(self.lo)} {_fmt(self.hi)})"
 
 
 @_kind
@@ -174,6 +340,41 @@ class RampMax(_Node):
 
     cap: float
     args: tuple
+    pw = True
+
+    def times(self):
+        return (self.cap, *[a for a in self.args if not isinstance(a, str)])
+
+    def free_vars(self, inner, _):
+        return {a for a in self.args if isinstance(a, str)}
+
+    def kinks(self, ivar, bindings):
+        return (self.cap, *_resolve_args([a for a in self.args if a != ivar], bindings))
+
+    def step(self, x, h, path, bindings):
+        return max(0.0, self.cap - max(_resolve_args(self.args, bindings)))
+
+    def pwpoly(self, ivar, lo, hi, bindings):
+        others = [a for a in self.args if a != ivar]
+        floor = max(_resolve_args(others, bindings)) if others else 0.0
+        if floor >= self.cap:
+            return None
+        # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
+        pieces_lo, pieces_hi = max(lo, 0.0), min(hi, self.cap)
+        breaks, coeffs = [pieces_lo], []
+        knee = min(max(floor, pieces_lo), pieces_hi)
+        if knee > pieces_lo:
+            breaks.append(knee)
+            coeffs.append((self.cap - floor,))
+        if pieces_hi > knee:
+            breaks.append(pieces_hi)
+            coeffs.append((self.cap, -1.0))
+        if not coeffs:
+            return None
+        return PiecewisePoly(tuple(breaks), tuple(coeffs))
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(ramp {_fmt(self.cap)} (max {_args(self.args, rename)}))"
 
 
 @_kind
@@ -183,6 +384,27 @@ class Indicator(_Node):
     var: str
     lo: float
     hi: float
+    pw = True
+
+    def times(self):
+        return (self.lo, self.hi)
+
+    def free_vars(self, inner, _):
+        return {self.var}
+
+    def kinks(self, ivar, bindings):
+        return (self.lo, self.hi)
+
+    def step(self, x, h, path, bindings):
+        v = _resolve_args([self.var], bindings)[0]
+        return 1.0 if self.lo <= v <= self.hi else 0.0
+
+    def pwpoly(self, ivar, lo, hi, bindings):
+        aa, bb = max(self.lo, lo), min(self.hi, hi)
+        return PiecewisePoly.indicator(aa, bb) if aa < bb else None
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(ind {_name(self.var, rename)} {_fmt(self.lo)} {_fmt(self.hi)})"
 
 
 @_kind
@@ -191,6 +413,21 @@ class PolyInVar(_Node):
 
     coeffs: tuple
     var: str
+    pw = True
+
+    def free_vars(self, inner, _):
+        return {self.var}
+
+    def step(self, x, h, path, bindings):
+        v = _resolve_args([self.var], bindings)[0]
+        return float(np.polynomial.polynomial.polyval(v, np.asarray(self.coeffs)))
+
+    def pwpoly(self, ivar, lo, hi, bindings):
+        return PiecewisePoly.from_poly(self.coeffs, lo, hi) if lo < hi else None
+
+    def sexpr(self, inner, rename) -> str:
+        cs = " ".join(_fmt(c) for c in self.coeffs)
+        return f"(poly {_name(self.var, rename)} {cs})"
 
 
 @_kind
@@ -200,15 +437,67 @@ class HermitePoly(_Node):
     degree: int
     arg: Expr
 
+    def operands(self):
+        return (self.arg,)
+
+    def derivative(self, ds, at):
+        return make_product([Const(float(self.degree)),
+                             hermite_factor(self.degree - 1, self.arg), ds[0]])
+
+    def frozen(self, fs, r):
+        return hermite_factor(self.degree, fs[0])
+
+    def step(self, x, h, path, bindings):
+        return hermite_eval(self.degree, x)
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(hermite {self.degree} {inner[0]})"
+
 
 @_kind
 class Sum(_Node):
     terms: tuple[Expr, ...]
+    combine = operator.add
+
+    def operands(self):
+        return self.terms
+
+    def derivative(self, ds, at):
+        return make_sum(ds)
+
+    def frozen(self, fs, r):
+        return make_sum(fs)
+
+    def step(self, x, h, path, bindings):
+        return 0.0  # the empty sum; evaluate folds the terms in one by one
+
+    def sexpr(self, inner, rename) -> str:
+        return "(+ " + " ".join(inner) + ")"
 
 
 @_kind
 class Product(_Node):
     factors: tuple[Expr, ...]
+    combine = operator.mul
+
+    def operands(self):
+        return self.factors
+
+    def derivative(self, ds, at):
+        terms = []
+        for i, d in enumerate(ds):
+            if d is not ZERO:
+                terms.append(make_product(self.factors[:i] + self.factors[i + 1:] + (d,)))
+        return make_sum(terms)
+
+    def frozen(self, fs, r):
+        return make_product(fs)
+
+    def step(self, x, h, path, bindings):
+        return 1.0
+
+    def sexpr(self, inner, rename) -> str:
+        return "(* " + " ".join(inner) + ")"
 
 
 @_kind
@@ -220,19 +509,52 @@ class Power(_Node):
         if not isinstance(self.exponent, int) or self.exponent < 0:
             raise ValueError("Power exponent must be a nonnegative integer")
 
+    def operands(self):
+        return (self.base,)
+
+    def derivative(self, ds, at):
+        return make_product([Const(float(self.exponent)),
+                             make_power(self.base, self.exponent - 1), ds[0]])
+
+    def frozen(self, fs, r):
+        return make_power(fs[0], self.exponent)
+
+    def step(self, x, h, path, bindings):
+        return x ** self.exponent
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(^ {inner[0]} {self.exponent})"
+
 
 @_kind
 class Exp(_Node):
     arg: Expr
 
+    def operands(self):
+        return (self.arg,)
+
+    def derivative(self, ds, at):
+        return make_product([self, ds[0]])
+
+    def frozen(self, fs, r):
+        return make_exp(fs[0])
+
+    def step(self, x, h, path, bindings):
+        return np.exp(x)
+
+    def sexpr(self, inner, rename) -> str:
+        return f"(exp {inner[0]})"
+
 
 @_kind
 class PhiMoment(_Node):
-    """Deferred exact kernel moment int_lo^hi w(u) phi_H(u, partner) du.
+    """Kernel integral int_lo^hi (prod factors)(ivar) phi_H(ivar, partner) d ivar.
 
-    factors are deterministic functions of the integration variable ivar
-    (their breakpoints may involve other free variables); the closed form
-    is produced at evaluation time once every other variable is bound.
+    When every factor is piecewise polynomial in ivar (their breakpoints may
+    involve other free variables) the value is the exact kernel moment,
+    produced once every other variable is bound; otherwise the integrand is
+    not deterministic in ivar, no closed form applies, and the value comes
+    from singularity-split Gauss panels.
     """
 
     factors: tuple[Expr, ...]
@@ -241,25 +563,77 @@ class PhiMoment(_Node):
     hi: float
     partner: str
 
+    @property
+    def closed(self) -> bool:
+        return all(f.pw for f in self.factors)
 
-@_kind
-class UIntegral(_Node):
-    """Residual int_lo^hi (prod factors)(u) phi_H(u, partner) du, numeric at eval.
+    def children(self):
+        return self.factors
 
-    Used when the integrand is not deterministic in u, so no closed form
-    applies; evaluation falls back to singularity-split Gauss panels.
-    """
+    def times(self):
+        return (self.lo, self.hi)
 
-    factors: tuple[Expr, ...]
-    ivar: str
-    lo: float
-    hi: float
-    partner: str
+    def free_vars(self, inner, _):
+        out = set().union(*inner)
+        out.add(self.partner)
+        out.discard(self.ivar)
+        return out
+
+    def derivative(self, ds, at):
+        if not self.closed:
+            raise UnsupportedNodeError(
+                "no derivative of a kernel integral with factors outside "
+                "the piecewise polynomials")
+        return ZERO
+
+    def frozen(self, fs, r):
+        return PhiMoment(tuple(freeze(f, r) for f in self.factors),
+                         self.ivar, self.lo, self.hi, self.partner)
+
+    def step(self, x, h, path, bindings):
+        if h is None:
+            raise EvalError("Hurst index required to evaluate a kernel integral")
+        if not self.closed:
+            return self.quadrature(h, path, bindings)
+        v = _resolve_args([self.partner], bindings)[0]
+        scale_val, poly = _combine_pwpoly(self.factors, self.ivar,
+                                          self.lo, self.hi, bindings)
+        if poly is None or scale_val == 0.0:
+            return 0.0
+        return scale_val * phi_poly_moment(poly, Interval(self.lo, self.hi), v, h)
+
+    def quadrature(self, h, path, bindings):
+        """Singularity-absorbing quadrature of the integral, whatever its factors."""
+        from .quadrature import phi_weighted_integral
+
+        v = _resolve_args([self.partner], bindings)[0]
+        integrand = make_product(list(self.factors))
+
+        def f(us):
+            out = []
+            for u in np.atleast_1d(us):
+                b2 = dict(bindings or {})
+                b2[self.ivar] = float(u)
+                out.append(np.asarray(evaluate(integrand, h, path, b2), dtype=float))
+            return np.stack(out, axis=-1)
+
+        # kinks sit where ramp/indicator breakpoints fall inside the range, and
+        # at the path's grid times, where a time integral from u bends
+        breaks = set() if path is None else set(path.times)
+        for fac in self.factors:
+            breaks.update(fac.kinks(self.ivar, bindings))
+        return phi_weighted_integral(f, self.lo, self.hi, v, _hval(h),
+                                     breaks=sorted(breaks), rel_tol=1e-10)
+
+    def sexpr(self, inner, rename) -> str:
+        return (f"({'phimom' if self.closed else 'uint'} {_name(self.partner, rename)} "
+                f"{_name(self.ivar, rename)} {_fmt(self.lo)} {_fmt(self.hi)} "
+                f"({' '.join(inner)}))")
 
 
 Expr = Union[Const, FbmSample, WienerInt, TimeIntB, TimeIntBSq,
              RampMax, Indicator, PolyInVar, HermitePoly, Sum, Product,
-             Power, Exp, PhiMoment, UIntegral]
+             Power, Exp, PhiMoment]
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -371,18 +745,6 @@ def hermite_factor(degree: int, arg: Expr) -> Expr:
     return HermitePoly(degree, arg)
 
 
-def is_pw_factor(expr: Expr) -> bool:
-    """True for factor kinds with an exact piecewise-polynomial form in one variable."""
-    return isinstance(expr, (Const, Indicator, PolyInVar, RampMax))
-
-
-def phi_integral(factors, ivar: str, lo: float, hi: float, partner: str) -> Expr:
-    """int_lo^hi prod(factors)(ivar) phi_H(ivar, partner) d ivar: a closed-form
-    PhiMoment when every factor is piecewise polynomial, else a UIntegral."""
-    node = PhiMoment if all(map(is_pw_factor, factors)) else UIntegral
-    return node(tuple(factors), ivar, lo, hi, partner)
-
-
 def collect_terms(expr: Expr) -> Expr:
     """Combine sum terms that agree up to a constant factor.
 
@@ -413,37 +775,17 @@ def collect_terms(expr: Expr) -> Expr:
 # structural queries and the DAG fold
 
 
-def _operands(expr: Expr) -> tuple:
-    """The children a node's value and derivative are computed from; the
-    factors of kernel integrals are functions of their bound variable."""
-    if isinstance(expr, Sum):
-        return expr.terms
-    if isinstance(expr, Product):
-        return expr.factors
-    if isinstance(expr, Power):
-        return (expr.base,)
-    if isinstance(expr, (Exp, HermitePoly)):
-        return (expr.arg,)
-    return ()
-
-
-def children(expr: Expr) -> tuple:
-    if isinstance(expr, (PhiMoment, UIntegral)):
-        return expr.factors
-    return _operands(expr)
-
-
-def _fold(expr: Expr, rule, arg=None, kids=_operands, done=None):
-    """rule(node, [its results at kids(node)], arg) once per distinct node,
+def _fold(expr: Expr, rule: str, arg=None, kids: str = "operands", done=None):
+    """node.rule([its results at node.kids()], arg) once per distinct node,
     operands first and left to right; the result at expr."""
     if done is None:
         done = {}
     out = done.get(id(expr))
     if out is None:
-        ks = kids(expr)
+        ks = getattr(expr, kids)()
         if ks:
             ks = [_fold(c, rule, arg, kids, done) for c in ks]
-        out = done[id(expr)] = rule(expr, ks, arg)
+        out = done[id(expr)] = getattr(expr, rule)(ks, arg)
     return out
 
 
@@ -456,61 +798,34 @@ def nodes(expr: Expr):
         if id(node) not in seen:
             seen.add(id(node))
             yield node
-            stack.extend(reversed(children(node)))
+            stack.extend(reversed(node.children()))
 
 
 def fbm_times(expr: Expr) -> set:
-    """Times of every B_t sample in the expression."""
-    return {n.t for n in nodes(expr) if isinstance(n, FbmSample)}
+    """Times of every B_t sample in the expression (the random kind that is
+    discrete)."""
+    return {n.t for n in nodes(expr) if n.random and n.discrete}
 
 
 def times(expr: Expr) -> set:
     """Every time constant in the expression: sample times, integral limits,
     Wiener-weight breakpoints inside the limits, ramp caps, the constant
-    arguments of max() and indicator and kernel-moment limits."""
-    out = set()
-    for n in nodes(expr):
-        if isinstance(n, FbmSample):
-            out.add(n.t)
-        elif isinstance(n, WienerInt):
-            out |= {n.lo, n.hi} | {b for b in n.weight.breaks if n.lo <= b <= n.hi}
-        elif isinstance(n, (TimeIntBSq, Indicator, PhiMoment, UIntegral)):
-            out |= {n.lo, n.hi}
-        elif isinstance(n, TimeIntB):
-            out |= {n.upper, *[a for a in n.lower if not isinstance(a, str)]}
-        elif isinstance(n, RampMax):
-            out |= {n.cap, *[a for a in n.args if not isinstance(a, str)]}
-    return out
+    arguments of max() and indicator and kernel-integral limits."""
+    return set().union(*[n.times() for n in nodes(expr)])
 
 
 def is_discrete(expr: Expr) -> bool:
     """True when the only random dependence is through B_t samples."""
-    return not any(isinstance(n, (WienerInt, TimeIntB, TimeIntBSq, UIntegral))
-                   for n in nodes(expr))
+    return all(n.discrete for n in nodes(expr))
 
 
 def is_deterministic(expr: Expr) -> bool:
-    return not any(isinstance(n, (FbmSample, WienerInt, TimeIntB, TimeIntBSq))
-                   for n in nodes(expr))
-
-
-def _free_vars_rule(expr: Expr, inner, _) -> set:
-    out = set().union(*inner)
-    if isinstance(expr, (Indicator, PolyInVar)):
-        out.add(expr.var)
-    elif isinstance(expr, TimeIntB):
-        out |= {a for a in expr.lower if isinstance(a, str)}
-    elif isinstance(expr, RampMax):
-        out |= {a for a in expr.args if isinstance(a, str)}
-    elif isinstance(expr, (PhiMoment, UIntegral)):
-        out.add(expr.partner)
-        out.discard(expr.ivar)
-    return out
+    return not any(n.random for n in nodes(expr))
 
 
 def free_vars(expr: Expr) -> set:
     """Variable names left unbound; kernel integrals bind their ivar."""
-    return _fold(expr, _free_vars_rule, kids=children)
+    return _fold(expr, "free_vars", kids="children")
 
 
 # ---------------------------------------------------------------------------
@@ -529,51 +844,7 @@ def directional(expr: Expr, at: "str | float", done: "dict | None" = None) -> Ex
     across calls in the same direction; it is keyed by identity, so its
     owner must keep every expr it passed alive while it uses done.
     """
-    return _fold(expr, _derivative, at, done=done)
-
-
-def _derivative(expr: Expr, ds: list, at) -> Expr:
-    """D_at of one node, given D_at of each of its operands."""
-    if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
-        return ZERO
-    free = isinstance(at, str)
-    if isinstance(expr, FbmSample):
-        if free:
-            return Indicator(at, 0.0, expr.t)
-        return ONE if at <= expr.t else ZERO
-    if isinstance(expr, WienerInt):
-        if not free:
-            if expr.lo <= at <= expr.hi:
-                return Const(float(expr.weight(at)))
-            return ZERO
-        terms = []
-        for a, b, c in expr.weight.pieces():
-            aa, bb = max(a, expr.lo), min(b, expr.hi)
-            if aa < bb:
-                terms.append(make_product([PolyInVar(tuple(float(x) for x in c), at),
-                                           Indicator(at, aa, bb)]))
-        return make_sum(terms)
-    if isinstance(expr, TimeIntB):
-        return ramp_max(expr.upper, expr.lower + (at,))
-    if isinstance(expr, TimeIntBSq):
-        return scale(time_int_b((expr.lo, at), expr.hi), 2.0)
-    if isinstance(expr, HermitePoly):
-        return make_product([Const(float(expr.degree)),
-                             hermite_factor(expr.degree - 1, expr.arg), ds[0]])
-    if isinstance(expr, Sum):
-        return make_sum(ds)
-    if isinstance(expr, Product):
-        terms = []
-        for i, d in enumerate(ds):
-            if d is not ZERO:
-                terms.append(make_product(expr.factors[:i] + expr.factors[i + 1:] + (d,)))
-        return make_sum(terms)
-    if isinstance(expr, Power):
-        return make_product([Const(float(expr.exponent)),
-                             make_power(expr.base, expr.exponent - 1), ds[0]])
-    if isinstance(expr, Exp):
-        return make_product([expr, ds[0]])
-    raise UnsupportedNodeError(f"directional undefined for {type(expr).__name__}")
+    return _fold(expr, "derivative", at, done=done)
 
 
 # ---------------------------------------------------------------------------
@@ -585,46 +856,7 @@ def freeze(expr: Expr, r: float) -> Expr:
     r = float(r)
     if r < 0.0:
         raise ValueError("freeze time must be >= 0")
-    return _fold(expr, _frozen, r)
-
-
-def _frozen(expr: Expr, fs: list, r: float) -> Expr:
-    """One node on the path stopped at r, given its frozen operands."""
-    if isinstance(expr, (Const, RampMax, Indicator, PolyInVar, PhiMoment)):
-        return expr
-    if isinstance(expr, FbmSample):
-        return fbm_sample(min(expr.t, r))
-    if isinstance(expr, WienerInt):
-        hi = min(expr.hi, r)
-        if hi <= expr.lo:
-            return ZERO
-        return WienerInt(expr.weight, expr.lo, hi)
-    if isinstance(expr, TimeIntB):
-        c = min(expr.upper, r)
-        observed = time_int_b(expr.lower, c)
-        tail = make_product([fbm_sample(c),
-                             ramp_max(expr.upper, expr.lower + (c,))])
-        return make_sum([observed, tail])
-    if isinstance(expr, TimeIntBSq):
-        c = min(expr.hi, r)
-        observed = TimeIntBSq(expr.lo, c) if c > expr.lo else ZERO
-        tail = make_product([make_power(fbm_sample(c), 2),
-                             Const(max(0.0, expr.hi - max(expr.lo, c)))])
-        return make_sum([observed, tail])
-    if isinstance(expr, HermitePoly):
-        return hermite_factor(expr.degree, fs[0])
-    if isinstance(expr, Sum):
-        return make_sum(fs)
-    if isinstance(expr, Product):
-        return make_product(fs)
-    if isinstance(expr, Power):
-        return make_power(fs[0], expr.exponent)
-    if isinstance(expr, Exp):
-        return make_exp(fs[0])
-    if isinstance(expr, UIntegral):
-        return UIntegral(tuple(freeze(f, r) for f in expr.factors),
-                         expr.ivar, expr.lo, expr.hi, expr.partner)
-    raise UnsupportedNodeError(f"freeze undefined for {type(expr).__name__}")
+    return _fold(expr, "frozen", r)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +895,7 @@ class TimeGrid:
         r = float(r)
         if r < 0.0 or r > self.final_time:
             raise ValueError(f"r = {r} outside [0, {self.final_time}]")
-        if r == 0.0:
-            return 1
-        for i in range(1, self.n_cells + 1):
-            if self.times[i - 1] < r <= self.times[i]:
-                return i
-        raise AssertionError("unreachable")
+        return max(1, bisect.bisect_left(self.times, r))
 
     @classmethod
     def covering(cls, times: Iterable[float]) -> "TimeGrid":
@@ -742,13 +969,6 @@ class GridPath:
         return np.sum(f * db, axis=-1)
 
 
-def path_from_dict(values: dict) -> GridPath:
-    """Build a single path from a {time: value} mapping; 0 is added if missing."""
-    d = {0.0: 0.0} | {float(t): float(v) for t, v in values.items()}
-    ts = sorted(d)
-    return GridPath(ts, [d[t] for t in ts])
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -765,49 +985,18 @@ def _resolve_args(args, bindings):
     return out
 
 
-def factor_to_pwpoly(factor: Expr, ivar: str, lo: float, hi: float,
-                     bindings) -> "PiecewisePoly | float | None":
-    """Concrete piecewise polynomial (in ivar over [lo, hi]) for one factor.
-
-    Returns a float for factors constant in ivar and None for an identically
-    zero restriction.
-    """
-    if not is_pw_factor(factor):
-        raise UnsupportedNodeError(
-            f"{type(factor).__name__} is not a deterministic factor in '{ivar}'")
-    if isinstance(factor, Indicator) and factor.var == ivar:
-        aa, bb = max(factor.lo, lo), min(factor.hi, hi)
-        return PiecewisePoly.indicator(aa, bb) if aa < bb else None
-    if isinstance(factor, PolyInVar) and factor.var == ivar:
-        return PiecewisePoly.from_poly(factor.coeffs, lo, hi) if lo < hi else None
-    if not (isinstance(factor, RampMax) and ivar in factor.args):
-        return evaluate(factor, bindings=bindings)  # constant in ivar
-    others = [a for a in factor.args if a != ivar]
-    floor = max(_resolve_args(others, bindings)) if others else 0.0
-    cap = factor.cap
-    if floor >= cap:
-        return None
-    # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
-    pieces_lo, pieces_hi = max(lo, 0.0), min(hi, cap)
-    breaks, coeffs = [pieces_lo], []
-    knee = min(max(floor, pieces_lo), pieces_hi)
-    if knee > pieces_lo:
-        breaks.append(knee)
-        coeffs.append((cap - floor,))
-    if pieces_hi > knee:
-        breaks.append(pieces_hi)
-        coeffs.append((cap, -1.0))
-    if not coeffs:
-        return None
-    return PiecewisePoly(tuple(breaks), tuple(coeffs))
-
-
 def _combine_pwpoly(factors, ivar, lo, hi, bindings):
     """Product of factor polynomials; (scale, PiecewisePoly|None)."""
     scale_val = 1.0
     poly = None
     for f in factors:
-        res = factor_to_pwpoly(f, ivar, lo, hi, bindings)
+        if not f.pw:
+            raise UnsupportedNodeError(
+                f"{type(f).__name__} is not a deterministic factor in '{ivar}'")
+        if ivar in f.free_vars((), None):  # a pw kind is a leaf
+            res = f.pwpoly(ivar, lo, hi, bindings)
+        else:
+            res = f.step(None, None, None, bindings)  # constant in ivar
         if res is None:
             return 0.0, None
         if isinstance(res, float):
@@ -829,7 +1018,7 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
              bindings: "dict | None" = None):
     """Evaluate on a path (scalar or vectorized across an ensemble).
 
-    h is only needed for deferred kernel nodes; bindings supply free
+    h is only needed for kernel integrals; bindings supply free
     variables.  Every time lookup is strict to the path grid.  Each
     distinct node is computed once, in the order a recursive walk would
     first reach it, and its value is dropped at its last use, so a shared
@@ -857,13 +1046,11 @@ def _run(plan: tuple, root, h, path, bindings) -> list:
     for node, slot, arg, last in steps:
         node = node or root
         if arg is None:
-            vals[slot] = _value(node, None, h, path, bindings)
-        elif node.__class__ is Sum:
-            vals[slot] = vals[slot] + vals[arg]
-        elif node.__class__ is Product:
-            vals[slot] = vals[slot] * vals[arg]
+            vals[slot] = node.step(None, h, path, bindings)
+        elif node.combine is None:
+            vals[slot] = node.step(vals[arg], h, path, bindings)
         else:
-            vals[slot] = _value(node, vals[arg], h, path, bindings)
+            vals[slot] = node.combine(vals[slot], vals[arg])
         for j in last:
             vals[j] = None
     return [vals[s] for s in outs]
@@ -874,7 +1061,7 @@ def _schedule(roots, cached=None) -> tuple:
 
     A step (node, slot, arg, last) stores in slot the value of a node
     without operands (arg None) or of a unary node applied to the value in
-    slot arg, or folds the value in slot arg into the sum or product
+    slot arg, or combines the value in slot arg into the sum or product
     accumulating in slot, which starts from its empty value; last holds
     arg when no later step reads it and it is no root's slot.  The node
     cached appears as None, so a schedule cached on it holds no reference
@@ -897,101 +1084,12 @@ def _emit(node: Expr, slots: dict, steps: list) -> int:
     if slot is not None:
         return slot
     slot = slots[id(node)] = len(slots)
-    ops = _operands(node)
-    if not ops or isinstance(node, (Sum, Product)):
+    ops = node.operands()
+    if not ops or node.combine is not None:
         steps.append((node, slot, None))
     for c in ops:
         steps.append((node, slot, _emit(c, slots, steps)))
     return slot
-
-
-def _value(expr: Expr, x, h, path, bindings):
-    """One node's value; x is the operand's value for a unary node."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, FbmSample):
-        if path is None:
-            raise EvalError("path required to evaluate B_t")
-        return path.value(expr.t)
-    if isinstance(expr, Sum):
-        return 0.0  # the empty sum; evaluate folds the terms in one by one
-    if isinstance(expr, Product):
-        return 1.0
-    if isinstance(expr, HermitePoly):
-        return hermite_eval(expr.degree, x)
-    if isinstance(expr, Power):
-        return x ** expr.exponent
-    if isinstance(expr, Exp):
-        return np.exp(x)
-    if isinstance(expr, Indicator):
-        v = _resolve_args([expr.var], bindings)[0]
-        return 1.0 if expr.lo <= v <= expr.hi else 0.0
-    if isinstance(expr, PolyInVar):
-        v = _resolve_args([expr.var], bindings)[0]
-        return float(np.polynomial.polynomial.polyval(v, np.asarray(expr.coeffs)))
-    if isinstance(expr, RampMax):
-        return max(0.0, expr.cap - max(_resolve_args(expr.args, bindings)))
-    if isinstance(expr, WienerInt):
-        if path is None:
-            raise EvalError("path required to evaluate a Wiener integral")
-        return path.stieltjes(expr.weight, expr.lo, expr.hi)
-    if isinstance(expr, TimeIntB):
-        if path is None:
-            raise EvalError("path required to evaluate a time integral")
-        lo = max(_resolve_args(expr.lower, bindings))
-        if lo >= expr.upper:
-            return 0.0
-        if lo in expr.lower:
-            path.index_of(lo)  # only a bound variable may fall between grid times
-        return path.trapezoid(lambda b: b, lo, expr.upper)
-    if isinstance(expr, TimeIntBSq):
-        if path is None:
-            raise EvalError("path required to evaluate a time integral")
-        path.index_of(expr.lo)
-        return path.trapezoid(lambda b: b * b, expr.lo, expr.hi)
-    if isinstance(expr, PhiMoment):
-        if h is None:
-            raise EvalError("Hurst index required to evaluate a kernel moment")
-        v = _resolve_args([expr.partner], bindings)[0]
-        scale_val, poly = _combine_pwpoly(expr.factors, expr.ivar,
-                                          expr.lo, expr.hi, bindings)
-        if poly is None or scale_val == 0.0:
-            return 0.0
-        return scale_val * phi_poly_moment(poly, Interval(expr.lo, expr.hi), v, h)
-    if isinstance(expr, UIntegral):
-        if h is None:
-            raise EvalError("Hurst index required to evaluate a kernel integral")
-        return _eval_u_integral(expr, h, path, bindings)
-    raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
-
-
-def _eval_u_integral(node: UIntegral, h, path, bindings):
-    """Singularity-absorbing quadrature for a residual u-integral."""
-    from .quadrature import phi_weighted_integral
-
-    v = _resolve_args([node.partner], bindings)[0]
-    integrand = make_product(list(node.factors))
-
-    def f(us):
-        out = []
-        for u in np.atleast_1d(us):
-            b2 = dict(bindings or {})
-            b2[node.ivar] = float(u)
-            out.append(np.asarray(evaluate(integrand, h, path, b2), dtype=float))
-        return np.stack(out, axis=-1)
-
-    # kinks sit where ramp/indicator breakpoints fall inside the range, and
-    # at the path's grid times, where a time integral from u bends
-    breaks = set() if path is None else set(path.times)
-    for fac in node.factors:
-        if isinstance(fac, Indicator):
-            breaks |= {fac.lo, fac.hi}
-        elif isinstance(fac, RampMax):
-            breaks.add(fac.cap)
-            breaks |= {_resolve_args([a], bindings)[0]
-                       for a in fac.args if a != node.ivar}
-    return phi_weighted_integral(f, node.lo, node.hi, v, _hval(h),
-                                 breaks=sorted(breaks), rel_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,51 +1132,13 @@ def _name(n, rename) -> str:
     return rename.get(n, n) if rename else n
 
 
+def _args(args, rename) -> str:
+    return " ".join(_name(a, rename) if isinstance(a, str) else _fmt(a) for a in args)
+
+
 def to_sexpr(expr: Expr, rename: "dict | None" = None) -> str:
     """Canonical S-expression text; rename maps variable names (for matching)."""
-    if isinstance(expr, Const):
-        return _fmt(expr.value)
-    if isinstance(expr, FbmSample):
-        return f"(B {_fmt(expr.t)})"
-    if isinstance(expr, WienerInt):
-        pieces = " ".join(
-            f"({_fmt(a)} {_fmt(b)} {' '.join(_fmt(c) for c in cs)})"
-            for a, b, cs in expr.weight.pieces())
-        return f"(WI ({pieces}) {_fmt(expr.lo)} {_fmt(expr.hi)})"
-    if isinstance(expr, TimeIntB):
-        args = " ".join(_name(a, rename) if isinstance(a, str) else _fmt(a)
-                        for a in expr.lower)
-        return f"(IB (max {args}) {_fmt(expr.upper)})"
-    if isinstance(expr, TimeIntBSq):
-        return f"(IB2 {_fmt(expr.lo)} {_fmt(expr.hi)})"
-    if isinstance(expr, RampMax):
-        args = " ".join(_name(a, rename) if isinstance(a, str) else _fmt(a)
-                        for a in expr.args)
-        return f"(ramp {_fmt(expr.cap)} (max {args}))"
-    if isinstance(expr, Indicator):
-        return f"(ind {_name(expr.var, rename)} {_fmt(expr.lo)} {_fmt(expr.hi)})"
-    if isinstance(expr, PolyInVar):
-        cs = " ".join(_fmt(c) for c in expr.coeffs)
-        return f"(poly {_name(expr.var, rename)} {cs})"
-    if isinstance(expr, HermitePoly):
-        return f"(hermite {expr.degree} {to_sexpr(expr.arg, rename)})"
-    if isinstance(expr, Sum):
-        return "(+ " + " ".join(to_sexpr(t, rename) for t in expr.terms) + ")"
-    if isinstance(expr, Product):
-        return "(* " + " ".join(to_sexpr(f, rename) for f in expr.factors) + ")"
-    if isinstance(expr, Power):
-        return f"(^ {to_sexpr(expr.base, rename)} {expr.exponent})"
-    if isinstance(expr, Exp):
-        return f"(exp {to_sexpr(expr.arg, rename)})"
-    if isinstance(expr, PhiMoment):
-        inner = " ".join(to_sexpr(f, rename) for f in expr.factors)
-        return (f"(phimom {_name(expr.partner, rename)} {_name(expr.ivar, rename)} "
-                f"{_fmt(expr.lo)} {_fmt(expr.hi)} ({inner}))")
-    if isinstance(expr, UIntegral):
-        inner = " ".join(to_sexpr(f, rename) for f in expr.factors)
-        return (f"(uint {_name(expr.partner, rename)} {_name(expr.ivar, rename)} "
-                f"{_fmt(expr.lo)} {_fmt(expr.hi)} ({inner}))")
-    raise UnsupportedNodeError(f"to_sexpr undefined for {type(expr).__name__}")
+    return _fold(expr, "sexpr", rename, kids="children")
 
 
 # ---------------------------------------------------------------------------

@@ -38,26 +38,11 @@ class DiagonalSingularityError(ValueError):
 
 
 def _hval(h) -> float:
-    """Accept a HurstParam or a bare float; validate the open interval (1/2, 1)."""
-    v = h.h if isinstance(h, HurstParam) else float(h)
+    """The Hurst index as a float, validated to the open interval (1/2, 1)."""
+    v = float(h)
     if not (0.5 < v < 1.0):
         raise ValueError(f"Hurst index must lie in (1/2, 1), got {v}")
     return v
-
-
-@dataclass(frozen=True)
-class HurstParam:
-    """Hurst index H restricted to the long-memory regime (1/2, 1)."""
-
-    h: float
-
-    def __post_init__(self):
-        if not (0.5 < self.h < 1.0):
-            raise ValueError(f"Hurst index must lie in (1/2, 1), got {self.h}")
-
-    @property
-    def two_h(self) -> float:
-        return 2.0 * self.h
 
 
 @dataclass(frozen=True)
@@ -72,10 +57,6 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if self.lo < 0.0 or self.hi < self.lo:
             raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 def abs_pow(x, p: float):
@@ -181,10 +162,6 @@ class PiecewisePoly:
     @staticmethod
     def indicator(lo: float, hi: float) -> "PiecewisePoly":
         return PiecewisePoly.from_poly((1.0,), lo, hi)
-
-    @property
-    def support(self) -> Interval:
-        return Interval(self.breaks[0], self.breaks[-1])
 
     def pieces(self) -> Iterable[tuple]:
         for i, c in enumerate(self.coeffs):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass
 class SeriesResult:
@@ -25,8 +23,3 @@ class SeriesResult:
     @property
     def value(self):
         return self.partial_sums[-1]
-
-    def tail_magnitude(self) -> float:
-        """Size of the last term, a crude truncation indicator."""
-        last = self.terms[-1]
-        return float(np.max(np.abs(last)))

@@ -17,23 +17,6 @@ from __future__ import annotations
 
 import math
 
-# rows[n] holds the ascending-power coefficients of h_n, grown on demand
-_HERMITE_ROWS = [[1], [0, 1]]
-
-
-def hermite_coefficients(n: int) -> tuple:
-    """Ascending-power integer coefficients of h_n."""
-    if n < 0:
-        raise ValueError("Hermite degree must be >= 0")
-    rows = _HERMITE_ROWS
-    while len(rows) <= n:
-        m = len(rows)
-        row = [0] + rows[m - 1]
-        for i, c in enumerate(rows[m - 2]):
-            row[i] -= (m - 1) * c
-        rows.append(row)
-    return tuple(rows[n])
-
 
 def hermite_eval(n: int, x):
     """h_n(x) by the three-term recurrence (stable; x may be an ndarray)."""
@@ -46,25 +29,6 @@ def hermite_eval(n: int, x):
     for m in range(2, n + 1):
         prev, prev2 = x * prev - (m - 1) * prev2, prev
     return prev
-
-
-def hermite_generating_check(t: float, x: float, n_terms: int) -> float:
-    """Gap |exp(tx - t^2/2) - sum_{n<=N} t^n/n! h_n(x)| for the partial sum."""
-    target = math.exp(t * x - t * t / 2.0)
-    acc = 0.0
-    coef = 1.0
-    for n in range(n_terms + 1):
-        acc += coef * hermite_eval(n, x)
-        coef *= t / (n + 1)
-    return abs(target - acc)
-
-
-def hermite_shift_identity_gap(l: int, x: float, y: float) -> float:
-    """Gap |sum_k C(l,k) x^k h_{l-k}(y) - h_l(x + y)|; identically 0 in exact math."""
-    acc = 0.0
-    for k in range(l + 1):
-        acc += math.comb(l, k) * x ** k * hermite_eval(l - k, y)
-    return abs(acc - hermite_eval(l, x + y))
 
 
 # rows[j][k] holds {j, k}, grown on demand

@@ -16,11 +16,11 @@ from itertools import product as iter_product
 import numpy as np
 from scipy import integrate
 
-from fbmseries.functional import (ZERO, Const, Exp, FbmSample, HermitePoly,
-                                  Power, Product, Sum, children, collect_terms,
-                                  directional, evaluate, fbm_times,
-                                  hermite_factor, is_discrete, make_product,
-                                  make_sum, scale)
+from fbmseries.functional import (ZERO, Const, Exp, FbmSample, GridPath,
+                                  HermitePoly, Power, Product, Sum,
+                                  collect_terms, directional, evaluate,
+                                  fbm_times, hermite_factor, is_discrete,
+                                  make_product, make_sum, scale)
 from fbmseries.kernel import _hval, phi
 from fbmseries.special import hermite_eval
 from fbmseries.taylor import _package, _setup, compositions, psi_orders
@@ -132,7 +132,7 @@ def tree_evaluate(expr, h=None, path=None, bindings=None):
 
 def tree_size(expr):
     """Node count of the expression as a tree: shared subtrees count each time."""
-    return 1 + sum(tree_size(c) for c in children(expr))
+    return 1 + sum(tree_size(c) for c in expr.children())
 
 
 @dataclass(frozen=True)
@@ -213,3 +213,48 @@ def reference_expansion(f, r, grid, order, h, path=None):
         term_exprs.append(make_sum(contributions))
         n_counts.append(n_combos)
     return _package(order, term_exprs, n_counts, hh, path)
+
+
+def path_from_dict(values: dict) -> GridPath:
+    """Build a single path from a {time: value} mapping; 0 is added if missing."""
+    d = {0.0: 0.0} | {float(t): float(v) for t, v in values.items()}
+    ts = sorted(d)
+    return GridPath(ts, [d[t] for t in ts])
+
+
+# rows[n] holds the ascending-power coefficients of h_n, grown on demand
+_HERMITE_ROWS = [[1], [0, 1]]
+
+
+def hermite_coefficients(n: int) -> tuple:
+    """Ascending-power integer coefficients of h_n, the exact reference that
+    hermite_eval is checked against."""
+    if n < 0:
+        raise ValueError("Hermite degree must be >= 0")
+    rows = _HERMITE_ROWS
+    while len(rows) <= n:
+        m = len(rows)
+        row = [0] + rows[m - 1]
+        for i, c in enumerate(rows[m - 2]):
+            row[i] -= (m - 1) * c
+        rows.append(row)
+    return tuple(rows[n])
+
+
+def hermite_generating_check(t: float, x: float, n_terms: int) -> float:
+    """Gap |exp(tx - t^2/2) - sum_{n<=N} t^n/n! h_n(x)| for the partial sum."""
+    target = math.exp(t * x - t * t / 2.0)
+    acc = 0.0
+    coef = 1.0
+    for n in range(n_terms + 1):
+        acc += coef * hermite_eval(n, x)
+        coef *= t / (n + 1)
+    return abs(target - acc)
+
+
+def hermite_shift_identity_gap(l: int, x: float, y: float) -> float:
+    """Gap |sum_k C(l,k) x^k h_{l-k}(y) - h_l(x + y)|; identically 0 in exact math."""
+    acc = 0.0
+    for k in range(l + 1):
+        acc += math.comb(l, k) * x ** k * hermite_eval(l - k, y)
+    return abs(acc - hermite_eval(l, x + y))

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from oracles import quad_phi_moment_alg, quad_rect
+from oracles import (hermite_coefficients, hermite_generating_check,
+                     hermite_shift_identity_gap, quad_phi_moment_alg, quad_rect)
 from fbmseries.applications import (cir_mc_check, cir_small_t,
                                     lognormal_cf_series, lognormal_moment)
 from fbmseries.expformula import cir_fourth_order_integral, exp_series
@@ -22,10 +23,7 @@ from fbmseries.functional import (GridPath, TimeGrid, TimeIntBSq, evaluate,
                                   to_sexpr, grid_partials)
 from fbmseries.kernel import Interval, PiecewisePoly, phi_poly_moment, rect_integral
 from fbmseries.parser import parse
-from fbmseries.special import (hermite_coefficients, hermite_eval,
-                               hermite_generating_check,
-                               hermite_shift_identity_gap, stirling2,
-                               stirling_falling_sum)
+from fbmseries.special import hermite_eval, stirling2, stirling_falling_sum
 from fbmseries.taylor import assumption_a_sequence, backward_taylor
 
 

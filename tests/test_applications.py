@@ -122,6 +122,8 @@ class TestLognormalMoment:
             lognormal_moment(-1, 1.0, 0.75, 0.5)
         with pytest.raises(ValueError):
             lognormal_moment(2, 0.0, 0.75, 0.5)
+        with pytest.raises(ValueError):
+            lognormal_moment(2, 1.0, 0.75, 0.5, n_max=-1)
 
 
 class TestLognormalCharacteristicFunction:

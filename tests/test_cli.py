@@ -170,6 +170,20 @@ class TestExitCodes:
                            "--order", "1", "--mc.paths", "2"])
         assert code == 3
 
+    @pytest.mark.parametrize("big_t", ["1e-66", "1e-70"])
+    def test_cir_where_the_fourth_order_scale_leaves_the_normal_floats(self, big_t):
+        # T^(4H+2) is subnormal at 1e-66 and underflows to 0 at 1e-70
+        code, out = run_cli(["cir", "--hurst", "0.7", "--T", big_t,
+                             "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["c2_integral"] == pytest.approx(doc["c2"], rel=1e-10)
+        assert doc["approx"] == 1.0
+
+    def test_negative_moment_order_is_configuration(self):
+        assert run_cli(["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "1",
+                        "--p", "2", "--order", "-1"])[0] == 2
+
     @pytest.mark.parametrize("argv", [
         ["lognormal", "--hurst", "0.75", "--T", "1", "--sigma", "1e200", "--p", "2"],
         ["cir", "--hurst", "0.7", "--T", "1.5", "--mc.paths", "100"],

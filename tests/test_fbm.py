@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fbmseries.fbm import (
-    FbmEnsemble,
     McConfig,
     covariance,
     grid_for,
@@ -72,15 +71,6 @@ class TestSimulate:
                 var_prod = covariance(s, s, h) * covariance(t, t, h) + want ** 2
                 se = math.sqrt(var_prod / n)
                 assert abs(emp - want) < 4.0 * se
-
-    def test_csv_round_trip(self, tmp_path):
-        g = TimeGrid((0.0, 0.5, 1.0))
-        e = simulate(g, 0.7, McConfig(n_paths=5, seed=3))
-        fname = tmp_path / "paths.csv"
-        e.to_csv(fname)
-        back = FbmEnsemble.from_csv(fname, 0.7)
-        assert back.grid.times == g.times
-        np.testing.assert_allclose(back.values, e.values, rtol=1e-15)
 
 
 class TestMcExpect:

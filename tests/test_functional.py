@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from fbmseries.functional import (
     TimeGrid,
     TimeIntB,
     TimeIntBSq,
-    UIntegral,
     UnsupportedNodeError,
     WienerInt,
     ZERO,
@@ -45,7 +45,6 @@ from fbmseries.functional import (
     make_product,
     make_sum,
     nodes,
-    path_from_dict,
     ramp_max,
     scale,
     time_int_b,
@@ -56,7 +55,7 @@ from fbmseries.kernel import PiecewisePoly, phi_antiderivative
 from fbmseries.parser import ParseError, parse
 from fbmseries.taylor import backward_taylor
 
-from oracles import quad_phi_moment, tree_evaluate, tree_size
+from oracles import path_from_dict, quad_phi_moment, tree_evaluate, tree_size
 
 GRID = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
 
@@ -218,7 +217,7 @@ class TestMalliavin:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_malliavin_of_residual_integral_unsupported(self):
-        node = UIntegral((fbm_sample(0.5),), "u", 0.0, 1.0, "v")
+        node = PhiMoment((fbm_sample(0.5),), "u", 0.0, 1.0, "v")
         with pytest.raises(UnsupportedNodeError):
             directional(node, "w")
 
@@ -344,11 +343,10 @@ class TestEvaluate:
         # a deterministic residual integrand must agree with the closed form
         factors = (RampMax(1.0, (0.2, "u")),)
         exact = PhiMoment(factors, "u", 0.0, 1.0, "v")
-        numeric = UIntegral(factors, "u", 0.0, 1.0, "v")
         h = 0.68
         for v in (0.15, 0.5, 0.95):
             a = evaluate(exact, h=h, bindings={"v": v})
-            b = evaluate(numeric, h=h, bindings={"v": v})
+            b = exact.quadrature(h, None, {"v": v})
             assert b == pytest.approx(a, rel=1e-8)
 
     def test_path_from_dict(self):
@@ -513,20 +511,23 @@ class TestInterning:
         assert len(seen) == len({id(n) for n in seen}) < tree_size(e)
 
     @pytest.mark.parametrize("rule, op", [
-        ("_derivative", lambda e: directional(e, 0.5)),
-        ("_derivative", lambda e: directional(e, "u")),
-        ("_frozen", lambda e: freeze(e, 0.3)),
+        ("derivative", lambda e: directional(e, 0.5)),
+        ("derivative", lambda e: directional(e, "u")),
+        ("frozen", lambda e: freeze(e, 0.3)),
     ])
     def test_each_distinct_node_is_handled_once(self, monkeypatch, rule, op):
         x = parse("exp(0.5*B(1))*B(0.75)^2")
         e = make_sum([make_product([x, fbm_sample(k / 4)]) for k in range(1, 5)])
-        seen, real = [], getattr(functional, rule)
+        seen = []
 
-        def counted(node, operands, arg):
-            seen.append(id(node))
-            return real(node, operands, arg)
+        def counting(real):
+            def counted(node, operands, arg):
+                seen.append(id(node))
+                return real(node, operands, arg)
+            return counted
 
-        monkeypatch.setattr(functional, rule, counted)
+        for kind in get_args(functional.Expr):
+            monkeypatch.setattr(kind, rule, counting(getattr(kind, rule)))
         op(e)
         assert len(seen) == len(set(seen)) == len(list(nodes(e)))
 

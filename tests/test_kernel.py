@@ -7,7 +7,6 @@ import pytest
 
 from fbmseries.kernel import (
     DiagonalSingularityError,
-    HurstParam,
     Interval,
     PiecewisePoly,
     abs_pow,
@@ -31,8 +30,7 @@ class TestValidation:
     def test_hurst_range(self):
         for bad in (0.5, 1.0, 0.3, 1.2, -0.7):
             with pytest.raises(ValueError):
-                HurstParam(bad)
-        assert HurstParam(0.75).two_h == 1.5
+                phi(0.2, 0.7, bad)
 
     def test_interval(self):
         with pytest.raises(ValueError):
@@ -41,16 +39,12 @@ class TestValidation:
             Interval(-0.1, 0.5)
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
-        assert Interval(0.2, 0.9).length == pytest.approx(0.7)
 
     def test_phi_diagonal_raises(self):
         with pytest.raises(DiagonalSingularityError):
             phi(0.3, 0.3, 0.75)
         with pytest.raises(DiagonalSingularityError):
             phi(np.array([0.1, 0.5]), np.array([0.2, 0.5]), 0.75)
-
-    def test_phi_accepts_hurst_param(self):
-        assert phi(0.2, 0.7, HurstParam(0.8)) == pytest.approx(phi(0.2, 0.7, 0.8))
 
 
 class TestAbsPow:
@@ -195,7 +189,7 @@ class TestPiecewisePoly:
         a = PiecewisePoly.indicator(0.0, 1.0)
         b = PiecewisePoly.from_poly((0.0, 1.0), 0.5, 2.0)
         p = a.mul(b)
-        assert p.support.lo == 0.5 and p.support.hi == 1.0
+        assert p.breaks[0] == 0.5 and p.breaks[-1] == 1.0
         assert p(0.7) == pytest.approx(0.7)
 
     def test_mul_disjoint_is_none(self):

@@ -1,6 +1,5 @@
 """Hermite / Stirling / beta invariants, partly against brute-force oracles."""
 
-import itertools
 import math
 
 import numpy as np
@@ -9,13 +8,13 @@ from scipy import special as sps
 
 from fbmseries.special import (
     beta_fn,
-    hermite_coefficients,
     hermite_eval,
-    hermite_generating_check,
-    hermite_shift_identity_gap,
     stirling2,
     stirling_falling_sum,
 )
+
+from oracles import (hermite_coefficients, hermite_generating_check,
+                     hermite_shift_identity_gap)
 
 
 class TestHermite:
@@ -78,22 +77,23 @@ class TestHermite:
 
 
 def brute_force_stirling(j, k):
-    """Count partitions of {0..j-1} into exactly k nonempty blocks directly."""
-    if j == 0:
-        return 1 if k == 0 else 0
+    """Count partitions of {0..j-1} into exactly k nonempty blocks directly.
+
+    Each partition is listed once, as its restricted-growth string: element
+    i goes to block a_i, where a_0 = 0 and a_i is at most one above every
+    earlier label, so the blocks are numbered in order of first use.
+    """
     count = 0
-    # assignment of each element to a block label, counted up to label renaming
-    for assign in itertools.product(range(k), repeat=j):
-        used = set(assign)
-        if len(used) != k:
-            continue
-        # canonical labeling: block labels must appear in first-use order
-        first_seen = []
-        for a in assign:
-            if a not in first_seen:
-                first_seen.append(a)
-        if first_seen == sorted(first_seen):
-            count += 1
+
+    def grow(length, n_blocks):
+        nonlocal count
+        if length == j:
+            count += n_blocks == k
+            return
+        for label in range(n_blocks + 1):
+            grow(length + 1, max(n_blocks, label + 1))
+
+    grow(0, 0)
     return count
 
 
