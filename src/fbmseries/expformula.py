@@ -15,19 +15,28 @@ removes two Malliavin derivatives.  The u-integrals commute with the
 outstanding derivatives and with freezing, so level i needs only the frozen
 2i-th derivative D_{u_i} D_{v_i} ... D_{u_1} D_{v_1} F (gamma^r): each u_k
 is integrated against phi_H(u_k, v_k) over the averaged range and the v's
-over the ordered simplex.  Three routes are tried per product term:
+over the ordered simplex.  Four routes are tried per product term:
 
   * exact      - one v variable with piecewise-polynomial u and v factors:
                  closed-form double kernel moments;
   * factorized - the term splits into i identical single-level clusters g,
                  so the symmetric simplex integral collapses to
                  (int g dv)^i / i!;
+  * separable  - the term splits into single-level clusters g_k of
+                 piecewise-polynomial factors that are not all identical:
+                 the simplex integral of g_1(v_1) ... g_i(v_i) is an
+                 iterated running integral on Gauss panels split at the
+                 level's break times and graded toward them, with G_1 and
+                 each g_k in closed form at the nodes, so it costs O(i n)
+                 closed-form evaluations for n nodes; the gap to the grid
+                 with every panel bisected is its error, and a gap above
+                 rel_tol raises EngineError;
   * quadrature - nested adaptive panels over the simplex (dimension <= 3);
                  residual u-integrals use exact kernel moments when the u
                  factors are piecewise polynomial and singularity-absorbing
                  panels otherwise.
 
-Terms outside all three routes raise EngineError.
+Terms outside all four routes raise EngineError.
 """
 
 from __future__ import annotations
@@ -57,8 +66,9 @@ from .functional import (
     times,
     to_sexpr,
 )
-from .kernel import _hval, poly_rect_integral
-from .quadrature import adaptive_panels, gauss_nodes, graded_points, nested_simplex
+from .kernel import Interval, _hval, phi_poly_moment, poly_rect_integral
+from .quadrature import (PanelGrid, adaptive_panels, gauss_nodes, graded_cuts,
+                         graded_points, nested_simplex, simplex_product)
 from .results import SeriesResult
 from .special import beta_fn
 
@@ -117,30 +127,43 @@ def _term_split(term: Expr, i: int):
     return s_facs, per_level, coupled
 
 
-def _cluster_value(u_facs, v_facs, k, r, big_t, hh):
-    """Exact 1/2 (int_0^T + int_0^r) du int_r^T dv of one separable cluster.
-
-    None signals a factor without a piecewise-polynomial form, in which
-    case the caller must fall back to quadrature.
-    """
-    if not all(f.pw for f in u_facs + v_facs):
-        return None
+def _cluster_polys(u_facs, v_facs, k, r, big_t):
+    """(constant, u-polynomial on [0, T], v-polynomial on [r, T]) of a
+    separable cluster of piecewise-polynomial factors; None if it vanishes."""
     su, wu = _combine_pwpoly(u_facs, _uname(k), 0.0, big_t, None)
     sv, wv = _combine_pwpoly(v_facs, _vname(k), r, big_t, None)
-    if wu is None or wv is None:
+    return None if wu is None or wv is None else (su * sv, wu, wv)
+
+
+def _cluster_value(polys, r, hh, v_hi=None):
+    """Exact 1/2 (int_0^T + int_0^r) du int_r^T dv of a cluster; with v_hi
+    the v-range ends at v_hi instead (an array of ends gives the integral
+    up to each)."""
+    if polys is None:
         return 0.0
-    val = 0.5 * poly_rect_integral(wu, wv, hh)
+    c, wu, wv = polys
+    val = 0.5 * poly_rect_integral(wu, wv, hh, v_hi)
     if r > 0.0:
         wur = wu.restrict(0.0, r)
         if wur is not None:
-            val += 0.5 * poly_rect_integral(wur, wv, hh)
-    return su * sv * val
+            val += 0.5 * poly_rect_integral(wur, wv, hh, v_hi)
+    return c * val
 
 
-def _canonical_cluster(u_facs, v_facs, uv_facs, k) -> tuple:
+def _cluster_density(polys, r, big_t, hh, vs):
+    """The v-integrand of _cluster_value at the nodes vs: the v-factors
+    times the averaged kernel moment of the u-factors."""
+    c, wu, wv = polys
+    mom = phi_poly_moment(wu, Interval(0.0, big_t), vs, hh)
+    if r > 0.0:
+        mom += phi_poly_moment(wu, Interval(0.0, r), vs, hh)
+    return 0.5 * c * wv(vs) * mom
+
+
+def _canonical_cluster(u_facs, v_facs, k) -> tuple:
     """Level-independent fingerprint used to recognize identical clusters."""
     ren = {_uname(k): "u", _vname(k): "v"}
-    return tuple(sorted(to_sexpr(f, ren) for f in u_facs + v_facs + uv_facs))
+    return tuple(sorted(to_sexpr(f, ren) for f in u_facs + v_facs))
 
 
 def _u_pair(facs, k, r, big_t) -> Expr:
@@ -191,45 +214,107 @@ def _quadrature_value(term, i, r, big_t, hh, path, rel_tol):
     return _attach(make_product(s_facs), val, path, hh), "quadrature"
 
 
-def _term_value(term, i, r, big_t, hh, path, rel_tol):
+# the separable route's grid: panels graded toward each end of an interval
+# between break times, their size ratio, and Gauss nodes per panel
+_GRADED, _RATIO, _NODES = 12, 0.25, 16
+
+
+class _Separable:
+    """The separable simplex integrals of one level, on one shared grid.
+
+    The grid has Gauss panels on [r, T], split at the level's break times
+    and graded toward them, where the clusters have |v - c|^(2H-1) kinks;
+    its refinement bisects every panel.  Each distinct cluster is evaluated
+    on both once: at level 1 as its exact running integral, at the other
+    levels as its density.  error is the largest gap between the two
+    grids' values, relative to the integral of the absolute integrand,
+    over the terms so far.
+    """
+
+    def __init__(self, prods, r, big_t, hh):
+        self.prods, self.r, self.big_t, self.hh = prods, r, big_t, hh
+        self.grids = None
+        self.memo = {}
+        self.error = 0.0
+
+    def _on(self, g, key, polys, first):
+        memo_key = (g, key, first)
+        if memo_key not in self.memo:
+            vs = self.grids[g].nodes
+            if first:
+                out = _cluster_value(polys, self.r, self.hh, vs)
+            else:
+                out = _cluster_density(polys, self.r, self.big_t, self.hh, vs)
+            self.memo[memo_key] = out
+        return self.memo[memo_key]
+
+    def value(self, clusters, keys, rel_tol):
+        """Integral of the product of the clusters over the ordered simplex."""
+        if any(polys is None for polys in clusters):
+            return 0.0
+        if self.grids is None:
+            r, big_t = self.r, self.big_t
+            breaks = sorted({c for t in self.prods for c in times(t) if r < c < big_t})
+            cuts = graded_cuts([r, *breaks, big_t], _GRADED, _RATIO)
+            fine = sorted(set(cuts) | {0.5 * (a + b) for a, b in zip(cuts, cuts[1:])})
+            self.grids = (PanelGrid(cuts, _NODES), PanelGrid(fine, _NODES))
+        vals = []
+        for g, grid in enumerate(self.grids):
+            gs = [self._on(g, key, polys, k == 0)
+                  for k, (key, polys) in enumerate(zip(keys, clusters))]
+            vals.append(simplex_product(gs[0], gs[1:], grid))
+        size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], grid)
+        err = abs(vals[1] - vals[0]) / size if size > 0.0 else 0.0
+        self.error = max(self.error, err)
+        if err > rel_tol:
+            raise EngineError(
+                f"separable simplex integral reached relative error {err:.3e}, "
+                f"above the tolerance {rel_tol:.3e}")
+        return vals[1]
+
+
+def _term_value(term, i, r, big_t, hh, path, rel_tol, separable):
     """(value, route) for one frozen product term at level i >= 1."""
     s_facs, per_level, coupled = _term_split(term, i)
-    if not coupled and all(not uv for _, _, uv in per_level):
-        # identical clusters are the common case, so key before integrating
-        keys, cache = [], {}
-        for k, (u, v, _) in enumerate(per_level):
-            key = _canonical_cluster(u, v, [], k + 1)
-            if key not in cache:
-                cache[key] = _cluster_value(u, v, k + 1, r, big_t, hh)
-            keys.append(key)
-        clusters = [cache[key] for key in keys]
-        if all(c is not None for c in clusters):
-            s_expr = make_product(s_facs)
-            if i == 1:
-                return _attach(s_expr, clusters[0], path, hh), "exact"
-            if len(set(keys)) == 1:
-                val = clusters[0] ** i / math.factorial(i)
-                return _attach(s_expr, val, path, hh), "factorized"
-    return _quadrature_value(term, i, r, big_t, hh, path, rel_tol)
+    if coupled or any(uv for _, _, uv in per_level) \
+            or not all(f.pw for u, v, _ in per_level for f in u + v):
+        return _quadrature_value(term, i, r, big_t, hh, path, rel_tol)
+    keys = [_canonical_cluster(u, v, k + 1) for k, (u, v, _) in enumerate(per_level)]
+    s_expr = make_product(s_facs)
+    if len(set(keys)) == 1:
+        u, v, _ = per_level[0]
+        cluster = _cluster_value(_cluster_polys(u, v, 1, r, big_t), r, hh)
+        if i == 1:
+            return _attach(s_expr, cluster, path, hh), "exact"
+        val = cluster ** i / math.factorial(i)
+        return _attach(s_expr, val, path, hh), "factorized"
+    clusters = [_cluster_polys(u, v, k + 1, r, big_t)
+                for k, (u, v, _) in enumerate(per_level)]
+    val = separable.value(clusters, keys, rel_tol)
+    return _attach(s_expr, val, path, hh), "separable"
 
 
 def _level_value(prods, i, r, big_t, hh, path, rel_tol):
+    """(value, routes, error) of level i; error is the separable route's
+    estimate, None when no term took that route."""
     if i == 0:
         expr = collect_terms(make_sum(prods))
-        return (expr if path is None else evaluate(expr, hh, path)), "evaluate"
+        return (expr if path is None else evaluate(expr, hh, path)), "evaluate", None
     if not prods:
-        return (ZERO if path is None else 0.0), "vanishes"
+        return (ZERO if path is None else 0.0), "vanishes", None
     vals, routes = [], set()
+    separable = _Separable(prods, r, big_t, hh)
     for t in prods:
-        v, route = _term_value(t, i, r, big_t, hh, path, rel_tol)
+        v, route = _term_value(t, i, r, big_t, hh, path, rel_tol, separable)
         vals.append(v)
         routes.add(route)
+    error = separable.error if "separable" in routes else None
     if path is None:
-        return collect_terms(make_sum(vals)), "+".join(sorted(routes))
+        return collect_terms(make_sum(vals)), "+".join(sorted(routes)), error
     total = vals[0]
     for v in vals[1:]:
         total = total + v
-    return total, "+".join(sorted(routes))
+    return total, "+".join(sorted(routes)), error
 
 
 def exp_series(f: Expr, r: float, big_t: float, h, order: int,
@@ -238,11 +323,13 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     """Truncated conditional-expectation series for F given the path up to r.
 
     big_t is the declared horizon; every sample and integral in f must stay
-    inside [0, big_t].  Exact routes are preferred term by term and rel_tol
-    only governs quadrature fallbacks.  Without a path the terms come back
-    as expressions in the observed samples (stochastic simplex integrands
-    then raise EngineError).  diagnostics[i] records the routes taken and
-    the number of product terms at level i.
+    inside [0, big_t].  Exact routes are preferred term by term; rel_tol
+    governs the quadrature fallbacks and bounds the separable route's
+    error.  Without a path the terms come back as expressions in the
+    observed samples (stochastic simplex integrands then raise
+    EngineError).  diagnostics[i] records the routes taken and the number
+    of product terms at level i, and under "error" the largest relative
+    error the separable route reached there, if any term took it.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)
@@ -263,7 +350,7 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
             x = second_derivative(x, i)
         frozen = collect_terms(make_sum(expand(freeze(x, r))))
         prods = [t for t in sum_terms(frozen) if t != ZERO]
-        val, route = _level_value(prods, i, r, big_t, hh, path, rel_tol)
+        val, route, error = _level_value(prods, i, r, big_t, hh, path, rel_tol)
         terms.append(val)
         if path is None:
             running = val if running is None else collect_terms(make_sum([running, val]))
@@ -271,6 +358,8 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
             running = val if running is None else running + val
         sums.append(running)
         diags.append({"order": i, "route": route, "n_terms": len(prods)})
+        if error is not None:
+            diags[-1]["error"] = error
     return SeriesResult(order=order, terms=terms, partial_sums=sums,
                         diagnostics=diags)
 

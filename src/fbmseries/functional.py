@@ -999,7 +999,7 @@ def _combine_pwpoly(factors, ivar, lo, hi, bindings):
             res = f.step(None, None, None, bindings)  # constant in ivar
         if res is None:
             return 0.0, None
-        if isinstance(res, float):
+        if not isinstance(res, PiecewisePoly):
             scale_val *= res
             if scale_val == 0.0:
                 return 0.0, None

@@ -106,11 +106,12 @@ def phi_antiderivative(a: float, b: float, v: float, h) -> float:
     return float(phi_family(1, b - v, h) - phi_family(1, a - v, h))
 
 
-def int_pow_phi(n: int, m: int, alpha: float, beta: float, h) -> float:
+def int_pow_phi(n: int, m: int, alpha, beta, h):
     """Exact int_alpha^beta y^n Phi_m(y) dy (with Phi_0 meaning the kernel itself).
 
     Repeated integration by parts; valid across y = 0 because every Phi_{m+1+s}
-    with s >= 0 is continuous there.
+    with s >= 0 is continuous there.  Either limit may be an array, giving
+    the integral for each element.
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
@@ -221,28 +222,33 @@ def _piece_at(w: PiecewisePoly, x: float):
     return None
 
 
-def _mono_phi_moment(i: int, a: float, b: float, v: float, h) -> float:
-    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y."""
+def _mono_phi_moment(i: int, a: float, b: float, v, h):
+    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y (v float or array)."""
     total = 0.0
     for j in range(i + 1):
         total += math.comb(i, j) * v ** (i - j) * int_pow_phi(j, 0, a - v, b - v, h)
     return total
 
 
-def phi_poly_moment(w: PiecewisePoly, iv: Interval, v: float, h) -> float:
+def phi_poly_moment(w: PiecewisePoly, iv: Interval, v, h):
     """Exact int w(u) phi_H(u, v) du over supp(w) intersected with iv.
 
     v may sit inside the integration range; the closed form handles the
-    diagonal crossing exactly.
+    diagonal crossing exactly.  An array of partners v gives the moment at
+    each of them.
     """
+    if np.ndim(v) == 0:
+        v, total = float(v), 0.0
+    else:
+        v = np.asarray(v, dtype=float)
+        total = np.zeros_like(v)
     clipped = w.restrict(iv.lo, iv.hi)
     if clipped is None:
-        return 0.0
-    total = 0.0
+        return total
     for a, b, c in clipped.pieces():
         for i, ci in enumerate(c):
             if ci != 0.0:
-                total += ci * _mono_phi_moment(i, a, b, float(v), h)
+                total += ci * _mono_phi_moment(i, a, b, v, h)
     return total
 
 
@@ -260,8 +266,8 @@ def _mono_rect_terms(i: int, a: float, b: float, h):
     return terms
 
 
-def _int_v_poly_shifted(pw: int, c: float, d: float, e: float, k: int, m: int, h) -> float:
-    """Exact int_c^d v^pw (e - v)^k Phi_m(e - v) dv."""
+def _int_v_poly_shifted(pw: int, c: float, d, e: float, k: int, m: int, h):
+    """Exact int_c^d v^pw (e - v)^k Phi_m(e - v) dv (d float or array)."""
     total = 0.0
     for t in range(pw + 1):
         epow = e ** (pw - t) if pw - t > 0 else 1.0
@@ -270,11 +276,17 @@ def _int_v_poly_shifted(pw: int, c: float, d: float, e: float, k: int, m: int, h
     return total
 
 
-def poly_rect_integral(wu: PiecewisePoly, wv: PiecewisePoly, h) -> float:
-    """Exact iint wu(u) wv(v) phi_H(u, v) du dv over the product of supports."""
+def poly_rect_integral(wu: PiecewisePoly, wv: PiecewisePoly, h, v_hi=None):
+    """Exact iint wu(u) wv(v) phi_H(u, v) du dv over the product of supports.
+
+    With v_hi the v-range is also capped at v_hi; an array of caps gives the
+    integral up to each of them.
+    """
     total = 0.0
     for a, b, cu in wu.pieces():
         for c, d, cv in wv.pieces():
+            if v_hi is not None:
+                d = np.clip(v_hi, c, d)
             for i, cui in enumerate(cu):
                 if cui == 0.0:
                     continue

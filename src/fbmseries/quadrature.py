@@ -126,6 +126,57 @@ def graded_points(a: float, b: float, n_panels: int, ratio: float = 0.25,
     return sorted(set([a] + [b - o for o in offs] + [b]))
 
 
+def graded_cuts(points, n_graded: int, ratio: float) -> list:
+    """Panel cuts between consecutive points, each interval graded toward both ends."""
+    cuts = []
+    for a, b in zip(points, points[1:]):
+        mid = 0.5 * (a + b)
+        cuts += graded_points(a, mid, n_graded, ratio)[:-1]
+        cuts += graded_points(mid, b, n_graded, ratio, toward_start=False)[:-1]
+    return cuts + [points[-1]]
+
+
+@functools.lru_cache(maxsize=None)
+def _running_matrix(n: int):
+    """S with (S @ f)_j = int_{-1}^{x_j} p for p the interpolant of f at the
+    n Gauss nodes x (exact for polynomials of degree < n)."""
+    x, w = gauss_nodes(n)
+    leg = np.polynomial.legendre
+    to_coeffs = (np.arange(n)[:, None] + 0.5) * leg.legvander(x, n - 1).T * w
+    return leg.legvander(x, n) @ leg.legint(np.eye(n), lbnd=-1) @ to_coeffs
+
+
+class PanelGrid:
+    """n Gauss nodes on each panel between consecutive cuts; functions are
+    given by their values at nodes, one row per panel."""
+
+    def __init__(self, cuts, n: int):
+        x, self._w = gauss_nodes(n)
+        lo, hi = np.asarray(cuts[:-1], dtype=float), np.asarray(cuts[1:], dtype=float)
+        self._half = 0.5 * (hi - lo)
+        self.nodes = 0.5 * (lo + hi)[:, None] + self._half[:, None] * x
+        self._running = _running_matrix(n)
+
+    def integral(self, f) -> float:
+        return float(self._half @ (f @ self._w))
+
+    def running(self, f):
+        """The integral of f from the first cut to each node."""
+        before = np.concatenate(([0.0], np.cumsum(self._half * (f @ self._w))[:-1]))
+        return before[:, None] + self._half[:, None] * (f @ self._running.T)
+
+
+def simplex_product(first, gs, grid: PanelGrid) -> float:
+    """Integral of g_1(v_1) ... g_i(v_i) over the ordered simplex
+    v_1 <= ... <= v_i between the grid's ends, as an iterated running
+    integral: first is the running integral of g_1 at the grid's nodes and
+    gs the values of g_2, ..., g_i there (i >= 2)."""
+    acc = first
+    for g in gs[:-1]:
+        acc = grid.running(g * acc)
+    return grid.integral(gs[-1] * acc)
+
+
 def nested_simplex(f, r: float, t_final: float, dim: int, breaks=(),
                    rel_tol: float = 1e-8, n: int = 24, max_depth: int = 10):
     """Integral of f(v_1..v_dim) over the ordered simplex r <= v_1 <= ... <= v_dim <= T.

@@ -83,6 +83,17 @@ class TestSubcommands:
         assert code == 0
         assert "quadrature" in json.loads(out)["routes"][1]
 
+    def test_expform_default_order_on_separable_levels(self):
+        # every level from 2 up holds terms whose clusters differ by level;
+        # E[exp(B_1/2) B_(1/2)] = Cov(B_1, B_(1/2)) / 2 e^(1/8), the covariance 1/2
+        code, out = run_cli(["expform", "--hurst", "0.7", "--T", "1",
+                             "--expr", "exp(0.5*B(1))*B(0.5)", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["order"] == 10
+        assert all("separable" in route for route in doc["routes"][2:])
+        assert doc["value"] == pytest.approx(0.25 * math.exp(0.125), rel=1e-12)
+
     def test_expform_runs_the_engine_once(self, monkeypatch):
         calls = []
 

@@ -12,6 +12,7 @@ from fbmseries.expformula import (
     exp_series,
     second_derivative,
 )
+from fbmseries.fbm import McConfig, mc_expect
 from fbmseries.functional import (
     Expr,
     GridPath,
@@ -30,6 +31,7 @@ from fbmseries.functional import (
     scale,
     time_int_b,
 )
+from fbmseries.parser import parse
 from fbmseries.quadrature import gauss_nodes, graded_points
 from fbmseries.taylor import backward_taylor
 
@@ -270,3 +272,108 @@ def test_factorized_levels_match_tensor_quadrature(r, i):
                 * s ** 3 * x3 ** 2 * x2)
         direct = float(np.einsum("a,b,c,abc->", ws, ws, ws, vals))
     assert level == pytest.approx(direct, rel=1e-8)
+
+
+def _unit_rule(n_graded=5, ratio=0.2, n=16):
+    """Gauss nodes and weights on [0, 1], panels graded toward both ends."""
+    lo_half = graded_points(0.0, 0.5, n_graded, ratio=ratio)
+    cuts = lo_half + [1.0 - c for c in reversed(lo_half[:-1])]
+    xg, wg = gauss_nodes(n)
+    xs = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xg
+                         for a, b in zip(cuts, cuts[1:])])
+    ws = np.concatenate([0.5 * (b - a) * wg for a, b in zip(cuts, cuts[1:])])
+    return xs, ws
+
+
+def test_separable_four_sample_product_matches_grid_expansion():
+    # every level-2 cluster of B(.25)B(.5)B(.75)B(1) is piecewise polynomial
+    # but no two levels share one; the grid expansion is exact at order 4
+    h, r = 0.7, 0.25
+    grid = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
+    f = make_product([fbm_sample(t) for t in grid.times[1:]])
+    path = _random_path(grid.times, n_paths=16)
+    res = exp_series(f, r, 1.0, h, 2, path=path)
+    assert res.diagnostics[2]["route"] == "separable"
+    assert res.diagnostics[2]["error"] <= 1e-9
+    assert abs(res.terms[2]) > 1e-2
+    want = backward_taylor(f, r, grid, 4, h, path=path).partial_sums[-1]
+    np.testing.assert_allclose(res.partial_sums[-1], want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.5])
+def test_separable_levels_match_tensor_quadrature(r):
+    # on the pinned-zero path level 2 of exp(sigma B_T) B_c is
+    # sigma^3 (d(v_1) a(v_2) + a(v_1) d(v_2)) over r <= v_1 <= v_2 <= T: a is
+    # the u-averaged kernel mass, b its part on u <= c, d = b + 1_{v <= c} a.
+    # The engine integrates both terms on its graded grid; rebuild the level
+    # from tensor Gauss rules on the pieces of the ordered region cut at c
+    sigma, c, big_t, h = 0.5, 0.5, 1.0, 0.7
+    f = make_product([make_exp(scale(fbm_sample(big_t), sigma)), fbm_sample(c)])
+    path = GridPath((0.0, 0.25, 0.5, big_t), np.zeros(4))
+    res = exp_series(f, r, big_t, h, order=2, path=path)
+    assert "separable" in res.diagnostics[2]["route"]
+    level = float(res.terms[2])
+
+    p = 2.0 * h - 1.0
+
+    def avg(hi, v):
+        # (1/2)(int_0^hi + int_0^min(hi, r)) phi_H(u, v) du
+        def mass(b):
+            return h * (v ** p + np.sign(b - v) * np.abs(b - v) ** p)
+
+        return 0.5 * (mass(hi) + mass(min(hi, r)))
+
+    def integrand(v1, v2):
+        def d(v):
+            return avg(c, v) + np.where(v <= c, avg(big_t, v), 0.0)
+
+        return sigma ** 3 * (d(v1) * avg(big_t, v2) + avg(big_t, v1) * d(v2))
+
+    xs, ws = _unit_rule(n_graded=8)
+    pts = sorted({r, c, big_t})
+    direct = 0.0
+    for j, (lo, hi) in enumerate(zip(pts, pts[1:])):
+        s = hi - lo
+        # the simplex lo <= v_1 <= v_2 <= hi: v_2 = lo + s x_2, v_1 = lo + s x_2 x_1
+        x2, x1 = xs[:, None], xs[None, :]
+        vals = integrand(lo + s * x2 * x1, lo + s * x2) * s ** 2 * x2
+        direct += float(np.einsum("a,b,ab->", ws, ws, vals))
+        # the rectangles with v_2 in a later piece
+        for lo2, hi2 in zip(pts[j + 1:], pts[j + 2:]):
+            vals = integrand((lo + s * xs)[None, :], (lo2 + (hi2 - lo2) * xs)[:, None])
+            direct += float(np.einsum("a,b,ab->", ws, ws, vals)) * s * (hi2 - lo2)
+    assert level == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("text,order,want", [
+    # E[B_c^2 e^Y] = (Var B_c + Cov(B_c, Y)^2) e^(Var Y / 2) with Y = int_0^1 B,
+    # Var Y = 1/(2H+2), Cov(B_c, Y) = (c^2H + (1 - c^(2H+1) - (1-c)^(2H+1))/(2H+1)) / 2,
+    # which at c = 1/2 is (c^2H + (1 - c^2H)/(2H+1)) / 2
+    ("B(.5)^2*exp(IB(0,1))", 8,
+     lambda h: (0.5 ** (2 * h) + (0.5 ** (2 * h) + (1 - 0.5 ** (2 * h)) / (2 * h + 1)) ** 2 / 4)
+     * math.exp(1 / (4 * h + 4))),
+    # E[e^(Y/5) B_1] = Cov(B_1, Y) / 5 e^(Var Y / 50), Cov(B_1, Y) = 1/2
+    ("exp(0.2*IB(0,1))*B(1)", 6, lambda h: 0.1 * math.exp(0.04 / (4 * h + 4))),
+])
+def test_separable_levels_reach_the_expectation(text, order, want):
+    # at r = 0 the series sums to E[F], which Monte Carlo must see within
+    # 4 standard errors; the Gaussian closed form checks it to 1e-9
+    h = 0.7
+    f = parse(text)
+    res = exp_series(f, 0.0, 1.0, h, order)
+    assert all("separable" in d["route"] for d in res.diagnostics[2:])
+    got = float(evaluate(res.value, h))
+    assert got == pytest.approx(want(h), rel=1e-9)
+    est = mc_expect(f, h, McConfig(n_paths=60_000, seed=13, grid_refinement=64))
+    assert abs(est.estimate - got) < 4.0 * est.stderr
+
+
+def test_separable_route_raises_above_its_tolerance():
+    # the route compares its grid with the bisected one and reports the gap;
+    # a tolerance below that gap is an error, not a silent best effort
+    f = parse("exp(0.5*B(1))*B(0.5)")
+    res = exp_series(f, 0.0, 1.0, 0.7, 3)
+    errors = [d["error"] for d in res.diagnostics[2:]]
+    assert all(0.0 < e <= 1e-9 for e in errors)
+    with pytest.raises(EngineError, match="separable"):
+        exp_series(f, 0.0, 1.0, 0.7, 2, rel_tol=min(errors) / 10.0)

@@ -330,6 +330,14 @@ class TestEvaluate:
         got = evaluate(node, h=0.7, bindings={"v": 0.8})
         assert got == pytest.approx(phi_antiderivative(0.0, 0.5, 0.8, 0.7), rel=1e-13)
 
+    def test_phi_moment_integer_constant_factor(self):
+        # a hand-built integer constant scales the moment like its float
+        def moment(c):
+            node = PhiMoment((c, Indicator("u", 0.0, 0.5)), "u", 0.0, 1.0, "v")
+            return evaluate(node, 0.7, bindings={"v": 0.3})
+
+        assert moment(Const(2)) == moment(Const(2.0)) == 1.6003489760274316
+
     def test_phi_moment_ramp_with_other_var(self):
         # breakpoint of the ramp depends on a second bound variable
         node = PhiMoment((RampMax(1.0, (0.2, "u", "w")),), "u", 0.0, 1.0, "v")

@@ -2,8 +2,10 @@
 
 tests/golden/cli.json holds the stdout and exit code of a fixed set of CLI
 commands, as the package printed them before the derivative memo and the
-joint evaluation schedule went into the backward Taylor engine.  A change
-that keeps the numbers keeps every byte.  To rewrite the goldens after a
+joint evaluation schedule went into the backward Taylor engine; the
+`expform` entry on exp(0.5*B(1))*B(0.5), whose levels from 2 up take the
+separable route, as the package first printed it with that route.  A
+change that keeps the numbers keeps every byte.  To rewrite the goldens after a
 deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -33,6 +35,9 @@ COMMANDS = [
      "--mc.seed", "5", "--format", "table"],
     ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
      "--expr", "IB(0,1)*B(1)", "--order", "3", "--mc.paths", "1",
+     "--mc.seed", "5", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.25",
+     "--expr", "exp(0.5*B(1))*B(0.5)", "--order", "3", "--mc.paths", "1",
      "--mc.seed", "5", "--format", "json"],
     ["simulate", "--hurst", "0.7", "--T", "1", "--grid", "0,0.25,0.5,0.75,1",
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],

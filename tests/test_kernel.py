@@ -19,7 +19,7 @@ from fbmseries.kernel import (
     rect_integral,
 )
 
-from oracles import quad_phi_moment, quad_rect
+from oracles import quad_phi_moment, quad_phi_moment_alg, quad_rect
 
 
 def rel_err(a, b):
@@ -151,7 +151,7 @@ class TestClosedForms:
             coeffs = rng.uniform(-2.0, 2.0, size=deg + 1)
             w = PiecewisePoly.from_poly(coeffs, a, b)
             got = phi_poly_moment(w, Interval(0.0, 2.0), v, h)
-            want = quad_phi_moment(w, a, b, v, h)
+            want = quad_phi_moment_alg(w, a, b, v, h)
             assert rel_err(got, want) < 1e-9
 
     def test_poly_rect_randomized(self):
@@ -169,6 +169,34 @@ class TestClosedForms:
             want = quad_rect(wu, a, b, wv, c, d, h, v_breaks=(a, b))
             assert rel_err(got, want) < 1e-9
             done += 1
+
+    def test_poly_moment_vectorized_over_partners(self):
+        # an array of partners gives, element by element, the scalar moment;
+        # the partners straddle both ends of the support and sit inside it
+        rng = np.random.default_rng(11)
+        for h in (0.55, 0.7, 0.9):
+            w = PiecewisePoly((0.2, 0.6, 1.3), ((1.0, -0.5), (0.3, 0.2, 0.7)))
+            vs = np.concatenate([rng.uniform(0.0, 2.0, size=20), [0.2, 0.6, 1.3]])
+            got = phi_poly_moment(w, Interval(0.0, 1.5), vs, h)
+            assert got.shape == vs.shape
+            for v, g in zip(vs, got):
+                assert rel_err(g, phi_poly_moment(w, Interval(0.0, 1.5), float(v), h)) < 1e-13
+                want = sum(quad_phi_moment_alg(lambda u, c=c: np.polynomial.polynomial.polyval(u, c),
+                                               a, b, v, h) for a, b, c in w.pieces())
+                assert rel_err(g, want) < 1e-9
+
+    def test_rect_integral_up_to_an_array_of_caps(self):
+        # capping the v-range at each of several ends is the rect integral of
+        # the clipped v-polynomial; a cap below the support gives zero
+        h = 0.7
+        wu = PiecewisePoly.from_poly((0.5, 1.0), 0.0, 1.0)
+        wv = PiecewisePoly((0.25, 0.5, 1.0), ((1.0,), (2.0, -1.0)))
+        caps = np.array([0.1, 0.25, 0.3, 0.5, 0.8, 1.0, 1.2])
+        got = poly_rect_integral(wu, wv, h, caps)
+        for cap, g in zip(caps, got):
+            clipped = wv.restrict(0.0, cap)
+            want = 0.0 if clipped is None else poly_rect_integral(wu, clipped, h)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_moment_clipping(self):
         # the interval argument clips the weight's support

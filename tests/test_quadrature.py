@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fbmseries.kernel import phi_antiderivative
-from fbmseries.quadrature import (adaptive_panels, graded_points,
-                                  nested_simplex, phi_weighted_integral)
+from fbmseries.quadrature import (PanelGrid, adaptive_panels, graded_cuts,
+                                  graded_points, nested_simplex,
+                                  phi_weighted_integral, simplex_product)
 
 
 def test_adaptive_panels_splits_at_a_kink():
@@ -45,3 +46,17 @@ def test_graded_points_keep_endpoints_and_increase(toward_start):
     assert pts[0] == 0.25 and pts[-1] == 1.0
     assert len(pts) == 7
     assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_simplex_product_of_exponentials(dim):
+    # the running integral of e^v from r is e^v - e^r, and the product of
+    # e^(v_k) over the ordered simplex is (e^T - e^r)^dim / dim!
+    r, t = 0.2, 1.5
+    grid = PanelGrid(graded_cuts([r, 0.6, t], 3, 0.25), 12)
+    g = np.exp(grid.nodes)
+    first = grid.running(g)
+    np.testing.assert_allclose(first, g - math.exp(r), rtol=1e-14, atol=1e-15)
+    got = simplex_product(first, [g] * (dim - 1), grid)
+    want = (math.exp(t) - math.exp(r)) ** dim / math.factorial(dim)
+    assert got == pytest.approx(want, rel=1e-13)
