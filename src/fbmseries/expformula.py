@@ -67,7 +67,7 @@ from .functional import (
     to_sexpr,
 )
 from .kernel import Interval, _hval, phi_poly_moment, poly_rect_integral
-from .quadrature import (PanelGrid, adaptive_panels, gauss_nodes, graded_cuts,
+from .quadrature import (PanelGrid, QuadratureError, bisected, graded_cuts,
                          graded_points, nested_simplex, simplex_product)
 from .results import SeriesResult
 from .special import beta_fn
@@ -256,8 +256,7 @@ class _Separable:
             r, big_t = self.r, self.big_t
             breaks = sorted({c for t in self.prods for c in times(t) if r < c < big_t})
             cuts = graded_cuts([r, *breaks, big_t], _GRADED, _RATIO)
-            fine = sorted(set(cuts) | {0.5 * (a + b) for a, b in zip(cuts, cuts[1:])})
-            self.grids = (PanelGrid(cuts, _NODES), PanelGrid(fine, _NODES))
+            self.grids = (PanelGrid(cuts, _NODES), PanelGrid(bisected(cuts), _NODES))
         vals = []
         for g, grid in enumerate(self.grids):
             gs = [self._on(g, key, polys, k == 0)
@@ -364,6 +363,74 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
                         diagnostics=diags)
 
 
+# the most values one block of v2 rows of the quadrature cross-check holds (1 MB)
+_CIR_BLOCK = 1 << 17
+
+
+def _cir_ordered_integrals(big_t, hh, refine):
+    """(I1, I2, I3) of cir_fourth_order_integral on one tensor-product Gauss
+    grid, or on it with every panel bisected when refine."""
+    p = 2.0 * hh - 1.0
+    kappa = 1.0 / p
+    k2 = hh * p  # phi_H(u, v) = k2 |u - v|^(2H-2)
+    # v2 on [0, T], graded toward 0 (the integrand is smooth at T); s = v1 / v2
+    # and y = x / v1^p on [0, 1], graded toward both ends (y^kappa steepens
+    # at 1 as H falls to 1/2)
+    g2, gs, gy = (PanelGrid(bisected(cuts) if refine else cuts, 8) for cuts in (
+        graded_points(0.0, big_t, 3, ratio=0.15),
+        graded_cuts([0.0, 1.0], 8, 0.2),
+        graded_cuts([0.0, 1.0], 3, 0.15)))
+    # u = v1 - x^kappa with x = v1^p y, so x^kappa = v1 y^kappa and the
+    # innermost du phi_H(u, v1) becomes hh v1^p dy
+    rest = 1.0 - gy.nodes ** kappa
+
+    def m0(a, b, v2):
+        # int_a^b phi_H(u, v2) du for 0 <= a <= b <= v2
+        return hh * ((v2 - a) ** p - (v2 - b) ** p)
+
+    def m1(a, b, v2):
+        # int_a^b u phi_H(u, v2) du via the elementary antiderivative
+        def anti(u):
+            return k2 * ((v2 - u) ** (2.0 * hh) / (2.0 * hh)
+                         - v2 * (v2 - u) ** p / p)
+
+        return anti(b) - anti(a)
+
+    def inner1(v1, v2):
+        # innermost u2-integral exact, u1 substituted
+        e1, e2 = v1[..., None, None], v2[..., None, None]
+        u1 = e1 * rest
+        g = ((big_t - u1) + 2.0 * (big_t - e1)) * (e2 ** p - (e2 - u1) ** p)
+        return hh * hh * v1 ** p * (big_t - v2) * gy.integral(g)
+
+    def inner2(v1, v2):
+        c0 = big_t * (big_t - v2) + 2.0 * (big_t - v1) * (big_t - v2)
+        c1 = -(big_t - v2)
+        exact = hh * v1 ** p * (c0 * m0(0.0, v1, v2) + c1 * m1(0.0, v1, v2))
+        # the piece carrying (v1 - u2)^(2H-1) has no closed form; substitute
+        e1, e2 = v1[..., None, None], v2[..., None, None]
+        u2 = e1 * rest
+        g = (e1 - u2) * (e2 - u2) ** (2.0 * hh - 2.0) \
+            * (c0[..., None, None] + c1[..., None, None] * u2)
+        return exact - hh * k2 * kappa * v1 ** p * gy.integral(g)
+
+    def inner3(v1, v2):
+        c0 = 2.0 * big_t * (big_t - v2) + (big_t - v1) * (big_t - v2)
+        c1 = -2.0 * (big_t - v2)
+        return hh * v1 ** p * (c0 * m0(v1, v2, v2) + c1 * m1(v1, v2, v2))
+
+    # v1 = s v2 maps the triangle v1 <= v2 to the unit square, jacobian v2
+    v2s = g2.nodes.reshape(-1, 1, 1)
+    rows = max(1, _CIR_BLOCK // (gs.nodes.size * gy.nodes.size))
+
+    def integral(inner):
+        vals = [vb.ravel() * gs.integral(inner(vb * gs.nodes, vb))
+                for vb in np.split(v2s, range(rows, len(v2s), rows))]
+        return 4.0 * g2.integral(np.concatenate(vals).reshape(g2.nodes.shape))
+
+    return np.array([integral(inner) for inner in (inner1, inner2, inner3)])
+
+
 def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
                               rel_tol: float = 1e-7) -> tuple:
     """Ordered-domain pieces of the level-2 term for F = exp(-int_0^T B^2).
@@ -380,9 +447,16 @@ def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
            bracket 2 (T - u2)(T - v2) + (T - v1)(T - v2),
 
     each against 4 phi_H(u1, v1) phi_H(u2, v2).  All three are closed-form
-    in Beta functions and scale as T^(4H+2); method="quadrature" recomputes
-    them with exact innermost kernel moments and adaptive panels outside,
-    as an independent cross-check of the algebra.
+    in Beta functions and scale as T^(4H+2).  method="quadrature"
+    recomputes them as an independent cross-check of the algebra: the
+    innermost u-integral by exact kernel moments, the one against
+    phi_H(u, v1) after x = (v1 - u)^(2H-1), and the rest on one
+    tensor-product Gauss grid in v2, s = v1 / v2 and y = x / v1^(2H-1)
+    (v2 graded toward 0, s and y toward both ends), evaluated a block of
+    v2 rows at a time.  The same sums on the grid with every panel
+    bisected on all three axes are returned; their gap to the first,
+    relative to sum |I_k|, is the error estimate, and a gap above rel_tol
+    raises QuadratureError carrying it in .achieved.
     """
     hh = _hval(h)
     big_t = float(big_t)
@@ -400,75 +474,12 @@ def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
         return i1, i2, i3
     if method != "quadrature":
         raise ValueError(f"unknown method '{method}'")
-
-    p = 2.0 * hh - 1.0
-    kappa = 1.0 / p
-    k2 = hh * p  # phi_H(u, v) = k2 |u - v|^(2H-2)
-
-    # after x = (v1 - u)^(2H-1) the substituted integrands are smooth away
-    # from x = 0 and the domain [0, v1^p] scales linearly, so one set of
-    # unit Gauss nodes graded toward 0 serves every v1 at once
-    xg, wg = gauss_nodes(20)
-    cuts = graded_points(0.0, 1.0, 6, ratio=0.15)
-    xs_unit, ws_unit = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs_unit.append(mid + half * xg)
-        ws_unit.append(half * wg)
-    xs_unit = np.concatenate(xs_unit)
-    ws_unit = np.concatenate(ws_unit)
-
-    def m0(a, b, v2):
-        # int_a^b phi_H(u, v2) du for 0 <= a <= b <= v2
-        return hh * ((v2 - a) ** p - (v2 - b) ** p)
-
-    def m1(a, b, v2):
-        # int_a^b u phi_H(u, v2) du via the elementary antiderivative
-        def anti(u):
-            return k2 * ((v2 - u) ** (2.0 * hh) / (2.0 * hh)
-                         - v2 * (v2 - u) ** p / p)
-
-        return anti(b) - anti(a)
-
-    def inner1(v1s, v2):
-        # innermost u2-integral exact, u1 substituted; vectorized over v1
-        b = v1s ** p
-        xs = b[:, None] * xs_unit[None, :]
-        u1 = v1s[:, None] - xs ** kappa
-        br = (big_t - u1) * (big_t - v2) \
-            + (2.0 * (big_t - v2)) * (big_t - v1s)[:, None]
-        g = br * (v2 ** p - (v2 - u1) ** p)
-        return hh * hh * b * (g @ ws_unit)
-
-    def inner2(v1s, v2):
-        c0 = big_t * (big_t - v2) + 2.0 * (big_t - v1s) * (big_t - v2)
-        c1 = -(big_t - v2)
-        exact = hh * v1s ** p * (c0 * m0(0.0, v1s, v2) + c1 * m1(0.0, v1s, v2))
-        # the piece carrying (v1 - u2)^(2H-1) has no closed form; substitute
-        b = v1s ** p
-        xs = b[:, None] * xs_unit[None, :]
-        u2 = v1s[:, None] - xs ** kappa
-        g = xs ** kappa * (v2 - u2) ** (2.0 * hh - 2.0) * (c0[:, None] + c1 * u2)
-        return exact - hh * k2 * kappa * b * (g @ ws_unit)
-
-    def inner3(v1s, v2):
-        c0 = 2.0 * big_t * (big_t - v2) + (big_t - v1s) * (big_t - v2)
-        c1 = -2.0 * (big_t - v2)
-        return hh * v1s ** p * (c0 * m0(v1s, v2, v2) + c1 * m1(v1s, v2, v2))
-
-    def outer(inner):
-        def v1_level(v2):
-            return adaptive_panels(
-                lambda v1s: inner(np.atleast_1d(np.asarray(v1s, dtype=float)), v2),
-                0.0, v2, rel_tol=rel_tol)
-
-        def v2_level(v2s):
-            return np.asarray([v1_level(float(v2))
-                               for v2 in np.atleast_1d(v2s)])
-
-        return adaptive_panels(v2_level, 0.0, big_t, rel_tol=rel_tol)
-
-    return tuple(4.0 * outer(fn) for fn in (inner1, inner2, inner3))
+    coarse, fine = (_cir_ordered_integrals(big_t, hh, refine) for refine in (False, True))
+    gap = float(np.sum(np.abs(fine - coarse)) / np.sum(np.abs(fine)))
+    if gap > rel_tol:
+        raise QuadratureError(
+            f"fourth-order ordered integrals at H={hh} missed rel_tol {rel_tol:.3e}", gap)
+    return tuple(float(v) for v in fine)
 
 
 def assumption_b_sequence(f: Expr, r: float, big_t: float, n_max: int, h,

@@ -56,7 +56,8 @@ def adaptive_panels(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,
         return 0.0
     pts = _split_points(a, b, breaks)
     total = None
-    scale = max(float(np.max(np.abs(fixed_panel(f, a, b, n)))), 1e-300)
+    first = fixed_panel(f, a, b, n)
+    scale = max(float(np.max(np.abs(first))), 1e-300)
     worst = 0.0
 
     def recurse(lo, hi, whole, depth):
@@ -72,7 +73,8 @@ def adaptive_panels(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,
         return recurse(lo, m, left, depth + 1) + recurse(m, hi, right, depth + 1)
 
     for lo, hi in zip(pts, pts[1:]):
-        part = recurse(lo, hi, fixed_panel(f, lo, hi, n), 0)
+        # with no breakpoint inside, the first panel is the whole interval
+        part = recurse(lo, hi, first if len(pts) == 2 else fixed_panel(f, lo, hi, n), 0)
         total = part if total is None else total + part
     if strict and worst > rel_tol:
         raise QuadratureError("adaptive quadrature did not converge", worst)
@@ -118,8 +120,9 @@ def phi_weighted_integral(f, lo: float, hi: float, v: float, h: float,
 def graded_points(a: float, b: float, n_panels: int, ratio: float = 0.25,
                   toward_start: bool = True) -> list:
     """Panel cut points geometrically graded toward one endpoint."""
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
+    if n_panels < 1 or not 0.0 < ratio < 1.0:
+        raise ValueError(f"need at least one panel and a grading ratio in (0, 1), "
+                         f"got {n_panels} panels and ratio {ratio}")
     offs = [(b - a) * ratio ** k for k in range(1, n_panels)]
     if toward_start:
         return sorted(set([a] + [a + o for o in offs] + [b]))
@@ -134,6 +137,11 @@ def graded_cuts(points, n_graded: int, ratio: float) -> list:
         cuts += graded_points(a, mid, n_graded, ratio)[:-1]
         cuts += graded_points(mid, b, n_graded, ratio, toward_start=False)[:-1]
     return cuts + [points[-1]]
+
+
+def bisected(cuts) -> list:
+    """The cuts with every panel between them split at its midpoint."""
+    return sorted(set(cuts) | {0.5 * (a + b) for a, b in zip(cuts, cuts[1:])})
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,8 +165,9 @@ class PanelGrid:
         self.nodes = 0.5 * (lo + hi)[:, None] + self._half[:, None] * x
         self._running = _running_matrix(n)
 
-    def integral(self, f) -> float:
-        return float(self._half @ (f @ self._w))
+    def integral(self, f):
+        """The integral of f over the grid, one per leading index of f."""
+        return (f @ self._w) @ self._half
 
     def running(self, f):
         """The integral of f from the first cut to each node."""
@@ -174,7 +183,7 @@ def simplex_product(first, gs, grid: PanelGrid) -> float:
     acc = first
     for g in gs[:-1]:
         acc = grid.running(g * acc)
-    return grid.integral(gs[-1] * acc)
+    return float(grid.integral(gs[-1] * acc))
 
 
 def nested_simplex(f, r: float, t_final: float, dim: int, breaks=(),

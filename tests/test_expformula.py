@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fbmseries import quadrature
 from fbmseries.expformula import (
     EngineError,
     assumption_b_sequence,
+    cir_fourth_order_integral,
     derivative_levels,
     exp_series,
     second_derivative,
@@ -32,7 +34,7 @@ from fbmseries.functional import (
     time_int_b,
 )
 from fbmseries.parser import parse
-from fbmseries.quadrature import gauss_nodes, graded_points
+from fbmseries.quadrature import QuadratureError, gauss_nodes, graded_points
 from fbmseries.taylor import backward_taylor
 
 
@@ -377,3 +379,37 @@ def test_separable_route_raises_above_its_tolerance():
     assert all(0.0 < e <= 1e-9 for e in errors)
     with pytest.raises(EngineError, match="separable"):
         exp_series(f, 0.0, 1.0, 0.7, 2, rel_tol=min(errors) / 10.0)
+
+
+@pytest.mark.parametrize("big_t", [0.01, 1.0, 2.0])
+@pytest.mark.parametrize("h", [0.55, 0.65, 0.75, 0.85, 0.95])
+def test_fourth_order_quadrature_matches_each_closed_form(h, big_t):
+    # each ordered integral on its own, so that errors cannot cancel in the sum
+    closed = cir_fourth_order_integral(big_t, h, method="closed")
+    quad = cir_fourth_order_integral(big_t, h, method="quadrature")
+    c2 = abs(sum(closed))
+    for got, want in zip(quad, closed):
+        assert abs(got - want) <= 1e-7 * c2
+
+
+@pytest.mark.parametrize("h", [0.55, 0.75, 0.95])
+def test_fourth_order_quadrature_raises_above_its_tolerance(h):
+    # the gap to the bisected grid bounds the error of the returned sums
+    closed = np.array(cir_fourth_order_integral(1.0, h, method="closed"))
+    quad = np.array(cir_fourth_order_integral(1.0, h, method="quadrature"))
+    actual = np.sum(np.abs(quad - closed)) / np.sum(np.abs(closed))
+    with pytest.raises(QuadratureError) as err:
+        cir_fourth_order_integral(1.0, h, method="quadrature", rel_tol=1e-15)
+    assert err.value.achieved >= actual
+    assert err.value.achieved <= 1e-7
+
+
+def test_fourth_order_quadrature_runs_no_adaptive_bisection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(quadrature, "adaptive_panels", refuse)
+    monkeypatch.setattr(quadrature, "fixed_panel", refuse)
+    quad = cir_fourth_order_integral(1.0, 0.7, method="quadrature")
+    closed = cir_fourth_order_integral(1.0, 0.7, method="closed")
+    assert sum(quad) == pytest.approx(sum(closed), rel=1e-8)

@@ -48,6 +48,36 @@ def test_graded_points_keep_endpoints_and_increase(toward_start):
     assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
+@pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0, 2.0])
+def test_graded_points_reject_a_ratio_outside_the_unit_interval(ratio):
+    # a ratio of 2 would put cuts outside [a, b], 0 would give one panel
+    with pytest.raises(ValueError, match="ratio"):
+        graded_points(0.0, 1.0, 3, ratio=ratio)
+
+
+def test_adaptive_panels_evaluate_an_unsplit_interval_once():
+    # a cubic is exact on the first panel: the whole interval once, then
+    # its two halves for the refinement check
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return np.asarray(xs) ** 3
+
+    assert adaptive_panels(f, 0.0, 2.0, n=8) == pytest.approx(4.0, rel=1e-14)
+    assert calls == [8, 8, 8]
+
+
+def test_panel_grid_integral_carries_leading_axes():
+    grid = PanelGrid(graded_cuts([0.0, 0.4, 1.0], 2, 0.25), 6)
+    rows = np.stack([np.cos(k * grid.nodes) for k in range(4)])
+    got = grid.integral(rows.reshape(2, 2, *grid.nodes.shape))
+    assert got.shape == (2, 2)
+    rows = [grid.integral(f) for f in rows]
+    np.testing.assert_allclose(got.ravel(), rows, rtol=1e-14, atol=1e-16)
+    assert rows[2] == pytest.approx(math.sin(2.0) / 2.0, rel=1e-13)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_simplex_product_of_exponentials(dim):
     # the running integral of e^v from r is e^v - e^r, and the product of
