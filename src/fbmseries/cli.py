@@ -9,8 +9,9 @@ is a relative path and FBMSERIES_OUTPUT_DIR is set, the file lands in
 that directory.
 
 Exit codes: 0 success, 2 invalid configuration or expression, 3 failure
-inside a numerical engine (a NaN or infinity in the output document counts
-as one, whatever the format), 4 output I/O failure.
+inside a numerical engine (a NaN or infinity in the output document, or a
+quadrature that misses its tolerance, counts as one, whatever the format),
+4 output I/O failure.
 
 Output documents are flat key/value maps whose list-valued entries all
 describe per-order (or per-path) rows.  JSON prints every float with 17
@@ -35,6 +36,7 @@ from .expformula import EngineError, exp_series
 from .fbm import McConfig, simulate
 from .functional import EvalError, TimeGrid, evaluate, is_deterministic, times
 from .parser import ParseError, parse
+from .quadrature import QuadratureError
 from .taylor import backward_taylor
 
 OUTPUT_DIR_ENV = "FBMSERIES_OUTPUT_DIR"
@@ -449,7 +451,8 @@ def main(argv=None, stdout=None) -> int:
     except (ConfigError, ParseError, ValueError) as e:
         print(f"fbmseries: configuration error: {e}", file=sys.stderr)
         return 2
-    except (EngineError, EvalError, FloatingPointError, OverflowError) as e:
+    except (EngineError, EvalError, QuadratureError, FloatingPointError,
+            OverflowError) as e:
         print(f"fbmseries: engine error: {e}", file=sys.stderr)
         return 3
     try:

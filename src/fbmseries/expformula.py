@@ -25,22 +25,29 @@ over the ordered simplex.  Four routes are tried per product term:
   * separable  - the term splits into single-level clusters g_k of
                  piecewise-polynomial factors that are not all identical:
                  the simplex integral of g_1(v_1) ... g_i(v_i) is an
-                 iterated running integral on Gauss panels split at the
-                 level's break times and graded toward them, with G_1 and
-                 each g_k in closed form at the nodes, so it costs O(i n)
-                 closed-form evaluations for n nodes; the gap to the grid
-                 with every panel bisected is its error, and a gap above
-                 rel_tol raises EngineError;
-  * quadrature - nested adaptive panels over the simplex (dimension <= 3);
-                 residual u-integrals use exact kernel moments when the u
-                 factors are piecewise polynomial and singularity-absorbing
-                 panels otherwise.
+                 iterated running integral on the level's grid (below),
+                 with G_1 and each g_k in closed form at the nodes, so it
+                 costs O(i n) closed-form evaluations for n nodes;
+  * quadrature - the rest: each u_k is paired with phi_H(u_k, v_k) as a
+                 kernel integral, in closed form (for a whole array of v at
+                 once) when the u factors are piecewise polynomial and by
+                 singularity-absorbing panels otherwise.  At level 1 the
+                 v-integrand is evaluated once on each of the level's two
+                 grids, with v bound to the array of nodes; at levels 2 and
+                 3 nested adaptive panels cover the simplex.
+
+The level's grid has Gauss panels on [r, T], split at the level's break
+times and graded toward them, and comes with its refinement, every panel
+bisected.  The gap between the two, relative to the integral of the
+absolute integrand, is the separable and level-1 quadrature error; a gap
+above rel_tol raises EngineError.
 
 Terms outside all four routes raise EngineError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -180,7 +187,7 @@ def _attach(s_expr, integral, path, hh):
     return integral * evaluate(s_expr, hh, path)
 
 
-def _quadrature_value(term, i, r, big_t, hh, path, rel_tol):
+def _quadrature_value(term, i, r, big_t, hh, path, rel_tol, level):
     if i > _MAX_SIMPLEX_DIM:
         raise EngineError(
             f"level {i} falls back to simplex quadrature, implemented only "
@@ -210,7 +217,9 @@ def _quadrature_value(term, i, r, big_t, hh, path, rel_tol):
         b = {_vname(k + 1): float(vs[k]) for k in range(i)}
         return float(evaluate(g_expr, hh, path, b))
 
-    val = nested_simplex(g, r, big_t, i, breaks=breaks, rel_tol=rel_tol)
+    # level 1 on the level's grid, one array evaluate per grid
+    val = level.integral(g_expr, path, rel_tol) if i == 1 else \
+        nested_simplex(g, r, big_t, i, breaks=breaks, rel_tol=rel_tol)
     return _attach(make_product(s_facs), val, path, hh), "quadrature"
 
 
@@ -219,23 +228,49 @@ def _quadrature_value(term, i, r, big_t, hh, path, rel_tol):
 _GRADED, _RATIO, _NODES = 12, 0.25, 16
 
 
-class _Separable:
-    """The separable simplex integrals of one level, on one shared grid.
+class _LevelGrid:
+    """One level's Gauss panel grid and its refinement, for the separable
+    simplex integrals at any level and the quadrature route at level 1.
 
     The grid has Gauss panels on [r, T], split at the level's break times
-    and graded toward them, where the clusters have |v - c|^(2H-1) kinks;
-    its refinement bisects every panel.  Each distinct cluster is evaluated
-    on both once: at level 1 as its exact running integral, at the other
-    levels as its density.  error is the largest gap between the two
-    grids' values, relative to the integral of the absolute integrand,
-    over the terms so far.
+    and graded toward them, where the integrands have |v - c|^(2H-1) kinks;
+    its refinement bisects every panel.  Both are built when a term first
+    needs them.  Each distinct separable cluster is evaluated on both once:
+    in v_1 as its exact running integral, in the other variables as its
+    density; a level-1 quadrature integrand takes one array evaluate per
+    grid.  error is the largest gap between the two grids' values,
+    relative to the integral of the absolute integrand, over the terms so
+    far, and None while no term has used the grid.
     """
 
     def __init__(self, prods, r, big_t, hh):
         self.prods, self.r, self.big_t, self.hh = prods, r, big_t, hh
-        self.grids = None
         self.memo = {}
-        self.error = 0.0
+        self.error = None
+
+    @functools.cached_property
+    def grids(self):
+        r, big_t = self.r, self.big_t
+        breaks = sorted({c for t in self.prods for c in times(t) if r < c < big_t})
+        cuts = graded_cuts([r, *breaks, big_t], _GRADED, _RATIO)
+        return PanelGrid(cuts, _NODES), PanelGrid(bisected(cuts), _NODES)
+
+    def _checked(self, vals, size, what, rel_tol):
+        """The refined value, once its gap to the coarse one is within rel_tol."""
+        err = float(abs(vals[1] - vals[0]) / size) if size > 0.0 else 0.0
+        self.error = max(self.error or 0.0, err)
+        if err > rel_tol:
+            raise EngineError(f"{what} reached relative error {err:.3e}, "
+                              f"above the tolerance {rel_tol:.3e}")
+        return vals[1]
+
+    def integral(self, g_expr, path, rel_tol):
+        """int_r^T g(v_1) dv_1 of a level-1 integrand."""
+        gs = [evaluate(g_expr, self.hh, path, {_vname(1): grid.nodes})
+              for grid in self.grids]
+        vals = [float(grid.integral(g)) for grid, g in zip(self.grids, gs)]
+        return self._checked(vals, self.grids[1].integral(np.abs(gs[1])),
+                             "level-1 quadrature", rel_tol)
 
     def _on(self, g, key, polys, first):
         memo_key = (g, key, first)
@@ -248,36 +283,25 @@ class _Separable:
             self.memo[memo_key] = out
         return self.memo[memo_key]
 
-    def value(self, clusters, keys, rel_tol):
+    def separable(self, clusters, keys, rel_tol):
         """Integral of the product of the clusters over the ordered simplex."""
-        if any(polys is None for polys in clusters):
-            return 0.0
-        if self.grids is None:
-            r, big_t = self.r, self.big_t
-            breaks = sorted({c for t in self.prods for c in times(t) if r < c < big_t})
-            cuts = graded_cuts([r, *breaks, big_t], _GRADED, _RATIO)
-            self.grids = (PanelGrid(cuts, _NODES), PanelGrid(bisected(cuts), _NODES))
+        if any(polys is None for polys in clusters):  # exactly 0: no gap
+            return self._checked((0.0, 0.0), 0.0, "", rel_tol)
         vals = []
         for g, grid in enumerate(self.grids):
             gs = [self._on(g, key, polys, k == 0)
                   for k, (key, polys) in enumerate(zip(keys, clusters))]
             vals.append(simplex_product(gs[0], gs[1:], grid))
         size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], grid)
-        err = abs(vals[1] - vals[0]) / size if size > 0.0 else 0.0
-        self.error = max(self.error, err)
-        if err > rel_tol:
-            raise EngineError(
-                f"separable simplex integral reached relative error {err:.3e}, "
-                f"above the tolerance {rel_tol:.3e}")
-        return vals[1]
+        return self._checked(vals, size, "separable simplex integral", rel_tol)
 
 
-def _term_value(term, i, r, big_t, hh, path, rel_tol, separable):
+def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
     """(value, route) for one frozen product term at level i >= 1."""
     s_facs, per_level, coupled = _term_split(term, i)
     if coupled or any(uv for _, _, uv in per_level) \
             or not all(f.pw for u, v, _ in per_level for f in u + v):
-        return _quadrature_value(term, i, r, big_t, hh, path, rel_tol)
+        return _quadrature_value(term, i, r, big_t, hh, path, rel_tol, level)
     keys = [_canonical_cluster(u, v, k + 1) for k, (u, v, _) in enumerate(per_level)]
     s_expr = make_product(s_facs)
     if len(set(keys)) == 1:
@@ -289,31 +313,30 @@ def _term_value(term, i, r, big_t, hh, path, rel_tol, separable):
         return _attach(s_expr, val, path, hh), "factorized"
     clusters = [_cluster_polys(u, v, k + 1, r, big_t)
                 for k, (u, v, _) in enumerate(per_level)]
-    val = separable.value(clusters, keys, rel_tol)
+    val = level.separable(clusters, keys, rel_tol)
     return _attach(s_expr, val, path, hh), "separable"
 
 
 def _level_value(prods, i, r, big_t, hh, path, rel_tol):
-    """(value, routes, error) of level i; error is the separable route's
-    estimate, None when no term took that route."""
+    """(value, routes, error) of level i; error is the estimate of the
+    level's grid, None when no term used it."""
     if i == 0:
         expr = collect_terms(make_sum(prods))
         return (expr if path is None else evaluate(expr, hh, path)), "evaluate", None
     if not prods:
         return (ZERO if path is None else 0.0), "vanishes", None
     vals, routes = [], set()
-    separable = _Separable(prods, r, big_t, hh)
+    level = _LevelGrid(prods, r, big_t, hh)
     for t in prods:
-        v, route = _term_value(t, i, r, big_t, hh, path, rel_tol, separable)
+        v, route = _term_value(t, i, r, big_t, hh, path, rel_tol, level)
         vals.append(v)
         routes.add(route)
-    error = separable.error if "separable" in routes else None
     if path is None:
-        return collect_terms(make_sum(vals)), "+".join(sorted(routes)), error
+        return collect_terms(make_sum(vals)), "+".join(sorted(routes)), level.error
     total = vals[0]
     for v in vals[1:]:
         total = total + v
-    return total, "+".join(sorted(routes)), error
+    return total, "+".join(sorted(routes)), level.error
 
 
 def exp_series(f: Expr, r: float, big_t: float, h, order: int,
@@ -323,12 +346,13 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
 
     big_t is the declared horizon; every sample and integral in f must stay
     inside [0, big_t].  Exact routes are preferred term by term; rel_tol
-    governs the quadrature fallbacks and bounds the separable route's
-    error.  Without a path the terms come back as expressions in the
+    governs the quadrature fallbacks and bounds the error of the level's
+    grid.  Without a path the terms come back as expressions in the
     observed samples (stochastic simplex integrands then raise
     EngineError).  diagnostics[i] records the routes taken and the number
     of product terms at level i, and under "error" the largest relative
-    error the separable route reached there, if any term took it.
+    error the level's grid reached there (separable terms, and quadrature
+    terms at level 1), if any term used it.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)

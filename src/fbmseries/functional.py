@@ -29,12 +29,15 @@ and as partially integrated kernel terms.  Evaluation on a path is strict:
 sampling, or integrating between limits of the functional, at a time that
 is not a grid point is an error, never an interpolation.  A time integral
 whose lower limit is a bound variable, which ranges over quadrature nodes,
-starts from the path's linear interpolant there.
+starts from the path's linear interpolant there.  A variable may be bound
+to an array of values, such as all the nodes of a quadrature grid, which
+one evaluation then handles elementwise (see evaluate).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import weakref
@@ -43,7 +46,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .kernel import Interval, PiecewisePoly, _hval, phi_poly_moment
+from .kernel import Interval, PiecewisePoly, _hval, phi_poly_moment, pieces_phi_moment
 from .special import hermite_eval
 
 
@@ -180,9 +183,11 @@ def _kind(cls):
     return cls
 
 
-def _on(path, what: str) -> "GridPath":
+def _on(path, what: str, bindings) -> "GridPath":
     if path is None:
         raise EvalError(f"path required to evaluate {what}")
+    if bindings and np.ndim(path.values) > 1 and _batch_shape(bindings):
+        raise EvalError(f"array bindings need a single path to evaluate {what}")
     return path
 
 
@@ -217,7 +222,7 @@ class FbmSample(_Node):
         return fbm_sample(min(self.t, r))
 
     def step(self, x, h, path, bindings):
-        return _on(path, "B_t").value(self.t)
+        return _on(path, "B_t", bindings).value(self.t)
 
     def sexpr(self, inner, rename) -> str:
         return f"(B {_fmt(self.t)})"
@@ -257,7 +262,8 @@ class WienerInt(_Node):
         return WienerInt(self.weight, self.lo, hi)
 
     def step(self, x, h, path, bindings):
-        return _on(path, "a Wiener integral").stieltjes(self.weight, self.lo, self.hi)
+        return _on(path, "a Wiener integral", bindings).stieltjes(
+            self.weight, self.lo, self.hi)
 
     def sexpr(self, inner, rename) -> str:
         pieces = " ".join(
@@ -291,8 +297,12 @@ class TimeIntB(_Node):
         return make_sum([observed, tail])
 
     def step(self, x, h, path, bindings):
-        path = _on(path, "a time integral")
-        lo = max(_resolve_args(self.lower, bindings))
+        path = _on(path, "a time integral", bindings)
+        lo = _max(_resolve_args(self.lower, bindings))
+        if np.ndim(lo):
+            for c in set(self.lower).intersection(lo[lo < self.upper].tolist()):
+                path.index_of(c)
+            return path.integral_from(lo, self.upper)
         if lo >= self.upper:
             return 0.0
         if lo in self.lower:
@@ -326,7 +336,7 @@ class TimeIntBSq(_Node):
         return make_sum([observed, tail])
 
     def step(self, x, h, path, bindings):
-        path = _on(path, "a time integral")
+        path = _on(path, "a time integral", bindings)
         path.index_of(self.lo)
         return path.trapezoid(lambda b: b * b, self.lo, self.hi)
 
@@ -352,15 +362,19 @@ class RampMax(_Node):
         return (self.cap, *_resolve_args([a for a in self.args if a != ivar], bindings))
 
     def step(self, x, h, path, bindings):
-        return max(0.0, self.cap - max(_resolve_args(self.args, bindings)))
+        return _max([0.0, self.cap - _max(_resolve_args(self.args, bindings))])
 
     def pwpoly(self, ivar, lo, hi, bindings):
         others = [a for a in self.args if a != ivar]
-        floor = max(_resolve_args(others, bindings)) if others else 0.0
-        if floor >= self.cap:
-            return None
+        floor = _max(_resolve_args(others, bindings)) if others else 0.0
         # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
         pieces_lo, pieces_hi = max(lo, 0.0), min(hi, self.cap)
+        if np.ndim(floor):  # a batch of floors: pieces, of which some are empty
+            knee = np.clip(floor, pieces_lo, pieces_hi)
+            return [(pieces_lo, knee, (np.maximum(self.cap - floor, 0.0),)),
+                    (knee, pieces_hi, (self.cap, -1.0))]
+        if floor >= self.cap:
+            return None
         breaks, coeffs = [pieces_lo], []
         knee = min(max(floor, pieces_lo), pieces_hi)
         if knee > pieces_lo:
@@ -397,6 +411,8 @@ class Indicator(_Node):
 
     def step(self, x, h, path, bindings):
         v = _resolve_args([self.var], bindings)[0]
+        if np.ndim(v):
+            return np.where((self.lo <= v) & (v <= self.hi), 1.0, 0.0)
         return 1.0 if self.lo <= v <= self.hi else 0.0
 
     def pwpoly(self, ivar, lo, hi, bindings):
@@ -420,7 +436,8 @@ class PolyInVar(_Node):
 
     def step(self, x, h, path, bindings):
         v = _resolve_args([self.var], bindings)[0]
-        return float(np.polynomial.polynomial.polyval(v, np.asarray(self.coeffs)))
+        out = np.polynomial.polynomial.polyval(v, np.asarray(self.coeffs))
+        return out if np.ndim(v) else float(out)
 
     def pwpoly(self, ivar, lo, hi, bindings):
         return PiecewisePoly.from_poly(self.coeffs, lo, hi) if lo < hi else None
@@ -552,9 +569,10 @@ class PhiMoment(_Node):
 
     When every factor is piecewise polynomial in ivar (their breakpoints may
     involve other free variables) the value is the exact kernel moment,
-    produced once every other variable is bound; otherwise the integrand is
-    not deterministic in ivar, no closed form applies, and the value comes
-    from singularity-split Gauss panels.
+    produced once every other variable is bound, for a whole batch of
+    array bindings at once; otherwise the integrand is not deterministic in
+    ivar, no closed form applies, and the value comes from
+    singularity-split Gauss panels, one quadrature per element of a batch.
     """
 
     factors: tuple[Expr, ...]
@@ -593,9 +611,21 @@ class PhiMoment(_Node):
     def step(self, x, h, path, bindings):
         if h is None:
             raise EvalError("Hurst index required to evaluate a kernel integral")
+        shape = _batch_shape(bindings)
         if not self.closed:
+            if shape:
+                return np.reshape([self.quadrature(h, path, {
+                    k: b[i] if np.ndim(b) else b for k, b in bindings.items()})
+                    for i in np.ndindex(shape)], shape)
             return self.quadrature(h, path, bindings)
         v = _resolve_args([self.partner], bindings)[0]
+        if shape:
+            scale_val, ws = _factor_forms(self.factors, self.ivar,
+                                          self.lo, self.hi, bindings)
+            if ws is None:
+                return 0.0
+            ws = [list(w.pieces()) if isinstance(w, PiecewisePoly) else w for w in ws]
+            return scale_val * pieces_phi_moment(ws, self.lo, self.hi, v, h)
         scale_val, poly = _combine_pwpoly(self.factors, self.ivar,
                                           self.lo, self.hi, bindings)
         if poly is None or scale_val == 0.0:
@@ -603,19 +633,15 @@ class PhiMoment(_Node):
         return scale_val * phi_poly_moment(poly, Interval(self.lo, self.hi), v, h)
 
     def quadrature(self, h, path, bindings):
-        """Singularity-absorbing quadrature of the integral, whatever its factors."""
+        """Singularity-absorbing quadrature of the integral, whatever its
+        factors, for scalar bindings; one array evaluation per Gauss panel."""
         from .quadrature import phi_weighted_integral
 
         v = _resolve_args([self.partner], bindings)[0]
         integrand = make_product(list(self.factors))
 
         def f(us):
-            out = []
-            for u in np.atleast_1d(us):
-                b2 = dict(bindings or {})
-                b2[self.ivar] = float(u)
-                out.append(np.asarray(evaluate(integrand, h, path, b2), dtype=float))
-            return np.stack(out, axis=-1)
+            return evaluate(integrand, h, path, {**(bindings or {}), self.ivar: us})
 
         # kinks sit where ramp/indicator breakpoints fall inside the range, and
         # at the path's grid times, where a time integral from u bends
@@ -926,6 +952,7 @@ class GridPath:
         if self.values.shape[-1] != len(self.times):
             raise ValueError("values last axis must match the number of times")
         self._index = {t: i for i, t in enumerate(self.times)}
+        self._tails = {}  # upper-limit index -> integrals from each grid time
 
     def index_of(self, t: float) -> int:
         i = self._index.get(float(t))
@@ -959,6 +986,23 @@ class GridPath:
         vals = transform(self.values[..., i:j + 1])
         return np.trapezoid(vals, ts, axis=-1)
 
+    def integral_from(self, lo, hi: float):
+        """int_lo^hi B ds on a single path for an array of lower limits, 0
+        where lo >= hi: the trapezoid rule summed back from hi, a lo between
+        grid times starting from the linear interpolant as in trapezoid."""
+        j = self.index_of(hi)
+        ts, ys = np.asarray(self.times[:j + 1]), self.values[:j + 1]
+        if j not in self._tails:
+            cells = np.diff(ts) * (ys[1:] + ys[:-1]) / 2.0
+            self._tails[j] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        if np.min(lo) < ts[0]:
+            raise ValueError("integral limits out of order")
+        k = np.minimum(np.searchsorted(ts, lo, side="right"), j)  # t_{k-1} <= lo < t_k
+        a, b = ts[k - 1], ts[k]
+        at_lo = ys[k - 1] + (ys[k] - ys[k - 1]) * ((lo - a) / (b - a))
+        head = 0.5 * (at_lo + ys[k]) * (b - lo)
+        return np.where(lo < hi, head + self._tails[j][k], 0.0)
+
     def stieltjes(self, weight, lo: float, hi: float):
         """Riemann-Stieltjes sum sum f(midpoint) dB over grid cells in [lo, hi]."""
         i, j = self.index_of(lo), self.index_of(hi)
@@ -979,39 +1023,52 @@ def _resolve_args(args, bindings):
         if isinstance(a, str):
             if bindings is None or a not in bindings:
                 raise UnboundVariableError(f"unbound variable '{a}'")
-            out.append(float(bindings[a]))
+            b = bindings[a]
+            out.append(np.asarray(b, dtype=float) if np.ndim(b) else float(b))
         else:
             out.append(float(a))
     return out
 
 
-def _combine_pwpoly(factors, ivar, lo, hi, bindings):
-    """Product of factor polynomials; (scale, PiecewisePoly|None)."""
-    scale_val = 1.0
-    poly = None
+def _max(xs):
+    """max of floats, elementwise once an array is among them."""
+    return (max(xs) if all(type(x) is float for x in xs)
+            else functools.reduce(np.maximum, xs))
+
+
+def _batch_shape(bindings) -> tuple:
+    """The one shape of the array bindings; () when every binding is a scalar."""
+    shapes = {np.shape(b) for b in (bindings or {}).values()} - {()}
+    if len(shapes) > 1:
+        raise EvalError(f"array bindings of different shapes {sorted(shapes)}")
+    return max(shapes, default=())
+
+
+def _factor_forms(factors, ivar, lo, hi, bindings):
+    """(scale, forms): the product of the factors constant in ivar, and the
+    pwpoly forms of the others in order; (0.0, None) once a form vanishes."""
+    scale_val, forms = 1.0, []
     for f in factors:
         if not f.pw:
             raise UnsupportedNodeError(
                 f"{type(f).__name__} is not a deterministic factor in '{ivar}'")
-        if ivar in f.free_vars((), None):  # a pw kind is a leaf
-            res = f.pwpoly(ivar, lo, hi, bindings)
+        if ivar not in f.free_vars((), None):  # a pw kind is a leaf
+            scale_val = scale_val * f.step(None, None, None, bindings)
+        elif (w := f.pwpoly(ivar, lo, hi, bindings)) is not None:
+            forms.append(w)
         else:
-            res = f.step(None, None, None, bindings)  # constant in ivar
-        if res is None:
             return 0.0, None
-        if not isinstance(res, PiecewisePoly):
-            scale_val *= res
-            if scale_val == 0.0:
-                return 0.0, None
-        else:
-            poly = res if poly is None else poly.mul(res)
-            if poly is None:
-                return 0.0, None
-    if poly is None:
-        poly = PiecewisePoly.indicator(lo, hi) if lo < hi else None
-        if poly is None:
-            return 0.0, None
-    return scale_val, poly
+    return scale_val, forms
+
+
+def _combine_pwpoly(factors, ivar, lo, hi, bindings):
+    """Product of factor polynomials; (scale, PiecewisePoly|None)."""
+    scale_val, forms = _factor_forms(factors, ivar, lo, hi, bindings)
+    if forms == [] and lo < hi:
+        forms = [PiecewisePoly.indicator(lo, hi)]
+    poly = (functools.reduce(lambda p, w: p and p.mul(w), forms[1:], forms[0])
+            if forms else None)
+    return (scale_val, poly) if poly is not None and scale_val != 0.0 else (0.0, None)
 
 
 def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
@@ -1019,7 +1076,13 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
     """Evaluate on a path (scalar or vectorized across an ensemble).
 
     h is only needed for kernel integrals; bindings supply free
-    variables.  Every time lookup is strict to the path grid.  Each
+    variables.  A binding may be a numpy array: every array binding has
+    one shape, each step works elementwise over it, and the value comes
+    back in that shape.  A node that reads the path then needs a single
+    path (values with one axis), so that an ensemble axis never broadcasts
+    against the bindings; an ensemble raises EvalError there.  Scalar
+    bindings run the same float operations as before arrays were allowed.
+    Every time lookup is strict to the path grid.  Each
     distinct node is computed once, in the order a recursive walk would
     first reach it, and its value is dropped at its last use, so a shared
     subtree costs one evaluation and few values are alive at a time.  A
@@ -1027,20 +1090,21 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
     which computes a node shared by several roots once; a single root
     caches its schedule.
     """
+    shape = _batch_shape(bindings)
     if isinstance(expr, list):
-        return _run(_schedule(expr), None, h, path, bindings)
+        return _run(_schedule(expr), None, h, path, bindings, shape)
     if not isinstance(expr, _Node):
         raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
     plan = getattr(expr, "_plan", None)
     if plan is None:
         plan = _schedule((expr,), cached=expr)
         object.__setattr__(expr, "_plan", plan)
-    return _run(plan, expr, h, path, bindings)[0]
+    return _run(plan, expr, h, path, bindings, shape)[0]
 
 
-def _run(plan: tuple, root, h, path, bindings) -> list:
-    """Run a schedule; the values of its roots.  A step's node None stands
-    for root."""
+def _run(plan: tuple, root, h, path, bindings, shape) -> list:
+    """Run a schedule; the values of its roots, broadcast to the shape of
+    the array bindings if any.  A step's node None stands for root."""
     n_slots, steps, outs = plan
     vals = [None] * n_slots
     for node, slot, arg, last in steps:
@@ -1053,7 +1117,8 @@ def _run(plan: tuple, root, h, path, bindings) -> list:
             vals[slot] = node.combine(vals[slot], vals[arg])
         for j in last:
             vals[j] = None
-    return [vals[s] for s in outs]
+    return [np.broadcast_to(vals[s], shape) if shape and np.shape(vals[s]) != shape
+            else vals[s] for s in outs]
 
 
 def _schedule(roots, cached=None) -> tuple:

@@ -252,6 +252,37 @@ def phi_poly_moment(w: PiecewisePoly, iv: Interval, v, h):
     return total
 
 
+def pieces_phi_moment(ws, lo: float, hi: float, v, h):
+    """Exact int_lo^hi prod_k w_k(u) phi_H(u, v) du over a batch.
+
+    Each w_k is a list of pieces (a, b, ascending coefficients), zero off
+    them; the pieces of one w_k do not overlap, and a piece may be empty or
+    reversed.  Limits, coefficients and v may be arrays of one batch shape.
+    [lo, hi] is cut at every limit, sorted per element, so each cell lies
+    in one piece of each w_k or in none, and the cell's product polynomial
+    takes the closed form; an empty cell gives exactly 0.
+    """
+    limits = [np.clip(x, lo, hi) for w in ws for a, b, _ in w for x in (a, b)]
+    cuts = np.sort(np.broadcast_arrays(lo, hi, *limits, v)[:-1], axis=0)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        poly = [1.0]
+        for w in ws:
+            coeffs = [0.0] * max(len(c) for _, _, c in w)
+            for pa, pb, c in w:
+                inside = (pa <= mid) & (mid < pb)
+                for j, cj in enumerate(c):
+                    coeffs[j] = coeffs[j] + np.where(inside, cj, 0.0)
+            # times the cell's polynomial of w: a convolution of coefficients
+            poly = [sum(poly[k] * coeffs[n - k] for k in range(len(poly))
+                        if 0 <= n - k < len(coeffs))
+                    for n in range(len(poly) + len(coeffs) - 1)]
+        for i, ci in enumerate(poly):
+            total = total + ci * _mono_phi_moment(i, a, b, v, h)
+    return total
+
+
 def _mono_rect_terms(i: int, a: float, b: float, h):
     """int_a^b u^i phi_H(u, v) du as terms coef * v^vp * (e - v)^k * Phi_m(e - v)."""
     terms = []

@@ -45,12 +45,12 @@ def _split_points(a: float, b: float, breaks) -> list:
 
 
 def adaptive_panels(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,
-                    n: int = 24, max_depth: int = 14, strict: bool = False):
+                    n: int = 24, max_depth: int = 14):
     """Adaptive bisection with a Gauss rule per panel, split at breakpoints.
 
     The per-panel error estimate is |whole - split halves|; panels recurse
-    until the estimate falls under the tolerance budget.  With strict=True a
-    budget violation raises QuadratureError instead of returning best effort.
+    until the estimate falls under the tolerance budget.  A panel still
+    above it at max_depth raises QuadratureError: no result is best effort.
     """
     if b <= a:
         return 0.0
@@ -76,7 +76,7 @@ def adaptive_panels(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,
         # with no breakpoint inside, the first panel is the whole interval
         part = recurse(lo, hi, first if len(pts) == 2 else fixed_panel(f, lo, hi, n), 0)
         total = part if total is None else total + part
-    if strict and worst > rel_tol:
+    if worst > rel_tol:
         raise QuadratureError("adaptive quadrature did not converge", worst)
     return total
 

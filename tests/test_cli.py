@@ -207,6 +207,20 @@ class TestExitCodes:
         assert run_cli(argv + ["--format", fmt, "--output", str(target)]) == (3, "")
         assert not target.exists()
 
+    def test_quadrature_error_is_engine_error(self, monkeypatch, capsys):
+        # a quadrature that misses its tolerance raises QuadratureError, a
+        # RuntimeError that is no EngineError
+        from fbmseries import cli
+        from fbmseries.quadrature import QuadratureError
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("adaptive quadrature did not converge", 1e-3)
+
+        monkeypatch.setattr(cli, "exp_series", fail)
+        assert run_cli(["expform", "--hurst", "0.75", "--T", "1",
+                        "--expr", "exp(IB(0,1))"]) == (3, "")
+        assert "did not converge" in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self):
         assert run_cli(["merton", "--hurst", "0.75", "--T", "1",
                         "--output", "/nonexistent/dir/out.json"])[0] == 4

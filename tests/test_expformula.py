@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmseries import quadrature
+from fbmseries import expformula, functional, quadrature
 from fbmseries.expformula import (
     EngineError,
     assumption_b_sequence,
@@ -413,3 +413,50 @@ def test_fourth_order_quadrature_runs_no_adaptive_bisection(monkeypatch):
     quad = cir_fourth_order_integral(1.0, 0.7, method="quadrature")
     closed = cir_fourth_order_integral(1.0, 0.7, method="closed")
     assert sum(quad) == pytest.approx(sum(closed), rel=1e-8)
+
+
+_LEVEL1_HS = [0.51, 0.55, 0.6, 0.7, 0.95]
+
+
+@pytest.mark.parametrize("text,sign", [("IB2(0,1)", 1.0), ("exp(-IB2(0,1))", -1.0)])
+@pytest.mark.parametrize("h", _LEVEL1_HS)
+def test_level_one_quadrature_reaches_its_closed_form(text, sign, h):
+    # the ramp (1 - max(u, v)) mixes u_1 with v_1, so level 1 takes the
+    # quadrature route, on the level's graded grid and its bisection
+    res = exp_series(parse(text), 0.0, 1.0, h, 1)
+    assert res.diagnostics[1]["route"] == "quadrature"
+    got = float(evaluate(res.terms[1], h))
+    assert got == pytest.approx(sign / (2.0 * h + 1.0), rel=1e-11, abs=0.0)
+    assert 0.0 <= res.diagnostics[1]["error"] <= 1e-9
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5])
+@pytest.mark.parametrize("h", _LEVEL1_HS)
+def test_level_one_quadrature_after_the_start(r, h):
+    # int_r^1 (s^2H - r^2H) ds: how far E B_s^2 grows past the frozen B_r^2
+    res = exp_series(parse("IB2(0,1)"), r, 1.0, h, 1)
+    q = 2.0 * h + 1.0
+    want = (1.0 - r ** q) / q - r ** (2.0 * h) * (1.0 - r)
+    assert float(evaluate(res.terms[1], h)) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("text", ["IB2(0,1)", "exp(-IB2(0,1))"])
+@pytest.mark.parametrize("h", _LEVEL1_HS[:-1])
+def test_level_one_quadrature_raises_above_its_tolerance(text, h):
+    # at H = 0.95 the two grids agree to the last bit, so no tolerance can
+    # be missed there
+    with pytest.raises(EngineError, match="level-1 quadrature"):
+        exp_series(parse(text), 0.0, 1.0, h, 1, rel_tol=1e-15)
+
+
+def test_level_one_quadrature_evaluates_once_per_grid(monkeypatch):
+    # one array evaluate on each of the two grids, instead of one scalar
+    # evaluate per node of an adaptive bisection
+    calls = []
+    for module in (expformula, functional):
+        real = module.evaluate
+        monkeypatch.setattr(module, "evaluate",
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    res = exp_series(parse("IB2(0,1)"), 0.0, 1.0, 0.7, 1)
+    assert res.diagnostics[1]["route"] == "quadrature"
+    assert 1 <= len(calls) <= 4

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fbmseries.kernel import phi_antiderivative
-from fbmseries.quadrature import (PanelGrid, adaptive_panels, graded_cuts,
-                                  graded_points, nested_simplex,
+from fbmseries.quadrature import (PanelGrid, QuadratureError, adaptive_panels,
+                                  graded_cuts, graded_points, nested_simplex,
                                   phi_weighted_integral, simplex_product)
 
 
@@ -90,3 +90,16 @@ def test_simplex_product_of_exponentials(dim):
     got = simplex_product(first, [g] * (dim - 1), grid)
     want = (math.exp(t) - math.exp(r)) ** dim / math.factorial(dim)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_adaptive_panels_raise_where_the_depth_runs_out():
+    # a jump that is not a breakpoint cannot be resolved by bisection: the
+    # result is refused, never returned as a best effort
+    def step(xs):
+        return (np.asarray(xs) > 1.0 / 3.0).astype(float)
+
+    with pytest.raises(QuadratureError) as err:
+        adaptive_panels(step, 0.0, 1.0, rel_tol=1e-10, max_depth=6)
+    assert err.value.achieved > 1e-10
+    got = adaptive_panels(step, 0.0, 1.0, breaks=[1.0 / 3.0], rel_tol=1e-10, max_depth=6)
+    assert got == pytest.approx(2.0 / 3.0, rel=1e-14)
