@@ -178,10 +178,12 @@ def cir_mc_check(big_t, h, cfg: McConfig) -> CirMcCheck:
 
     f = make_exp(scale(TimeIntBSq(0.0, big_t), -1.0))
     fine_grid = TimeGrid((0.0, big_t)).refine(2 * cfg.grid_refinement)
-    ens = simulate(fine_grid, hh, cfg)
-    vals_fine = evaluate(f, hh, ens.as_grid_path())
-    coarse = GridPath(ens.grid.times[::2], ens.values[:, ::2])
-    vals_coarse = evaluate(f, hh, coarse)
+
+    def fine_and_coarse(ens):
+        coarse = GridPath(ens.grid.times[::2], ens.values[:, ::2])
+        return np.stack([evaluate(f, hh, ens.as_grid_path()), evaluate(f, hh, coarse)])
+
+    vals_fine, vals_coarse = simulate(fine_grid, hh, cfg, each=fine_and_coarse)
 
     mc = float(np.mean(vals_fine))
     se = float(np.std(vals_fine, ddof=1) / math.sqrt(len(vals_fine)))
@@ -190,7 +192,7 @@ def cir_mc_check(big_t, h, cfg: McConfig) -> CirMcCheck:
     series = cir_small_t(big_t, hh).approx
     x = big_t ** (2.0 * hh + 1.0) / (2.0 * hh + 1.0)
     budget = 8.0 * x ** 3 / (1.0 - 2.0 * x) if 2.0 * x < 1.0 else math.inf
-    return CirMcCheck(mc, series, se, 3.0 * se, gap, budget, ens.n_paths)
+    return CirMcCheck(mc, series, se, 3.0 * se, gap, budget, cfg.n_paths)
 
 
 @dataclass(frozen=True)

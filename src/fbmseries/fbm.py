@@ -9,6 +9,12 @@ any Hurst index in (1/2, 1); the only approximation anywhere downstream is
 the trapezoid rule for time-integral functionals, controlled by the grid
 refinement factor.  Draws come from a single counter-based generator keyed
 by the seed, which makes every ensemble bit-reproducible.
+
+Paths are drawn, transformed and evaluated one block of _PATH_BLOCK rows at
+a time, with the bits of a one-shot draw.  simulate still returns the whole
+ensemble; mc_expect, and cir_mc_check in applications, keep only one value
+per path, so their memory is O(block x grid + n_paths): a command such as
+`fbmseries cir --mc.paths 10000000` fits in memory.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import Expr, GridPath, TimeGrid, evaluate, free_vars, times
+from .functional import (_PATH_BLOCK, Expr, GridPath, TimeGrid, evaluate, free_vars,
+                         times)
 from .kernel import _hval, abs_pow
 
 
@@ -71,8 +78,15 @@ class FbmEnsemble:
         return GridPath(self.grid.times, self.values[i])
 
 
-def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
-    """Sample an ensemble with the exact joint law on the grid times."""
+def simulate(grid: TimeGrid, h, cfg: McConfig, each=None):
+    """Sample an ensemble with the exact joint law on the grid times.
+
+    The paths are drawn _PATH_BLOCK at a time from one stream, bit for bit
+    the one-shot draw.  Without each, the whole ensemble comes back in one
+    array.  With each, every block goes to each(block ensemble) as soon as
+    it is drawn, and only the per-path results come back, concatenated
+    along their last (path) axis, so memory is O(block x grid + n_paths).
+    """
     hh = _hval(h)
     p = 2.0 * hh
     ts = np.asarray(grid.times[1:])
@@ -88,9 +102,27 @@ def simulate(grid: TimeGrid, h, cfg: McConfig) -> FbmEnsemble:
             "grid times may be too close for the matrix to stay positive definite"
         ) from exc
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    z = rng.standard_normal((cfg.n_paths, ts.size))
-    vals = np.hstack([np.zeros((cfg.n_paths, 1)), z @ chol.T])
-    return FbmEnsemble(grid, vals, hh, cfg.seed)
+    n, m = cfg.n_paths, len(grid.times)
+    vals = np.zeros((n, m)) if each is None else None
+    parts = []
+    for lo, hi in _blocks(n):
+        block = vals[lo:hi] if each is None else np.zeros((hi - lo, m))
+        block[:, 1:] = rng.standard_normal((hi - lo, m - 1)) @ chol.T
+        if each is not None:
+            parts.append(each(FbmEnsemble(grid, block, hh, cfg.seed)))
+    if each is None:
+        return FbmEnsemble(grid, vals, hh, cfg.seed)
+    return np.concatenate(parts, axis=-1)
+
+
+def _blocks(n: int) -> list:
+    """(lo, hi) row ranges of _PATH_BLOCK rows, the last one up to one row
+    longer: numpy sends a one-row matmul to gemv, whose bits differ from
+    the one-shot product's, so no block has one row unless n does."""
+    starts = list(range(0, n, _PATH_BLOCK))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _abs_pow_each(x: np.ndarray, p: float) -> np.ndarray:
@@ -126,11 +158,16 @@ def mc_expect(expr: Expr, h, cfg: McConfig, grid: "TimeGrid | None" = None,
     if ensemble is None:
         if grid is None:
             grid = grid_for(expr, cfg.grid_refinement)
-        ensemble = simulate(grid, h, cfg)
-    samples = np.asarray(evaluate(expr, h=ensemble.h,
-                                  path=ensemble.as_grid_path()), dtype=float)
-    samples = np.broadcast_to(samples, (ensemble.n_paths,))
+        samples = simulate(grid, h, cfg, each=lambda ens: _samples(expr, ens))
+    else:
+        grid, samples = ensemble.grid, _samples(expr, ensemble)
     mean = math.fsum(samples.tolist()) / samples.size
     var = math.fsum(((samples - mean) ** 2).tolist()) / (samples.size - 1)
-    return McEstimate(mean, math.sqrt(var / samples.size),
-                      ensemble.n_paths, ensemble.grid)
+    return McEstimate(mean, math.sqrt(var / samples.size), samples.size, grid)
+
+
+def _samples(expr: Expr, ensemble: FbmEnsemble) -> np.ndarray:
+    """expr on every path of the ensemble, one float per path."""
+    out = np.asarray(evaluate(expr, h=ensemble.h, path=ensemble.as_grid_path()),
+                     dtype=float)
+    return np.broadcast_to(out, (ensemble.n_paths,))

@@ -1016,6 +1016,11 @@ class GridPath:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# paths of an ensemble evaluated at a time, and drawn at a time by fbm: a
+# multiple of every dgemm row unroll, so a block's Cholesky product has the
+# bits of the one-shot product
+_PATH_BLOCK = 8192
+
 
 def _resolve_args(args, bindings):
     out = []
@@ -1088,18 +1093,31 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
     subtree costs one evaluation and few values are alive at a time.  A
     list of roots gives the list of their values from one joint schedule,
     which computes a node shared by several roots once; a single root
-    caches its schedule.
+    caches its schedule.  An ensemble of more than _PATH_BLOCK paths runs
+    the schedule on one block of paths at a time, so the values alive at
+    a time are few blocks wide; every step works path by path, so the
+    joined values have the bits of one run over all paths.
     """
     shape = _batch_shape(bindings)
     if isinstance(expr, list):
-        return _run(_schedule(expr), None, h, path, bindings, shape)
-    if not isinstance(expr, _Node):
+        plan, root = _schedule(expr), None
+    elif not isinstance(expr, _Node):
         raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
-    plan = getattr(expr, "_plan", None)
-    if plan is None:
-        plan = _schedule((expr,), cached=expr)
-        object.__setattr__(expr, "_plan", plan)
-    return _run(plan, expr, h, path, bindings, shape)[0]
+    else:
+        plan, root = getattr(expr, "_plan", None), expr
+        if plan is None:
+            plan = _schedule((expr,), cached=expr)
+            object.__setattr__(expr, "_plan", plan)
+    if path is None or path.values.ndim < 2 or len(path.values) <= _PATH_BLOCK:
+        out = _run(plan, root, h, path, bindings, shape)
+    else:
+        blocks = (GridPath(path.times, path.values[lo:lo + _PATH_BLOCK])
+                  for lo in range(0, len(path.values), _PATH_BLOCK))
+        runs = [_run(plan, root, h, b, bindings, shape) for b in blocks]
+        # a root that reads no path is one scalar, the same in every block
+        out = [vs[0] if all(np.ndim(v) == 0 for v in vs) else np.concatenate(vs)
+               for vs in zip(*runs)]
+    return out if root is None else out[0]
 
 
 def _run(plan: tuple, root, h, path, bindings, shape) -> list:
@@ -1204,30 +1222,3 @@ def _args(args, rename) -> str:
 def to_sexpr(expr: Expr, rename: "dict | None" = None) -> str:
     """Canonical S-expression text; rename maps variable names (for matching)."""
     return _fold(expr, "sexpr", rename, kids="children")
-
-
-# ---------------------------------------------------------------------------
-# grid partial derivatives
-
-
-def grid_partials(expr: Expr, grid: TimeGrid, q: tuple) -> Expr:
-    """Iterated grid-time derivative D^q = D_{t_1}^{q_1} ... D_{t_J}^{q_J}.
-
-    Requires a discrete functional whose sample times lie on the grid; each
-    D_{t_i} differentiates with respect to every sample at time >= t_i.
-    """
-    if not is_discrete(expr):
-        raise UnsupportedNodeError("grid partials require a discrete functional")
-    stray = fbm_times(expr) - set(grid.times)
-    if stray:
-        raise ValueError(f"sample times {sorted(stray)} are not grid times")
-    if len(q) != grid.n_cells:
-        raise ValueError("multi-index length must equal the number of grid cells")
-    out = expr
-    for i, qi in enumerate(q):
-        tau = grid.times[i + 1]
-        for _ in range(int(qi)):
-            out = directional(out, tau)
-            if out == ZERO:
-                return ZERO
-    return out

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .functional import (
     Expr,
     GridPath,
@@ -44,7 +42,6 @@ from .functional import (
     evaluate,
     fbm_sample,
     fbm_times,
-    grid_partials,
     hermite_factor,
     is_discrete,
     make_product,
@@ -54,17 +51,6 @@ from .functional import (
 )
 from .kernel import Interval, _hval, rect_integral
 from .results import SeriesResult
-
-
-def compositions(total: int, parts: int):
-    """All tuples of nonnegative ints of the given length summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class DerivativeMemo:
@@ -268,24 +254,3 @@ def assumption_a_sequence(f: Expr, r: float, grid: TimeGrid, n_max: int, h,
                       * base ** (n - i) * (t_final - r) ** (i * hh))
         out.append(total)
     return out
-
-
-def mc_sup_norm(f: Expr, grid: TimeGrid, h, ensemble):
-    """Monte-Carlo estimator of m -> || sup_{|w| = m} |D^w f| ||_{L2}.
-
-    The supremum over derivative multi-indices is taken as a maximum over
-    the enumerated multi-indices of total order m (ties in the grid-time
-    derivative directions make this exhaustive for discrete functionals).
-    """
-    path = ensemble.as_grid_path()
-
-    def norm(m: int) -> float:
-        best = None
-        for w in compositions(m, grid.n_cells):
-            vals = np.abs(np.asarray(evaluate(grid_partials(f, grid, w),
-                                              h=h, path=path), dtype=float))
-            vals = np.broadcast_to(vals, (ensemble.n_paths,))
-            best = vals if best is None else np.maximum(best, vals)
-        return float(np.sqrt(np.mean(best ** 2)))
-
-    return norm

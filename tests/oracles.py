@@ -16,14 +16,16 @@ from itertools import product as iter_product
 import numpy as np
 from scipy import integrate
 
+from fbmseries.fbm import FbmEnsemble, covariance
 from fbmseries.functional import (ZERO, Const, Exp, FbmSample, GridPath,
                                   HermitePoly, Power, Product, Sum,
-                                  collect_terms, directional, evaluate,
-                                  fbm_times, hermite_factor, is_discrete,
-                                  make_product, make_sum, scale)
+                                  UnsupportedNodeError, collect_terms,
+                                  directional, evaluate, fbm_times,
+                                  hermite_factor, is_discrete, make_product,
+                                  make_sum, scale)
 from fbmseries.kernel import _hval, phi
 from fbmseries.special import hermite_eval
-from fbmseries.taylor import _package, _setup, compositions, psi_orders
+from fbmseries.taylor import _package, _setup, psi_orders
 
 warnings.filterwarnings("ignore", category=integrate.IntegrationWarning)
 
@@ -133,6 +135,74 @@ def tree_evaluate(expr, h=None, path=None, bindings=None):
 def tree_size(expr):
     """Node count of the expression as a tree: shared subtrees count each time."""
     return 1 + sum(tree_size(c) for c in expr.children())
+
+
+def one_shot_ensemble(grid, h, cfg):
+    """The ensemble drawn in one piece: every normal at once, one Cholesky
+    product over all paths and a column of zeros stacked in front."""
+    ts = grid.times[1:]
+    cov = np.array([[covariance(s, t, h) for t in ts] for s in ts])
+    z = np.random.Generator(np.random.Philox(key=cfg.seed)).standard_normal(
+        (cfg.n_paths, len(ts)))
+    vals = np.hstack([np.zeros((cfg.n_paths, 1)), z @ np.linalg.cholesky(cov).T])
+    return FbmEnsemble(grid, vals, _hval(h), cfg.seed)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of nonnegative ints of the given length summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def grid_partials(expr, grid, q: tuple):
+    """Iterated grid-time derivative D^q = D_{t_1}^{q_1} ... D_{t_J}^{q_J}.
+
+    Requires a discrete functional whose sample times lie on the grid; each
+    D_{t_i} differentiates with respect to every sample at time >= t_i.
+    """
+    if not is_discrete(expr):
+        raise UnsupportedNodeError("grid partials require a discrete functional")
+    stray = fbm_times(expr) - set(grid.times)
+    if stray:
+        raise ValueError(f"sample times {sorted(stray)} are not grid times")
+    if len(q) != grid.n_cells:
+        raise ValueError("multi-index length must equal the number of grid cells")
+    out = expr
+    for i, qi in enumerate(q):
+        tau = grid.times[i + 1]
+        for _ in range(int(qi)):
+            out = directional(out, tau)
+            if out == ZERO:
+                return ZERO
+    return out
+
+
+def mc_sup_norm(f, grid, h, ensemble):
+    """Monte-Carlo estimator of m -> || sup_{|w| = m} |D^w f| ||_{L2}.
+
+    This is the sup_norm argument of taylor.assumption_a_sequence: the two
+    together give the order-selection bound of the backward expansion.
+    The supremum over derivative multi-indices is taken as a maximum over
+    the enumerated multi-indices of total order m (ties in the grid-time
+    derivative directions make this exhaustive for discrete functionals).
+    """
+    path = ensemble.as_grid_path()
+
+    def norm(m: int) -> float:
+        best = None
+        for w in compositions(m, grid.n_cells):
+            vals = np.abs(np.asarray(evaluate(grid_partials(f, grid, w),
+                                              h=h, path=path), dtype=float))
+            vals = np.broadcast_to(vals, (ensemble.n_paths,))
+            best = vals if best is None else np.maximum(best, vals)
+        return float(np.sqrt(np.mean(best ** 2)))
+
+    return norm
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from oracles import (hermite_coefficients, hermite_generating_check,
+from oracles import (grid_partials, hermite_coefficients, hermite_generating_check,
                      hermite_shift_identity_gap, quad_phi_moment_alg, quad_rect)
 from fbmseries.applications import (cir_mc_check, cir_small_t,
                                     lognormal_cf_series, lognormal_moment)
@@ -20,7 +20,7 @@ from fbmseries.fbm import McConfig, covariance, mc_expect, simulate
 from fbmseries.functional import (GridPath, TimeGrid, TimeIntBSq, evaluate,
                                   fbm_sample, freeze, make_exp, make_product,
                                   make_sum, directional, scale, time_int_b,
-                                  to_sexpr, grid_partials)
+                                  to_sexpr)
 from fbmseries.kernel import Interval, PiecewisePoly, phi_poly_moment, rect_integral
 from fbmseries.parser import parse
 from fbmseries.special import hermite_eval, stirling2, stirling_falling_sum

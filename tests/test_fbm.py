@@ -1,19 +1,28 @@
 """Simulator law checks: covariance fit, determinism, estimate consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fbmseries import functional
+from fbmseries.applications import cir_mc_check
 from fbmseries.fbm import (
+    _PATH_BLOCK,
     McConfig,
     covariance,
     grid_for,
     mc_expect,
     simulate,
 )
-from fbmseries.functional import TimeGrid, evaluate, times
+from fbmseries.functional import (TimeGrid, TimeIntBSq, evaluate, make_exp, scale,
+                                  times)
 from fbmseries.parser import parse
+
+from oracles import one_shot_ensemble
+
+B = _PATH_BLOCK
 
 
 class TestCovariance:
@@ -71,6 +80,76 @@ class TestSimulate:
                 var_prod = covariance(s, s, h) * covariance(t, t, h) + want ** 2
                 se = math.sqrt(var_prod / n)
                 assert abs(emp - want) < 4.0 * se
+
+
+class TestPathBlocks:
+    """Blocks of paths give the bits of the one-shot draw and evaluation."""
+
+    GRID = TimeGrid((0.0, 0.3, 0.6, 1.0))
+
+    @pytest.fixture
+    def one_block(self, monkeypatch):
+        # evaluation of every ensemble below in one block
+        monkeypatch.setattr(functional, "_PATH_BLOCK", 10 * B)
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def test_simulate_is_the_one_shot_draw(self, n):
+        cfg = McConfig(n_paths=n, seed=31)
+        got = simulate(self.GRID, 0.7, cfg).values
+        want = one_shot_ensemble(self.GRID, 0.7, cfg).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_mc_expect_is_the_one_shot_estimate(self, one_block):
+        f = parse("exp(0.5*B(1))*B(0.3)+IB2(0,0.6)")
+        cfg = McConfig(n_paths=2 * B + 1, seed=32)
+        ens = one_shot_ensemble(self.GRID, 0.7, cfg)
+        x = np.asarray(evaluate(f, 0.7, ens.as_grid_path())).tolist()
+        mean = math.fsum(x) / len(x)
+        var = math.fsum((v - mean) ** 2 for v in x) / (len(x) - 1)
+        est = mc_expect(f, 0.7, cfg, grid=self.GRID)
+        assert (est.estimate, est.stderr, est.n_paths) == (mean, math.sqrt(var / len(x)),
+                                                          len(x))
+
+    def test_cir_mc_check_is_the_one_shot_check(self, one_block):
+        big_t, cfg = 0.3, McConfig(n_paths=2 * B + 1, seed=33, grid_refinement=2)
+        ens = one_shot_ensemble(TimeGrid((0.0, big_t)).refine(4), 0.7, cfg)
+        f = make_exp(scale(TimeIntBSq(0.0, big_t), -1.0))
+        fine = evaluate(f, 0.7, ens.as_grid_path())
+        coarse = evaluate(f, 0.7, functional.GridPath(ens.grid.times[::2],
+                                                      ens.values[:, ::2]))
+        got = cir_mc_check(big_t, 0.7, cfg)
+        assert got.mc == float(np.mean(fine))
+        assert got.stderr == float(np.std(fine, ddof=1) / math.sqrt(fine.size))
+        assert got.refinement_gap == abs(got.mc - float(np.mean(coarse)))
+        assert got.n_paths == fine.size
+
+    def test_evaluate_in_blocks_is_one_run(self, monkeypatch):
+        grid = TimeGrid(tuple(k / 8 for k in range(9)))
+        path = simulate(grid, 0.7, McConfig(n_paths=B + 1, seed=34)).as_grid_path()
+        roots = [parse("exp(-IB2(0,1))*B(0.5)"), parse("WI(s;0.125,0.875)^2"),
+                 parse("3"), parse("IB(0.25,1)")]
+        blocked = [evaluate(roots, 0.7, path), evaluate(roots[0], 0.7, path)]
+        monkeypatch.setattr(functional, "_PATH_BLOCK", 10 * B)
+        whole = [evaluate(roots, 0.7, path), evaluate(roots[0], 0.7, path)]
+        for got, want in zip(blocked[0] + blocked[1:], whole[0] + whole[1:]):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.ndim(blocked[0][2]) == 0
+
+    def test_cir_mc_check_memory_does_not_grow_with_the_grid(self):
+        # 4B more paths may add a few per-path vectors at 8 bytes a path;
+        # holding the ensemble would add 3 x 33 grid columns of them
+        def peak(n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cir_mc_check(0.3, 0.7, McConfig(n_paths=n, grid_refinement=16))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        cir_mc_check(0.3, 0.7, McConfig(n_paths=2, grid_refinement=16))
+        assert peak(8 * B) - peak(4 * B) <= 4 * (4 * B * 8)
 
 
 class TestMcExpect:

@@ -37,7 +37,6 @@ from fbmseries.functional import (
     fbm_times,
     free_vars,
     freeze,
-    grid_partials,
     is_deterministic,
     is_discrete,
     make_exp,
@@ -55,7 +54,8 @@ from fbmseries.kernel import PiecewisePoly, phi_antiderivative
 from fbmseries.parser import ParseError, parse
 from fbmseries.taylor import backward_taylor
 
-from oracles import path_from_dict, quad_phi_moment, tree_evaluate, tree_size
+from oracles import (grid_partials, path_from_dict, quad_phi_moment, tree_evaluate,
+                     tree_size)
 
 GRID = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
 

@@ -32,12 +32,11 @@ from fbmseries.taylor import (
     DerivativeMemo,
     assumption_a_sequence,
     backward_taylor,
-    compositions,
-    mc_sup_norm,
     psi_orders,
 )
 
-from oracles import PsiSpec, iter_kernel_integral, psi, reference_expansion
+from oracles import (PsiSpec, compositions, iter_kernel_integral, mc_sup_norm, psi,
+                     reference_expansion)
 
 H_VALUES = [0.6, 0.8]
 
