@@ -47,8 +47,7 @@ import numpy as np
 
 from .expformula import EngineError, cir_fourth_order_integral, exp_series
 from .fbm import McConfig, simulate
-from .functional import (GridPath, TimeGrid, TimeIntBSq, evaluate, make_exp,
-                         scale, time_int_b)
+from .functional import GridPath, TimeGrid, evaluate, make_exp, scale, time_int_b
 from .kernel import _hval
 from .special import beta_fn, stirling2, stirling_falling_sum
 
@@ -176,7 +175,7 @@ def cir_mc_check(big_t, h, cfg: McConfig) -> CirMcCheck:
     if cfg.n_paths < 2:
         raise ValueError("standard error needs at least two paths")
 
-    f = make_exp(scale(TimeIntBSq(0.0, big_t), -1.0))
+    f = make_exp(scale(time_int_b((0.0,), big_t, 2), -1.0))
     fine_grid = TimeGrid((0.0, big_t)).refine(2 * cfg.grid_refinement)
 
     def fine_and_coarse(ens):

@@ -153,7 +153,7 @@ def mc_expect(expr: Expr, h, cfg: McConfig, grid: "TimeGrid | None" = None,
     """
     if free_vars(expr):
         raise ValueError("cannot average a functional with unbound variables")
-    if cfg.n_paths < 2:
+    if (cfg if ensemble is None else ensemble).n_paths < 2:
         raise ValueError("standard error needs at least two paths")
     if ensemble is None:
         if grid is None:

@@ -1,27 +1,28 @@
 """Symbolic functionals of a fractional Brownian path and their calculus.
 
 An Expr is an immutable expression DAG built from samples B_t, Wiener
-integrals int f dB, time integrals int B ds and int B^2 ds, and the closure
-of those under sums, products, integer powers, exp, and Hermite polynomials.
-Nodes are hash-consed: constructing a node equal to a live one returns that
-node, so equal subexpressions are shared, equality is identity, and the
-derivative, freeze, evaluation and the structural queries each handle a
-distinct node once.  Each node kind carries its own rules as methods
-(operands, times, free variables, derivative, frozen form, evaluation step,
-S-expression), and one generic fold walks the DAG with them.  Two
+integrals int f dB, time integrals int_{max(a)}^b B^k ds of a power k >= 1,
+and the closure of those under sums, products, integer powers, exp, and
+Hermite polynomials.  Nodes are hash-consed: constructing a node equal to a
+live one returns that node, so equal subexpressions are shared, equality is
+identity, and the derivative, freeze, evaluation and the structural queries
+each handle a distinct node once.  Each node kind carries its own rules as
+methods (operands, times, free variables, derivative, frozen form, evaluation
+step, S-expression), and one generic fold walks the DAG with them.  Two
 operations drive everything else:
 
   * directional: the fractional pathwise derivative D_at, taken in one of
                  two directions.  With a variable name u it is the Malliavin
                  derivative in a free variable: D_u B_t = 1_{[0,t]}(u),
                  D_u int_a^b f dB = f(u) 1_{[a,b]}(u),
-                 D_u int_a^b B ds = (b - max(a, u))^+.  With a grid time tau
-                 it is the same derivative with u bound to tau, which
-                 differentiates with respect to every sample at a time
-                 >= tau.  Product, power and chain rules are shared.
+                 D_u int_{max(a)}^b B^k ds = k int_{max(a,u)}^b B^(k-1) ds,
+                 where power 0 is the ramp (b - max(a, u))^+.  With a grid
+                 time tau it is the same derivative with u bound to tau,
+                 which differentiates with respect to every sample at a
+                 time >= tau.  Product, power and chain rules are shared.
   * freeze:      composition with the path stopped at r (B_s -> B_{min(s,r)});
                  time integrals split into their observed part on [a, min(b,r)]
-                 plus B_{min(b,r)} times the remaining length.
+                 plus B_{min(b,r)}^k times the remaining length.
 
 Deterministic helper nodes (indicators, polynomials of a free variable,
 ramps max(0, b - max(args)), kernel integrals) appear as derivative output
@@ -274,10 +275,12 @@ class WienerInt(_Node):
 
 @_kind
 class TimeIntB(_Node):
-    """int_{max(lower)}^{upper} B_s ds; lower mixes constants and variable names."""
+    """int_{max(lower)}^{upper} B_s^power ds for a power >= 1; lower mixes
+    constants and variable names."""
 
     lower: tuple
     upper: float
+    power: int
     random = True
     discrete = False
 
@@ -288,13 +291,14 @@ class TimeIntB(_Node):
         return {a for a in self.lower if isinstance(a, str)}
 
     def derivative(self, ds, at):
-        return ramp_max(self.upper, self.lower + (at,))
+        return scale(time_int_b(self.lower + (at,), self.upper, self.power - 1),
+                     self.power)
 
     def frozen(self, fs, r):
         c = min(self.upper, r)
-        observed = time_int_b(self.lower, c)
-        tail = make_product([fbm_sample(c), ramp_max(self.upper, self.lower + (c,))])
-        return make_sum([observed, tail])
+        tail = make_product([make_power(fbm_sample(c), self.power),
+                             ramp_max(self.upper, self.lower + (c,))])
+        return make_sum([time_int_b(self.lower, c, self.power), tail])
 
     def step(self, x, h, path, bindings):
         path = _on(path, "a time integral", bindings)
@@ -302,46 +306,17 @@ class TimeIntB(_Node):
         if np.ndim(lo):
             for c in set(self.lower).intersection(lo[lo < self.upper].tolist()):
                 path.index_of(c)
-            return path.integral_from(lo, self.upper)
+            return path.integral_from(lo, self.upper, self.power)
         if lo >= self.upper:
             return 0.0
         if lo in self.lower:
             path.index_of(lo)  # only a bound variable may fall between grid times
-        return path.trapezoid(lambda b: b, lo, self.upper)
+        return path.trapezoid(self.power, lo, self.upper)
 
     def sexpr(self, inner, rename) -> str:
-        return f"(IB (max {_args(self.lower, rename)}) {_fmt(self.upper)})"
-
-
-@_kind
-class TimeIntBSq(_Node):
-    """int_lo^hi B_s^2 ds."""
-
-    lo: float
-    hi: float
-    random = True
-    discrete = False
-
-    def times(self):
-        return (self.lo, self.hi)
-
-    def derivative(self, ds, at):
-        return scale(time_int_b((self.lo, at), self.hi), 2.0)
-
-    def frozen(self, fs, r):
-        c = min(self.hi, r)
-        observed = TimeIntBSq(self.lo, c) if c > self.lo else ZERO
-        tail = make_product([make_power(fbm_sample(c), 2),
-                             Const(max(0.0, self.hi - max(self.lo, c)))])
-        return make_sum([observed, tail])
-
-    def step(self, x, h, path, bindings):
-        path = _on(path, "a time integral", bindings)
-        path.index_of(self.lo)
-        return path.trapezoid(lambda b: b * b, self.lo, self.hi)
-
-    def sexpr(self, inner, rename) -> str:
-        return f"(IB2 {_fmt(self.lo)} {_fmt(self.hi)})"
+        if self.power == 1:
+            return f"(IB (max {_args(self.lower, rename)}) {_fmt(self.upper)})"
+        return f"(IB{self.power} {_args(self.lower, rename)} {_fmt(self.upper)})"
 
 
 @_kind
@@ -657,9 +632,8 @@ class PhiMoment(_Node):
                 f"({' '.join(inner)}))")
 
 
-Expr = Union[Const, FbmSample, WienerInt, TimeIntB, TimeIntBSq,
-             RampMax, Indicator, PolyInVar, HermitePoly, Sum, Product,
-             Power, Exp, PhiMoment]
+Expr = Union[Const, FbmSample, WienerInt, TimeIntB, RampMax, Indicator,
+             PolyInVar, HermitePoly, Sum, Product, Power, Exp, PhiMoment]
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -700,14 +674,15 @@ def ramp_max(cap: float, args: Iterable) -> Expr:
     return RampMax(cap, args)
 
 
-def time_int_b(lower: Iterable, upper: float) -> Expr:
+def time_int_b(lower: Iterable, upper: float, power: int = 1) -> Expr:
+    """int_{max(lower)}^{upper} B_s^power ds; power 0 gives the ramp."""
+    if power == 0:
+        return ramp_max(upper, lower)
     lower = _split_args(lower)
     upper = float(upper)
-    if upper <= 0.0:
+    if upper <= 0.0 or not isinstance(lower[0], str) and lower[0] >= upper:
         return ZERO
-    if not isinstance(lower[0], str) and lower[0] >= upper:
-        return ZERO
-    return TimeIntB(lower, upper)
+    return TimeIntB(lower, upper, power)
 
 
 def make_sum(terms: Iterable[Expr]) -> Expr:
@@ -952,7 +927,7 @@ class GridPath:
         if self.values.shape[-1] != len(self.times):
             raise ValueError("values last axis must match the number of times")
         self._index = {t: i for i, t in enumerate(self.times)}
-        self._tails = {}  # upper-limit index -> integrals from each grid time
+        self._tails = {}  # (upper-limit index, power) -> integrals from each grid time
 
     def index_of(self, t: float) -> int:
         i = self._index.get(float(t))
@@ -963,8 +938,8 @@ class GridPath:
     def value(self, t: float):
         return self.values[..., self.index_of(t)]
 
-    def trapezoid(self, transform, lo: float, hi: float):
-        """Trapezoid rule of transform(B) from lo to the grid time hi.
+    def trapezoid(self, power: int, lo: float, hi: float):
+        """Trapezoid rule of B^power from lo to the grid time hi.
 
         A lo between grid times starts the rule at lo, from the value of
         the path's linear interpolant there.
@@ -978,30 +953,31 @@ class GridPath:
             a, b = self.times[i - 1], self.times[i]
             left, right = self.values[..., i - 1], self.values[..., i]
             at_lo = left + (right - left) * ((lo - a) / (b - a))
-            head = 0.5 * (transform(at_lo) + transform(right)) * (b - lo)
-            return head + self.trapezoid(transform, b, hi)
+            head = 0.5 * (_pow(at_lo, power) + _pow(right, power)) * (b - lo)
+            return head + self.trapezoid(power, b, hi)
         if j < i:
             raise ValueError("integral limits out of order")
         ts = np.asarray(self.times[i:j + 1])
-        vals = transform(self.values[..., i:j + 1])
-        return np.trapezoid(vals, ts, axis=-1)
+        return np.trapezoid(_pow(self.values[..., i:j + 1], power), ts, axis=-1)
 
-    def integral_from(self, lo, hi: float):
-        """int_lo^hi B ds on a single path for an array of lower limits, 0
-        where lo >= hi: the trapezoid rule summed back from hi, a lo between
+    def integral_from(self, lo, hi: float, power: int):
+        """int_lo^hi B^power ds on a single path for an array of lower limits,
+        0 where lo >= hi: the trapezoid rule summed back from hi, a lo between
         grid times starting from the linear interpolant as in trapezoid."""
         j = self.index_of(hi)
         ts, ys = np.asarray(self.times[:j + 1]), self.values[:j + 1]
-        if j not in self._tails:
-            cells = np.diff(ts) * (ys[1:] + ys[:-1]) / 2.0
-            self._tails[j] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        tail = self._tails.get((j, power))
+        if tail is None:
+            yp = _pow(ys, power)
+            cells = np.diff(ts) * (yp[1:] + yp[:-1]) / 2.0
+            tail = self._tails[j, power] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
         if np.min(lo) < ts[0]:
             raise ValueError("integral limits out of order")
         k = np.minimum(np.searchsorted(ts, lo, side="right"), j)  # t_{k-1} <= lo < t_k
         a, b = ts[k - 1], ts[k]
         at_lo = ys[k - 1] + (ys[k] - ys[k - 1]) * ((lo - a) / (b - a))
-        head = 0.5 * (at_lo + ys[k]) * (b - lo)
-        return np.where(lo < hi, head + self._tails[j][k], 0.0)
+        head = 0.5 * (_pow(at_lo, power) + _pow(ys[k], power)) * (b - lo)
+        return np.where(lo < hi, head + tail[k], 0.0)
 
     def stieltjes(self, weight, lo: float, hi: float):
         """Riemann-Stieltjes sum sum f(midpoint) dB over grid cells in [lo, hi]."""
@@ -1039,6 +1015,11 @@ def _max(xs):
     """max of floats, elementwise once an array is among them."""
     return (max(xs) if all(type(x) is float for x in xs)
             else functools.reduce(np.maximum, xs))
+
+
+def _pow(x, power: int):
+    """x^power as a product of power copies of x, so x^2 is x * x."""
+    return functools.reduce(operator.mul, [x] * power)
 
 
 def _batch_shape(bindings) -> tuple:

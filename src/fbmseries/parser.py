@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .functional import (
     Expr,
     TimeGrid,
-    TimeIntBSq,
     WienerInt,
     fbm_sample,
     make_exp,
@@ -176,9 +175,9 @@ class _Parser:
             if tok.text == "WI":
                 return self._wiener()
             if tok.text == "IB":
-                return self._time_int(squared=False)
+                return self._time_int(1)
             if tok.text == "IB2":
-                return self._time_int(squared=True)
+                return self._time_int(2)
             if tok.text == "exp":
                 self.advance()
                 self.expect_op("(")
@@ -214,7 +213,7 @@ class _Parser:
                              close.pos + 1)
         return WienerInt(PiecewisePoly.from_poly(coeffs, a, b), a, b)
 
-    def _time_int(self, squared: bool) -> Expr:
+    def _time_int(self, power: int) -> Expr:
         self.advance()
         self.expect_op("(")
         a = self.time()
@@ -225,7 +224,7 @@ class _Parser:
         if b <= a:
             raise ParseError("time integral needs a nonempty interval",
                              close.pos + 1)
-        return TimeIntBSq(a, b) if squared else time_int_b((a,), b)
+        return time_int_b((a,), b, power)
 
     def weight_poly(self) -> tuple:
         coeffs = {}

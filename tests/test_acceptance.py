@@ -17,7 +17,7 @@ from fbmseries.applications import (cir_mc_check, cir_small_t,
                                     lognormal_cf_series, lognormal_moment)
 from fbmseries.expformula import cir_fourth_order_integral, exp_series
 from fbmseries.fbm import McConfig, covariance, mc_expect, simulate
-from fbmseries.functional import (GridPath, TimeGrid, TimeIntBSq, evaluate,
+from fbmseries.functional import (GridPath, TimeGrid, evaluate,
                                   fbm_sample, freeze, make_exp, make_product,
                                   make_sum, directional, scale, time_int_b,
                                   to_sexpr)
@@ -319,7 +319,7 @@ def test_criterion_9_property_suite():
 
     # freezing is idempotent
     fs = [parse("B(0.5)^2*B(1)"), parse("exp(B(1))"),
-          make_sum([TimeIntBSq(0.0, 1.0), time_int_b((0.25,), 1.0)])]
+          make_sum([time_int_b((0.0,), 1.0, 2), time_int_b((0.25,), 1.0)])]
     checks["freeze idempotence"] = all(
         to_sexpr(freeze(freeze(g, r), r)) == to_sexpr(freeze(g, r))
         for g in fs for r in (0.25, 0.6))

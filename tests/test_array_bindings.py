@@ -81,17 +81,20 @@ class TestLeaves:
         check(expr, {"v": v, "w": w}, single_path())
 
     def test_time_integral_from_a_bound_lower_limit(self):
-        # limits on grid times, between them, at the upper limit and above it
+        # limits on grid times, between them, at the upper limit and above it;
+        # both powers on one path, whose cached tails must not mix them up
         path = single_path()
-        for upper in (0.125, 0.5, 0.75, 1.0):
-            check(TimeIntB((0.0, "u"), upper), {"u": GRID_VALUES}, path, exact=False)
-        assert evaluate(TimeIntB((0.0, "u"), 0.75), H, path,
-                        {"u": np.array([0.75, 0.8, 1.0])}).tolist() == [0.0] * 3
+        for power in (1, 2):
+            for upper in (0.125, 0.5, 0.75, 1.0):
+                check(TimeIntB((0.0, "u"), upper, power), {"u": GRID_VALUES}, path,
+                      exact=False)
+            assert evaluate(TimeIntB((0.0, "u"), 0.75, power), H, path,
+                            {"u": np.array([0.75, 0.8, 1.0])}).tolist() == [0.0] * 3
 
     def test_time_integral_keeps_a_constant_limit_strict(self):
         # the constant 0.1 is off the grid: an error once it is the lower
         # limit of an element, as for the scalar step, and fine otherwise
-        node = TimeIntB((0.1, "u"), 0.75)
+        node = TimeIntB((0.1, "u"), 0.75, 1)
         path = single_path()
         check(node, {"u": np.array([0.2, 0.3, 0.9])}, path, exact=False)
         with pytest.raises(OffGridTimeError):
@@ -131,7 +134,7 @@ class TestKernelMoments:
     def test_residual_integral_loops_over_the_partners(self):
         # a time integral from u is not a polynomial in u: one quadrature per
         # element, each the scalar one
-        node = PhiMoment((TimeIntB((0.0, "u"), 0.5),), "u", 0.0, 1.0, "v")
+        node = PhiMoment((TimeIntB((0.0, "u"), 0.5, 1),), "u", 0.0, 1.0, "v")
         check(node, {"v": np.array([0.2, 0.5, 0.9])}, single_path())
 
     def test_residual_integral_evaluates_one_array_per_gauss_panel(self, monkeypatch):
@@ -142,7 +145,7 @@ class TestKernelMoments:
             shapes.append(np.shape(bindings["u"]))
             return real(expr, h, path, bindings)
 
-        node = PhiMoment((TimeIntB((0.0, "u"), 0.5),), "u", 0.0, 1.0, "v")
+        node = PhiMoment((TimeIntB((0.0, "u"), 0.5, 1),), "u", 0.0, 1.0, "v")
         monkeypatch.setattr(functional, "evaluate", counting)
         node.quadrature(H, single_path(), {"v": 0.3})
         assert shapes and set(shapes) == {(24,)}
@@ -166,7 +169,7 @@ class TestShapes:
         ensemble = GridPath(TIMES, np.random.default_rng(2).normal(size=(24, len(TIMES))))
         nodes = np.linspace(0.0, 1.0, 24)
         for node in (make_product([Indicator("u", 0.0, 0.5), fbm_sample(0.5)]),
-                     TimeIntB((0.0, "u"), 1.0)):
+                     TimeIntB((0.0, "u"), 1.0, 1)):
             with pytest.raises(EvalError, match="single path"):
                 evaluate(node, H, ensemble, {"u": nodes})
             assert evaluate(node, H, ensemble, {"u": 0.25}).shape == (24,)

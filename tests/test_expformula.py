@@ -20,7 +20,6 @@ from fbmseries.functional import (
     GridPath,
     Indicator,
     TimeGrid,
-    TimeIntBSq,
     ZERO,
     evaluate,
     fbm_sample,
@@ -127,7 +126,7 @@ def test_square_integral_level_one_closed_form():
     # D_u D_v exp(-int_0^T B^2) at the zero path is -2 (T - max(u, v)), and
     # iint (T - max(u, v)) phi_H du dv = T^(2H+1)/(2H+1)
     big_t, h = 0.3, 0.7
-    f = make_exp(scale(TimeIntBSq(0.0, big_t), -1.0))
+    f = make_exp(scale(time_int_b((0.0,), big_t, 2), -1.0))
     res = exp_series(f, 0.0, big_t, h, 1, rel_tol=1e-11)
     got = evaluate(res.terms[1], h)
     want = -big_t ** (2 * h + 1) / (2 * h + 1)
@@ -156,7 +155,7 @@ def test_symbolic_terms_evaluate_like_pathwise_run():
 def test_stochastic_simplex_integrand_requires_single_path():
     # at r > 0 the frozen tail integrals keep unobserved v-dependence tied to
     # the path, which the simplex quadrature only supports path by path
-    f = make_exp(scale(TimeIntBSq(0.0, 1.0), -1.0))
+    f = make_exp(scale(time_int_b((0.0,), 1.0, 2), -1.0))
     with pytest.raises(EngineError):
         exp_series(f, 0.5, 1.0, 0.7, 1)
     vec = _random_path((0.0, 0.5, 1.0), n_paths=8)
@@ -172,7 +171,7 @@ def test_path_quadrature_between_grid_times():
     path = _random_path(coarse.times, seed=8)
     fine_times = coarse.refine(4).times
     fine = GridPath(fine_times, np.interp(fine_times, coarse.times, path.values))
-    f = make_product([TimeIntBSq(0.0, 1.0), fbm_sample(1.0)])
+    f = make_product([time_int_b((0.0,), 1.0, 2), fbm_sample(1.0)])
     got = exp_series(f, 0.3, 1.0, 0.7, 2, path=path)
     want = exp_series(f, 0.3, 1.0, 0.7, 2, path=fine)
     assert "quadrature" in got.diagnostics[1]["route"]

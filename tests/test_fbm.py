@@ -16,8 +16,7 @@ from fbmseries.fbm import (
     mc_expect,
     simulate,
 )
-from fbmseries.functional import (TimeGrid, TimeIntBSq, evaluate, make_exp, scale,
-                                  times)
+from fbmseries.functional import TimeGrid, evaluate, make_exp, scale, time_int_b, times
 from fbmseries.parser import parse
 
 from oracles import one_shot_ensemble
@@ -113,7 +112,7 @@ class TestPathBlocks:
     def test_cir_mc_check_is_the_one_shot_check(self, one_block):
         big_t, cfg = 0.3, McConfig(n_paths=2 * B + 1, seed=33, grid_refinement=2)
         ens = one_shot_ensemble(TimeGrid((0.0, big_t)).refine(4), 0.7, cfg)
-        f = make_exp(scale(TimeIntBSq(0.0, big_t), -1.0))
+        f = make_exp(scale(time_int_b((0.0,), big_t, 2), -1.0))
         fine = evaluate(f, 0.7, ens.as_grid_path())
         coarse = evaluate(f, 0.7, functional.GridPath(ens.grid.times[::2],
                                                       ens.values[:, ::2]))
@@ -176,7 +175,7 @@ class TestMcExpect:
     def test_unbound_variable_rejected(self):
         from fbmseries.functional import TimeIntB
         with pytest.raises(ValueError):
-            mc_expect(TimeIntB((0.0, "u"), 1.0), 0.7, McConfig(n_paths=10, seed=0))
+            mc_expect(TimeIntB((0.0, "u"), 1.0, 1), 0.7, McConfig(n_paths=10, seed=0))
 
     def test_moments_are_exactly_rounded_sums(self):
         e = simulate(TimeGrid((0.0, 0.5, 1.0)), 0.7, McConfig(n_paths=3000, seed=8))
@@ -220,3 +219,9 @@ class TestGridFor:
         # one path is fine for pathwise evaluation, not for a stderr
         with pytest.raises(ValueError):
             mc_expect(parse("B(1)"), 0.75, McConfig(n_paths=1, seed=0))
+
+    def test_single_path_ensemble_cannot_estimate_error(self):
+        # the ensemble's path count decides, not the config's
+        with pytest.raises(ValueError, match="standard error needs at least two paths"):
+            mc_expect(parse("B(1)"), 0.7, McConfig(n_paths=100),
+                      ensemble=simulate(TimeGrid((0.0, 1.0)), 0.7, McConfig(n_paths=1)))

@@ -25,7 +25,6 @@ from fbmseries.functional import (
     Sum,
     TimeGrid,
     TimeIntB,
-    TimeIntBSq,
     UnsupportedNodeError,
     WienerInt,
     ZERO,
@@ -129,8 +128,8 @@ class TestMalliavin:
 
     def test_time_integral_rules(self):
         assert directional(time_int_b((0.2,), 1.0), "u") == RampMax(1.0, (0.2, "u"))
-        d = directional(TimeIntBSq(0.0, 1.0), "u")
-        assert d == scale(TimeIntB((0.0, "u"), 1.0), 2.0)
+        d = directional(time_int_b((0.0,), 1.0, 2), "u")
+        assert d == scale(TimeIntB((0.0, "u"), 1.0, 1), 2.0)
 
     def test_chain_rule_exp(self):
         f = make_exp(fbm_sample(1.0))
@@ -170,7 +169,7 @@ class TestMalliavin:
     def test_finite_difference_continuous_functionals(self):
         # the bump direction is the indicator 1_{[u, .]}; its boundary node
         # carries half trapezoid weight, which makes the comparison exact
-        f = make_sum([TimeIntBSq(0.0, 1.0), time_int_b((0.25,), 1.0)])
+        f = make_sum([time_int_b((0.0,), 1.0, 2), time_int_b((0.25,), 1.0)])
         path = sample_path(3, times=tuple(np.linspace(0.0, 1.0, 41)))
         eps = 1e-6
         ts = np.asarray(path.times)
@@ -256,7 +255,7 @@ class TestFreeze:
 
     def test_freeze_symbolic_lower_limit(self):
         # (int_{max(a,u)}^b B ds frozen at r) = int_{max(a,u)}^r B ds + B_r (b - max(a,u,r))^+
-        e = TimeIntB((0.25, "u"), 1.0)
+        e = TimeIntB((0.25, "u"), 1.0, 1)
         fr = freeze(e, 0.5)
         path = sample_path(6)
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -307,7 +306,7 @@ class TestEvaluate:
         with pytest.raises(OffGridTimeError):
             evaluate(time_int_b((0.1, "u"), 1.0), path=coarse, bindings={"u": 0.05})
         with pytest.raises(OffGridTimeError):
-            evaluate(TimeIntBSq(0.1, 1.0), path=coarse)
+            evaluate(time_int_b((0.1,), 1.0, 2), path=coarse)
 
     def test_wiener_integral_linearity(self):
         path = sample_path(10)
@@ -445,7 +444,7 @@ class TestParser:
         assert parse("2*B(1)") == make_product([Const(2.0), FbmSample(1.0)])
         assert parse("B(1)-B(0.5)") == make_sum([FbmSample(1.0),
                                                  scale(FbmSample(0.5), -1.0)])
-        assert parse("IB2(0,1)") == TimeIntBSq(0.0, 1.0)
+        assert parse("IB2(0,1)") == time_int_b((0.0,), 1.0, 2)
 
     def test_grid_symbols(self):
         g = TimeGrid((0.0, 0.5, 1.0))
