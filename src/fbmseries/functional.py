@@ -85,8 +85,7 @@ def _forget(ref, table=_interned):
 
 
 def _exact(value):
-    """Key part of a plain field: nonzero floats as they are, anything else by
-    repr, which keeps 0.0 apart from -0.0 and 1 apart from 1.0."""
+    """Key part of a plain field (see _Node)."""
     return value if type(value) is float and value else repr(value)
 
 
@@ -97,8 +96,13 @@ class _Node:
     returns that node, so equality is identity and a node hashes by
     identity, in constant time, however large the subexpression below it.
     The intern table holds weak references, so an entry goes when its node
-    does.  It is not locked: two threads building equal nodes at once may
-    get two nodes, which collect_terms then keeps as separate terms.
+    does.  Its key is the kind, the fields, and one extra part per plain
+    field: a nonzero float as it is, anything else by repr, which keeps
+    0.0 apart from -0.0 and 1 apart from 1.0.  A kind with one plain field,
+    such as Const, builds that key inline, without the generic
+    comprehension.  The table is not locked: two threads building equal
+    nodes at once may get two nodes, which collect_terms then keeps as
+    separate terms.
     _plain lists the positions of the fields that hold plain values
     rather than nodes (see _kind); _plan caches the evaluation schedule of
     a node evaluated as a root.
@@ -125,7 +129,11 @@ class _Node:
 
     def __new__(cls, *args):
         plain = cls._plain
-        key = (cls, *args, *[_exact(args[i]) for i in plain]) if plain else (cls, *args)
+        if len(plain) == 1:  # _exact inlined for the hot one-field kinds
+            v = args[plain[0]]
+            key = (cls, *args, v if type(v) is float and v else repr(v))
+        else:
+            key = (cls, *args, *[_exact(args[i]) for i in plain])
         ref = _interned.get(key)
         if ref is not None:
             node = ref()
@@ -701,17 +709,19 @@ def make_sum(terms: Iterable[Expr]) -> Expr:
 
 def make_product(factors: Iterable[Expr]) -> Expr:
     flat = []
-    const = 1.0
+    const, lead = 1.0, ONE  # lead: a factor that is the node Const(const), if any
     for f in factors:
         for u in f.factors if isinstance(f, Product) else (f,):
             if isinstance(u, Const):
                 const *= u.value
+                if u.value == const:
+                    lead = u
             else:
                 flat.append(u)
     if const == 0.0:
         return ZERO
     if const != 1.0:
-        flat.insert(0, Const(const))
+        flat.insert(0, lead if lead.value == const else Const(const))
     if not flat:
         return ONE
     return flat[0] if len(flat) == 1 else Product(tuple(flat))
@@ -750,26 +760,31 @@ def collect_terms(expr: Expr) -> Expr:
     """Combine sum terms that agree up to a constant factor.
 
     Repeated differentiation of products grows sums exponentially unless
-    duplicates produced by the product rule are merged; nodes are interned,
-    so equal non-constant parts are the same node and key one bucket.
+    duplicates produced by the product rule are merged.  A term's bucket is
+    keyed by the tuple of its non-constant factors: nodes are interned, so
+    equal non-constant parts have equal tuples, and no node is built to
+    look a bucket up.  A term alone in its bucket is kept as it is, which
+    for the terms of a sum built by make_sum is the node a rebuild would
+    give; only a bucket that merges builds a node.  A sum with nothing to
+    merge comes back itself.  Buckets keep the order of first occurrence.
     """
     if not isinstance(expr, Sum):
         return expr
     buckets = {}
     for t in expr.terms:
-        coeff, rest = 1.0, t
-        if isinstance(t, Product) and isinstance(t.factors[0], Const):
-            coeff = t.factors[0].value
-            tail = t.factors[1:]
-            rest = tail[0] if len(tail) == 1 else Product(tail)
-        elif isinstance(t, Const):
-            coeff, rest = t.value, ONE
-        acc = buckets.get(rest)
+        key = t.factors if isinstance(t, Product) else (t,)
+        coeff, key = ((key[0].value, key[1:]) if isinstance(key[0], Const)
+                      else (1.0, key))
+        acc = buckets.get(key)
         if acc is None:
-            buckets[rest] = [coeff]
+            buckets[key] = [coeff, t]
         else:
             acc[0] += coeff
-    return make_sum([scale(r, c) for r, (c,) in buckets.items() if c != 0.0])
+            acc[1] = None
+    if len(buckets) == len(expr.terms):
+        return expr
+    return make_sum([make_product((Const(float(c)), *key)) if t is None else t
+                     for key, (c, t) in buckets.items() if c != 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -866,14 +881,15 @@ def freeze(expr: Expr, r: float) -> Expr:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times (t_0, ..., t_J) with t_0 = 0."""
+    """Strictly increasing finite times (t_0, ..., t_J) with t_0 = 0."""
 
     times: tuple
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.times)
-        if len(ts) < 2 or ts[0] != 0.0:
-            raise ValueError("grid must start at 0 and contain at least one cell")
+        if len(ts) < 2 or ts[0] != 0.0 or not all(0.0 <= t < math.inf for t in ts):
+            raise ValueError(f"grid times {ts} must be finite and >= 0, "
+                             "from 0, with at least one cell")
         for a, b in zip(ts, ts[1:]):
             if not (a < b):
                 raise ValueError("grid times must be strictly increasing")
@@ -900,8 +916,9 @@ class TimeGrid:
 
     @classmethod
     def covering(cls, times: Iterable[float]) -> "TimeGrid":
-        """Smallest grid carrying every positive time given, from 0."""
-        return cls(tuple([0.0] + sorted({t for t in map(float, times) if t > 0.0})))
+        """Smallest grid carrying every time given, from 0; a negative, NaN
+        or infinite time is an error, not a time to drop."""
+        return cls(tuple(sorted({0.0, *map(float, times)})))
 
     def refine(self, k: int) -> "TimeGrid":
         """Subdivide every cell into k equal parts, keeping every grid time."""
@@ -1123,7 +1140,7 @@ def _run(plan: tuple, root, h, path, bindings, shape) -> list:
 def _schedule(roots, cached=None) -> tuple:
     """(number of value slots, steps, root slots) evaluating roots.
 
-    A step (node, slot, arg, last) stores in slot the value of a node
+    A step [node, slot, arg, last] stores in slot the value of a node
     without operands (arg None) or of a unary node applied to the value in
     slot arg, or combines the value in slot arg into the sum or product
     accumulating in slot, which starts from its empty value; last holds
@@ -1131,28 +1148,33 @@ def _schedule(roots, cached=None) -> tuple:
     cached appears as None, so a schedule cached on it holds no reference
     back to it.
     """
-    slots, steps = {}, []
-    outs = [_emit(e, slots, steps) for e in roots]
-    out, read = [], set(outs)
-    for node, slot, arg in reversed(steps):
-        last = () if arg is None or arg in read else (arg,)
-        read.add(arg)
-        out.append((None if node is cached else node, slot, arg, last))
-    return len(slots), tuple(reversed(out)), outs
+    slots, steps, reader = {}, [], {}
+    outs = [_emit(e, slots, steps, reader) for e in roots]
+    for s in outs:
+        reader.pop(s, None)
+    for arg, step in reader.items():
+        step[3] = (arg,)
+    if cached is not None:
+        for step in steps:
+            if step[0] is cached:
+                step[0] = None
+    return len(slots), steps, outs
 
 
-def _emit(node: Expr, slots: dict, steps: list) -> int:
-    """Append the steps (node, slot, arg) computing node, unless already
-    scheduled; its slot."""
+def _emit(node: Expr, slots: dict, steps: list, reader: dict) -> int:
+    """Append the steps computing node, unless already scheduled, with
+    last left empty; reader maps each slot read to its latest reading step.
+    The node's slot."""
     slot = slots.get(id(node))
     if slot is not None:
         return slot
     slot = slots[id(node)] = len(slots)
     ops = node.operands()
     if not ops or node.combine is not None:
-        steps.append((node, slot, None))
+        steps.append([node, slot, None, ()])
     for c in ops:
-        steps.append((node, slot, _emit(c, slots, steps)))
+        steps.append(step := [node, slot, _emit(c, slots, steps, reader), ()])
+        reader[step[2]] = step
     return slot
 
 

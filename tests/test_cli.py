@@ -191,6 +191,15 @@ class TestExitCodes:
         assert doc["c2_integral"] == pytest.approx(doc["c2"], rel=1e-10)
         assert doc["approx"] == 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--hurst", "0.7", "--grid", "0,nan,1", "--mc.paths", "2"],
+        ["taylor", "--hurst", "0.7", "--r", "0.3", "--grid", "0,-0.5,1",
+         "--expr", "B(1)^2", "--order", "2", "--mc.paths", "2"],
+    ], ids=["nan", "negative"])
+    def test_invalid_grid_time_is_configuration(self, argv, capsys):
+        assert run_cli(argv)[0] == 2
+        assert "grid times" in capsys.readouterr().err
+
     def test_negative_moment_order_is_configuration(self):
         assert run_cli(["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "1",
                         "--p", "2", "--order", "-1"])[0] == 2

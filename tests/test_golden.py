@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI output against golden documents.
+"""Byte-for-byte CLI output and engine terms against golden documents.
 
 tests/golden/cli.json holds the stdout and exit code of a fixed set of CLI
 commands, as the package printed them before the derivative memo and the
@@ -11,15 +11,22 @@ deliberate change of output, run
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from fbmseries.cli import main
+from fbmseries.fbm import McConfig, simulate
+from fbmseries.functional import TimeGrid, evaluate, to_sexpr
+from fbmseries.parser import parse
+from fbmseries.taylor import backward_taylor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+ENGINES = pathlib.Path(__file__).parent / "golden" / "engines.json"
 
 COMMANDS = [
     ["taylor", "--hurst", "0.7", "--r", "0.3", "--grid", "0,0.25,0.5,0.75,1",
@@ -46,6 +53,39 @@ COMMANDS = [
 ]
 
 
+_G4 = "0,0.25,0.5,0.75,1"
+_G8 = ",".join(str(i / 8) for i in range(9))
+
+# (expr, grid, order) of backward_taylor at r = 0.3, H = 0.7
+ENGINE_CASES = [
+    ("exp(0.1*B(1.0))", _G4, 7),
+    ("exp(0.1*B(1.0))", _G8, 4),
+    ("exp(0.06*B(0.5)+0.08*B(1.0))", _G4, 6),
+    ("exp(0.025*B(0.25)+0.025*B(0.5)+0.025*B(0.75)+0.025*B(1.0))", _G4, 5),
+    ("B(0.5)^2*exp(0.1*B(1.0))", _G4, 5),
+    ("B(0.75)*exp(0.1*B(1.0))", _G4, 5),
+    ("B(0.25)*B(0.5)*B(0.75)*B(1.0)", _G4, 6),
+    ("B(0.5)^2*B(1.0)", _G4, 6),
+    ("B(0.5)^2*B(1.0)^2", _G4, 6),
+]
+
+
+def _engine_run(case):
+    """SHA-1 of each symbolic term's S-expression and the hex floats of the
+    terms on 8 paths drawn with seed 11."""
+    text, grid_text, order = case
+    r, h = 0.3, 0.7
+    grid = TimeGrid(tuple(float(t) for t in grid_text.split(",")))
+    terms = backward_taylor(parse(text), r, grid, order, h).terms
+    ens = simulate(TimeGrid.covering(grid.times + (r,)), h,
+                   McConfig(n_paths=8, seed=11))
+    values = evaluate(list(terms), h=h, path=ens.as_grid_path())
+    return {"case": "|".join(map(str, case)),
+            "sexpr_sha1": [hashlib.sha1(to_sexpr(t).encode()).hexdigest()
+                           for t in terms],
+            "values": [[float(x).hex() for x in np.ravel(v)] for v in values]}
+
+
 def _run(argv):
     out = io.StringIO()
     code = main(argv, stdout=out)
@@ -65,6 +105,19 @@ def test_cli_output_is_byte_identical(argv):
     assert _run(argv) == _golden()[" ".join(argv)]
 
 
+def test_engine_golden_covers_every_case():
+    assert [g["case"] for g in json.loads(ENGINES.read_text())] == [
+        "|".join(map(str, c)) for c in ENGINE_CASES]
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda c: f"{c[0]}-o{c[2]}")
+def test_engine_terms_are_bit_identical(case):
+    want = {g["case"]: g for g in json.loads(ENGINES.read_text())}
+    assert _engine_run(case) == want["|".join(map(str, case))]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([_run(a) for a in COMMANDS], indent=1) + "\n")
+    ENGINES.write_text(json.dumps([_engine_run(c) for c in ENGINE_CASES], indent=1)
+                       + "\n")

@@ -134,6 +134,38 @@ def test_backward_taylor_differentiates_each_node_once_per_time(monkeypatch):
     assert len(calls) == len(set(calls)) <= 10_000
 
 
+def _count_constructions(monkeypatch) -> list:
+    """The kinds of every node construction (intern lookups included) from now on."""
+    calls, real = [], functional._Node.__new__
+
+    def counted(cls, *args):
+        calls.append(cls)
+        return real(cls, *args)
+
+    monkeypatch.setattr(functional._Node, "__new__", counted)
+    return calls
+
+
+def test_backward_taylor_constructs_few_throwaway_nodes(monkeypatch):
+    # 70.3k constructions when collect_terms rebuilt every term it kept and
+    # keyed its buckets by interned products; 19.7k since
+    f, grid, h, _ = _memo_case()
+    calls = _count_constructions(monkeypatch)
+    backward_taylor(f, 0.3, grid, 8, h)
+    assert len(calls) <= 19_676 * 1.05
+
+
+def test_collect_terms_keeps_a_collected_sum(monkeypatch):
+    x, y = fbm_sample(0.5), fbm_sample(1.0)
+    xy = make_product([x, y])
+    s = collect_terms(make_sum([scale(x, 2.0), xy, functional.Const(1.5),
+                                scale(xy, 3.0), y]))
+    assert s == make_sum([scale(x, 2.0), scale(xy, 4.0), y, functional.Const(1.5)])
+    calls = _count_constructions(monkeypatch)
+    assert collect_terms(s) is s
+    assert calls == []
+
+
 def test_backward_taylor_leaves_no_reference_cycle():
     f, grid, h, path = _memo_case()
     gc.collect()
