@@ -15,34 +15,45 @@ removes two Malliavin derivatives.  The u-integrals commute with the
 outstanding derivatives and with freezing, so level i needs only the frozen
 2i-th derivative D_{u_i} D_{v_i} ... D_{u_1} D_{v_1} F (gamma^r): each u_k
 is integrated against phi_H(u_k, v_k) over the averaged range and the v's
-over the ordered simplex.  Four routes are tried per product term:
+over the ordered simplex.  Five routes are tried per product term:
 
-  * exact      - one v variable with piecewise-polynomial u and v factors:
-                 closed-form double kernel moments;
-  * factorized - the term splits into i identical single-level clusters g,
-                 so the symmetric simplex integral collapses to
-                 (int g dv)^i / i!;
-  * separable  - the term splits into single-level clusters g_k of
-                 piecewise-polynomial factors that are not all identical:
-                 the simplex integral of g_1(v_1) ... g_i(v_i) is an
-                 iterated running integral on the level's grid (below),
-                 with G_1 and each g_k in closed form at the nodes, so it
-                 costs O(i n) closed-form evaluations for n nodes;
-  * quadrature - the rest: each u_k is paired with phi_H(u_k, v_k) as a
-                 kernel integral, in closed form (for a whole array of v at
-                 once) when the u factors are piecewise polynomial and by
-                 singularity-absorbing panels otherwise.  At level 1 the
-                 v-integrand is evaluated once on each of the level's two
-                 grids, with v bound to the array of nodes; at levels 2 and
-                 3 nested adaptive panels cover the simplex.
+  * exact       - one v variable with piecewise-polynomial u and v factors:
+                  closed-form double kernel moments;
+  * factorized  - the term splits into i identical single-level clusters g,
+                  so the symmetric simplex integral collapses to
+                  (int g dv)^i / i!;
+  * separable   - the term splits into single-level clusters g_k of
+                  piecewise-polynomial factors that are not all identical:
+                  the simplex integral of g_1(v_1) ... g_i(v_i) is an
+                  iterated running integral on the level's grid (below),
+                  with G_1 and each g_k in closed form at the nodes, so it
+                  costs O(i n) closed-form evaluations for n nodes;
+  * quadrature  - the rest at level 1: u_1 is paired with phi_H(u_1, v_1)
+                  as a kernel integral, in closed form (for a whole array of
+                  v at once) when the u factors are piecewise polynomial and
+                  by singularity-absorbing panels otherwise, and the
+                  v-integrand is evaluated once on each of the level's two
+                  grids, with v bound to the array of nodes;
+  * symmetrized - the rest at levels i >= 2, when every factor holding
+                  level variables is a ramp or an indicator (the prefactor
+                  may read the path).  D^{2i} F is symmetric in its pairs of
+                  arguments, so the simplex integral of the level's term set
+                  is 1/i! times its integral over the cube [r, T]^i.  A ramp
+                  (cap - max(c, x, y, ...))^+ is int_c^cap 1{x < s} 1{y < s} ... ds,
+                  so at fixed s each level's (u_k, v_k) integral is a box
+                  moment of the kernel in closed form; what is left is an
+                  integral over the one or two s of the ramps that hold
+                  several level variables, on a Gauss grid graded toward the
+                  breaks and the diagonal, and its bisection.
 
 The level's grid has Gauss panels on [r, T], split at the level's break
 times and graded toward them, and comes with its refinement, every panel
 bisected.  The gap between the two, relative to the integral of the
-absolute integrand, is the separable and level-1 quadrature error; a gap
-above rel_tol raises EngineError.
+absolute integrand, is the error of the separable, level-1 quadrature and
+symmetrized routes; a gap above rel_tol raises EngineError.
 
-Terms outside all four routes raise EngineError.
+Terms outside all five routes raise EngineError, and exp_series checks
+every level for them before it integrates any.
 """
 
 from __future__ import annotations
@@ -75,16 +86,13 @@ from .functional import (
 )
 from .kernel import Interval, _hval, phi_poly_moment, poly_rect_integral
 from .quadrature import (PanelGrid, QuadratureError, bisected, graded_cuts,
-                         graded_points, nested_simplex, simplex_product)
+                         graded_points, simplex_product)
 from .results import SeriesResult
 from .special import beta_fn
 
 
 class EngineError(RuntimeError):
     """A level integrand falls outside every implemented integration route."""
-
-
-_MAX_SIMPLEX_DIM = 3
 
 
 def _vname(k: int) -> str:
@@ -109,29 +117,26 @@ def derivative_levels(f: Expr, order: int) -> list:
     return out
 
 
-def _term_split(term: Expr, i: int):
+def _separable(term: Expr, i: int):
     """Sort a product term's factors by the level variables they mention.
 
-    Returns (s_facs, per_level, coupled): factors free of every level
-    variable, per level-k the triple (u only, v only, u and v mixed), and
-    factors tying several levels together.
+    Returns (s_facs, per_level): factors free of every level variable, and
+    per level k the pair (u_k only, v_k only) of piecewise-polynomial
+    factors; None when a factor ties variables together or is not
+    piecewise polynomial, so that the term has no separable route.
     """
-    s_facs, coupled = [], []
-    per_level = [([], [], []) for _ in range(i)]
+    s_facs = []
+    per_level = [([], []) for _ in range(i)]
     for fac in product_factors(term):
         names = free_vars(fac)
         if not names:
             s_facs.append(fac)
             continue
-        levels = {int(n[2:]) for n in names}
-        if len(levels) > 1:
-            coupled.append(fac)
-            continue
-        k = levels.pop()
-        kinds = {n[1] for n in names}
-        slot = 2 if kinds == {"u", "v"} else (0 if kinds == {"u"} else 1)
-        per_level[k - 1][slot].append(fac)
-    return s_facs, per_level, coupled
+        if len(names) > 1 or not fac.pw:
+            return None
+        name = names.pop()
+        per_level[int(name[2:]) - 1][name[1] == "v"].append(fac)
+    return s_facs, per_level
 
 
 def _cluster_polys(u_facs, v_facs, k, r, big_t):
@@ -187,21 +192,15 @@ def _attach(s_expr, integral, path, hh):
     return integral * evaluate(s_expr, hh, path)
 
 
-def _quadrature_value(term, i, r, big_t, hh, path, rel_tol, level):
-    if i > _MAX_SIMPLEX_DIM:
-        raise EngineError(
-            f"level {i} falls back to simplex quadrature, implemented only "
-            f"up to dimension {_MAX_SIMPLEX_DIM}")
+def _quadrature_value(term, r, big_t, hh, path, rel_tol, level):
+    """Level 1 on the level's grid, u_1 paired with phi_H(u_1, v_1)."""
     s_facs = [f for f in product_factors(term) if not free_vars(f)]
     facs = [f for f in product_factors(term) if free_vars(f)]
-    for k in range(1, i + 1):
-        ivar = _uname(k)
-        uf = [f for f in facs if ivar in free_vars(f)]
-        if not uf:
-            raise EngineError(f"level-{i} term carries no {ivar} dependence")
-        facs = [f for f in facs if ivar not in free_vars(f)]
-        facs.append(_u_pair(uf, k, r, big_t))
-    g_expr = make_product(facs)
+    uf = [f for f in facs if _uname(1) in free_vars(f)]
+    if not uf:
+        raise EngineError(f"level-1 term carries no {_uname(1)} dependence")
+    g_expr = make_product([f for f in facs if _uname(1) not in free_vars(f)]
+                          + [_u_pair(uf, 1, r, big_t)])
     if not is_deterministic(g_expr):
         if path is None:
             raise EngineError(
@@ -209,18 +208,144 @@ def _quadrature_value(term, i, r, big_t, hh, path, rel_tol, level):
         if np.ndim(path.values) > 1:
             raise EngineError(
                 "stochastic simplex integrand supports single paths only")
-    # the frozen path's times are <= r, so what is left are the kinks of
-    # ramps, indicators and kernel moments
-    breaks = sorted(c for c in times(g_expr) if r < c < big_t)
-
-    def g(vs):
-        b = {_vname(k + 1): float(vs[k]) for k in range(i)}
-        return float(evaluate(g_expr, hh, path, b))
-
-    # level 1 on the level's grid, one array evaluate per grid
-    val = level.integral(g_expr, path, rel_tol) if i == 1 else \
-        nested_simplex(g, r, big_t, i, breaks=breaks, rel_tol=rel_tol)
+    val = level.integral(g_expr, path, rel_tol)
     return _attach(make_product(s_facs), val, path, hh), "quadrature"
+
+
+def _box_plan(term, i, r, big_t):
+    """A level-i term of the symmetrized route, cut up for its integral.
+
+    Returns (s_facs, scale, lims, weights): the factors free of level
+    variables; the constant of the single-variable factors (0 when one
+    vanishes); the s-range (floor, cap) of each ramp holding several level
+    variables; and per variable u_1, v_1, u_2, ... the pair (piecewise
+    polynomial on its range, index of its ramp or None).  Raises
+    EngineError for a term outside the route.
+    """
+    s_facs, single, ramps = [], {}, []
+    for f in product_factors(term):
+        names = free_vars(f)
+        if not names:
+            s_facs.append(f)
+        elif not f.pw:
+            raise EngineError(
+                f"no level-{i} route integrates the factor {to_sexpr(f)}: it reads "
+                f"the path or is not piecewise polynomial in its level variables")
+        elif len(names) == 1:
+            single.setdefault(names.pop(), []).append(f)
+        else:  # a ramp cap - max(floor, x, y, ...) = int_floor^cap 1{x, y, ... < s} ds
+            ramps.append(f)
+    slot = {n: j for j, f in enumerate(ramps) for n in free_vars(f)}
+    if len(ramps) > 2 or len(slot.keys() | single.keys()) < sum(
+            len(free_vars(f)) for f in product_factors(term)):
+        raise EngineError(f"a level-{i} term needs an s-integral of dimension "
+                          f"{len(ramps)} or holds a level variable in two factors; "
+                          f"the symmetrized route takes dimension 1 or 2 and one "
+                          f"factor per variable")
+    scale_val, weights = 1.0, []
+    for k in range(1, i + 1):
+        for name, lo in ((_uname(k), 0.0), (_vname(k), r)):
+            c, w = _combine_pwpoly(single.get(name, []), name, lo, big_t, None)
+            scale_val *= c
+            weights.append((w, slot.get(name)))
+    lims = [(max([0.0] + [a for a in f.args if not isinstance(a, str)]), f.cap)
+            for f in ramps]
+    return s_facs, scale_val, lims, weights
+
+
+def _check_level(prods, i, r, big_t):
+    """Raise EngineError, before any integral runs, unless each level-i term
+    (i >= 2) outside the exact, factorized and separable routes fits the
+    symmetrized one, and relabeling the levels maps the set of those terms
+    onto itself (the simplex-to-cube identity needs it).  Swaps of
+    neighbouring levels generate every relabeling, so they are the ones
+    tried."""
+    terms = [t for t in prods if i >= 2 and _separable(t, i) is None]
+    for t in terms:
+        _box_plan(t, i, r, big_t)
+
+    def key(k):  # the term set with levels k and k + 1 swapped (k = 0: as it is)
+        ren = {f"{c}{a}": f"{c}{b}" for a, b in ((k, k + 1), (k + 1, k))
+               for c in ("_u", "_v")} if k else None
+        return sorted(tuple(sorted(to_sexpr(f, ren) for f in product_factors(t)))
+                      for t in terms)
+
+    if any(key(k) != key(0) for k in range(1, i)):
+        raise EngineError(f"the level-{i} terms are not symmetric in the levels")
+
+
+def _box_moment(wu, cu, wv, cv, r, big_t, hh):
+    """1/2 (int_0^T + int_0^r) du int_r^T dv phi_H(u, v) wu(u) wv(v) 1{u < cu}
+    1{v < cv} for piecewise polynomials wu, wv and arrays of caps cu, cv,
+    a cap of None standing for none.  Two caps give int_0^A du int_r^B dv
+    phi_H = R(A, B) - R(A, r), R the fBm covariance."""
+    p, total = 2.0 * hh, 0.0
+    for a in ((big_t, r) if r > 0.0 else (big_t,)):
+        wua = wu.restrict(0.0, a)
+        if wua is None:
+            continue
+        if cu is None or cv is None:
+            # phi_H is symmetric, so a u-cap can be the v_hi of the swapped pair
+            total = total + poly_rect_integral(
+                *((wua, wv, hh, cv) if cu is None else (wv, wua, hh, cu)))
+        else:  # wu and wv are then the indicators of the two ranges
+            ca, cb = np.minimum(cu, a), np.clip(cv, r, big_t)
+            total = total + 0.5 * (np.abs(ca - r) ** p + cb ** p - r ** p
+                                   - np.abs(ca - cb) ** p)
+    return 0.5 * total
+
+
+# the symmetrized route's s-grid: panels graded toward each end of an
+# interval between breaks, their size ratio, and Gauss nodes per panel
+_S_GRADED, _S_RATIO, _S_NODES = 4, 0.2, 8
+
+
+def _balanced(points) -> list:
+    """The sorted points, with cuts added until no interval is more than
+    three times as long as a neighbour, each twice the neighbour's length
+    from their common end, down to 1e-4 of the whole span.  A kink just
+    past the end of a long interval then is no nearer to its panels than
+    their size, and one short interval adds at most about 13 cuts a side."""
+    pts = sorted(points)
+    for k in range(1, len(pts) - 1):
+        left, right = pts[k] - pts[k - 1], pts[k + 1] - pts[k]
+        if 3.0 * min(left, right) < max(left, right) \
+                and min(left, right) > 1e-4 * (pts[-1] - pts[0]):
+            return _balanced(pts + [pts[k] + 2.0 * (left if left < right else -right)])
+    return pts
+
+
+def _s_integral(g, lims, breaks, refine):
+    """[int g, int |g|] over the box of the s-ranges lims (one or two), on
+    Gauss panels between the sorted breaks (which hold the ends of lims),
+    graded toward each; refine bisects every panel.
+    g takes the list of s arrays.  In two dimensions each cell is split
+    into two triangles, the images of the unit square under the Duffy maps
+    (s_1, s_2) = c + (d_1 x, d_2 x y) and c + (d_1 x y, d_2 x), with their
+    apex c on the diagonal s_1 = s_2, where |s_1 - s_2|^(2H) bends, when
+    the cell has a corner there.  A bend at the apex then costs no more
+    than one at a panel's end."""
+    def axis(points):
+        cuts = graded_cuts(points, _S_GRADED, _S_RATIO)
+        return PanelGrid(bisected(cuts) if refine else cuts, _S_NODES)
+
+    pts = [[b for b in breaks if lo <= b <= hi] for lo, hi in lims]
+    if len(lims) == 1:
+        grid = axis(pts[0])
+        vals = g([grid.nodes])
+        return grid.integral(np.stack([vals, np.abs(vals)]))
+    unit = axis([0.0, 1.0])
+    x, y = unit.nodes[:, :, None, None], unit.nodes[None, None]
+    total = 0.0
+    for lo1, hi1 in zip(pts[0], pts[0][1:]):
+        for lo2, hi2 in zip(pts[1], pts[1][1:]):
+            # the apex: a corner on the diagonal if there is one
+            c1, c2 = next(((c, c) for c in (lo1, hi1) if c in (lo2, hi2)), (lo1, lo2))
+            d1, d2 = lo1 + hi1 - 2.0 * c1, lo2 + hi2 - 2.0 * c2
+            for s in ([c1 + d1 * x, c2 + d2 * x * y], [c1 + d1 * x * y, c2 + d2 * x]):
+                vals = g(s) * abs(d1 * d2) * x
+                total = total + unit.integral(unit.integral(np.stack([vals, np.abs(vals)])))
+    return total
 
 
 # the separable route's grid: panels graded toward each end of an interval
@@ -295,24 +420,52 @@ class _LevelGrid:
         size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], grid)
         return self._checked(vals, size, "separable simplex integral", rel_tol)
 
+    def symmetrized(self, term, i, rel_tol):
+        """(prefactor, value) of a level-i term of the symmetrized route.
+
+        The level's term set is symmetric in the levels (_check_level), so
+        its simplex integral is 1/i! times its integral over the cube
+        [r, T]^i.  With each ramp written as int_floor^cap 1{x, y, ... < s} ds,
+        the cube integral at fixed s factors over the levels into box
+        moments, and an integral over the one or two s is left.
+        """
+        s_facs, scale_val, lims, weights = _box_plan(term, i, self.r, self.big_t)
+        if scale_val == 0.0:  # exactly 0: no gap
+            return make_product(s_facs), self._checked((0.0, 0.0), 0.0, "", rel_tol)
+        breaks = _balanced({0.0, self.r, self.big_t}.union(
+            *[f.times() for f in product_factors(term) if free_vars(f)]))
+
+        def g(s):
+            return scale_val * math.prod(
+                _box_moment(wu, None if cu is None else s[cu],
+                            wv, None if cv is None else s[cv], self.r, self.big_t, self.hh)
+                for (wu, cu), (wv, cv) in zip(weights[::2], weights[1::2]))
+
+        vals, sizes = zip(*[_s_integral(g, lims, breaks, refine)
+                            for refine in (False, True)])
+        val = self._checked(vals, sizes[1], "symmetrized box-moment integral", rel_tol)
+        return make_product(s_facs), float(val) / math.factorial(i)
+
 
 def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
     """(value, route) for one frozen product term at level i >= 1."""
-    s_facs, per_level, coupled = _term_split(term, i)
-    if coupled or any(uv for _, _, uv in per_level) \
-            or not all(f.pw for u, v, _ in per_level for f in u + v):
-        return _quadrature_value(term, i, r, big_t, hh, path, rel_tol, level)
-    keys = [_canonical_cluster(u, v, k + 1) for k, (u, v, _) in enumerate(per_level)]
+    split = _separable(term, i)
+    if split is None:
+        if i == 1:
+            return _quadrature_value(term, r, big_t, hh, path, rel_tol, level)
+        return _attach(*level.symmetrized(term, i, rel_tol), path, hh), "symmetrized"
+    s_facs, per_level = split
+    keys = [_canonical_cluster(u, v, k + 1) for k, (u, v) in enumerate(per_level)]
     s_expr = make_product(s_facs)
     if len(set(keys)) == 1:
-        u, v, _ = per_level[0]
+        u, v = per_level[0]
         cluster = _cluster_value(_cluster_polys(u, v, 1, r, big_t), r, hh)
         if i == 1:
             return _attach(s_expr, cluster, path, hh), "exact"
         val = cluster ** i / math.factorial(i)
         return _attach(s_expr, val, path, hh), "factorized"
     clusters = [_cluster_polys(u, v, k + 1, r, big_t)
-                for k, (u, v, _) in enumerate(per_level)]
+                for k, (u, v) in enumerate(per_level)]
     val = level.separable(clusters, keys, rel_tol)
     return _attach(s_expr, val, path, hh), "separable"
 
@@ -351,8 +504,10 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     observed samples (stochastic simplex integrands then raise
     EngineError).  diagnostics[i] records the routes taken and the number
     of product terms at level i, and under "error" the largest relative
-    error the level's grid reached there (separable terms, and quadrature
-    terms at level 1), if any term used it.
+    error the level's grid reached there (separable and symmetrized terms,
+    and quadrature terms at level 1), if any term used it.  A level with a
+    term outside every route raises EngineError before any level is
+    integrated.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)
@@ -365,14 +520,16 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     if max(times(f), default=0.0) > big_t * (1.0 + 1e-12):
         raise ValueError("functional looks beyond the declared horizon")
 
-    terms, sums, diags = [], [], []
-    x = f
-    running = None
+    levels, x = [], f
     for i in range(order + 1):
         if i:
             x = second_derivative(x, i)
         frozen = collect_terms(make_sum(expand(freeze(x, r))))
-        prods = [t for t in sum_terms(frozen) if t != ZERO]
+        levels.append([t for t in sum_terms(frozen) if t != ZERO])
+        _check_level(levels[-1], i, r, big_t)
+    terms, sums, diags = [], [], []
+    running = None
+    for i, prods in enumerate(levels):
         val, route, error = _level_value(prods, i, r, big_t, hh, path, rel_tol)
         terms.append(val)
         if path is None:

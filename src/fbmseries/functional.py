@@ -1219,7 +1219,9 @@ def _name(n, rename) -> str:
 
 
 def _args(args, rename) -> str:
-    return " ".join(_name(a, rename) if isinstance(a, str) else _fmt(a) for a in args)
+    # names stay sorted after renaming, so that relabeled arguments match
+    names = sorted(_name(a, rename) for a in args if isinstance(a, str))
+    return " ".join([_fmt(a) for a in args if not isinstance(a, str)] + names)
 
 
 def to_sexpr(expr: Expr, rename: "dict | None" = None) -> str:

@@ -184,31 +184,3 @@ def simplex_product(first, gs, grid: PanelGrid) -> float:
     for g in gs[:-1]:
         acc = grid.running(g * acc)
     return float(grid.integral(gs[-1] * acc))
-
-
-def nested_simplex(f, r: float, t_final: float, dim: int, breaks=(),
-                   rel_tol: float = 1e-8, n: int = 24, max_depth: int = 10):
-    """Integral of f(v_1..v_dim) over the ordered simplex r <= v_1 <= ... <= v_dim <= T.
-
-    Iterated one-dimensional adaptive panels, innermost first; f takes a
-    tuple of floats.  Meant for low dimension (<= 3).
-    """
-    if dim < 1:
-        raise ValueError("simplex dimension must be >= 1")
-
-    def level(k, lower, fixed):
-        # integrate v_k from lower to T with v_{k+1..dim} already fixed
-        def g(vs):
-            out = []
-            for v in np.atleast_1d(vs):
-                if k == 1:
-                    out.append(f((float(v),) + fixed))
-                else:
-                    out.append(level(k - 1, lower, (float(v),) + fixed))
-            return np.asarray(out, dtype=float)
-
-        hi = fixed[0] if fixed else t_final
-        return adaptive_panels(g, lower, hi, breaks=breaks, rel_tol=rel_tol,
-                               n=n, max_depth=max_depth)
-
-    return level(dim, r, ())

@@ -181,6 +181,20 @@ class TestExitCodes:
                            "--order", "1", "--mc.paths", "2"])
         assert code == 3
 
+    def test_path_reading_level_factor_fails_fast(self, capsys):
+        # a coupled level-2 term of exp(-IB2(0,1)) at r > 0 holds a time
+        # integral of the path, which no route integrates; the engine says
+        # so before it spends seconds on level 1
+        import time
+
+        t0 = time.perf_counter()
+        code, _ = run_cli(["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+                           "--expr", "exp(-IB2(0,1))", "--order", "2",
+                           "--mc.paths", "1", "--mc.seed", "1"])
+        assert code == 3
+        assert time.perf_counter() - t0 < 2.0
+        assert "(IB (max 0.0 _u1) 0.3)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("big_t", ["1e-66", "1e-70"])
     def test_cir_where_the_fourth_order_scale_leaves_the_normal_floats(self, big_t):
         # T^(4H+2) is subnormal at 1e-66 and underflows to 0 at 1e-70

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fbmseries import expformula, functional, quadrature
+from fbmseries.applications import cir_small_t
 from fbmseries.expformula import (
     EngineError,
     assumption_b_sequence,
@@ -21,7 +22,9 @@ from fbmseries.functional import (
     Indicator,
     TimeGrid,
     ZERO,
+    collect_terms,
     evaluate,
+    expand,
     fbm_sample,
     free_vars,
     freeze,
@@ -30,6 +33,7 @@ from fbmseries.functional import (
     make_product,
     make_sum,
     scale,
+    sum_terms,
     time_int_b,
 )
 from fbmseries.parser import parse
@@ -459,3 +463,161 @@ def test_level_one_quadrature_evaluates_once_per_grid(monkeypatch):
     res = exp_series(parse("IB2(0,1)"), 0.0, 1.0, 0.7, 1)
     assert res.diagnostics[1]["route"] == "quadrature"
     assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("big_t", [1.0, 0.5])
+@pytest.mark.parametrize("h", [0.51, 0.6, 0.7, 0.8, 0.95])
+def test_symmetrized_level_two_is_the_cir_coefficient(h, big_t):
+    # at r = 0 level 2 of exp(-int_0^T B^2) is E[(int_0^T B^2)^2] / 2, the
+    # T^(4H+2) coefficient of the small-T expansion; two of its three terms
+    # tie the levels together, so it takes the symmetrized route
+    res = exp_series(parse(f"exp(-IB2(0,{big_t}))"), 0.0, big_t, h, 2)
+    assert res.diagnostics[2]["route"] == "symmetrized"
+    assert 0.0 < res.diagnostics[2]["error"] <= 1e-9
+    want = cir_small_t(big_t, h).c2 * big_t ** (4.0 * h + 2.0)
+    assert float(evaluate(res.terms[2], h)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_square_integral_squared_terminates_at_twice_c2():
+    # E[(int_0^1 B^2)^2] = 2 c2, and D^6 of a quartic vanishes
+    h = 0.7
+    res = exp_series(parse("IB2(0,1)^2"), 0.0, 1.0, h, 3)
+    assert res.diagnostics[3]["route"] == "vanishes"
+    got = float(evaluate(res.value, h))
+    assert got == pytest.approx(2.0 * cir_small_t(1.0, h).c2, rel=1e-10, abs=0.0)
+
+
+def _double_integral(g, points):
+    """iint g(s, t) ds dt over [points[0], points[-1]]^2 for a g that bends
+    at the points and on the diagonal: graded Gauss rules on the cells
+    between the points, with the inner range of a diagonal cell split at s."""
+    xs, ws = _unit_rule(n_graded=8)
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        s, sw = (a + (b - a) * xs)[:, None], (b - a) * ws
+        for c, d in zip(points, points[1:]):
+            pieces = [(c, d)] if c != a else [(a, s), (s, b)]
+            for lo, hi in pieces:
+                t, tw = lo + (hi - lo) * xs, (hi - lo) * ws
+                total += np.sum(sw * np.sum(tw * g(s, t), axis=-1))
+    return total
+
+
+def _isserlis_cases():
+    # (functional, its level-2 Gaussian moment given C and h): (int_0^1 B^2)^2
+    # has only coupled ramps; int_a^b B^2 B_c^2 adds indicator weights
+    def square(cov, h, r):
+        q = 2.0 * h + 1.0
+        trace = (1.0 - r ** q) / q - r ** (2.0 * h) * (1.0 - r)
+        return 2.0 * _double_integral(lambda s, t: cov(s, t) ** 2, sorted({0.0, r, 1.0})) \
+            + trace ** 2
+
+    def times_sample(cov, h, r):
+        # int_.2^.9 (C(s,s) C(c,c) + 2 C(s,c)^2) ds at c = .6
+        xs, ws = _unit_rule(n_graded=8)
+        pts = sorted({0.2, 0.6, 0.9} | ({r} if 0.2 < r < 0.9 else set()))
+        return sum(np.sum((b - a) * ws * (cov(s, s) * cov(0.6, 0.6) + 2.0 * cov(s, 0.6) ** 2))
+                   for a, b in zip(pts, pts[1:]) for s in [a + (b - a) * xs])
+
+    return [("IB2(0,1)^2", square), ("IB2(0.2,0.9)*B(0.6)^2", times_sample)]
+
+
+@pytest.mark.parametrize("text,moment", _isserlis_cases(), ids=["square", "times_sample"])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.9])
+def test_symmetrized_level_two_is_the_isserlis_moment(text, moment, r, h):
+    # the level-2 terms of a quartic in B are deterministic; they sum to the
+    # Gaussian fourth moment of the part of the path not frozen at r, whose
+    # covariance is C(s, t) = R(s, t) - R(s ^ r, t ^ r).  Level 1 reads the
+    # path at r > 0, so level 2 is taken on its own
+    p = 2.0 * h
+
+    def cov_r(s, t):
+        return 0.5 * (s ** p + t ** p - np.abs(s - t) ** p)
+
+    def cov(s, t):
+        return cov_r(s, t) - cov_r(np.minimum(s, r), np.minimum(t, r))
+
+    d2 = derivative_levels(parse(text), 2)[2]
+    prods = list(sum_terms(collect_terms(make_sum(expand(freeze(d2, r))))))
+    val, route, error = expformula._level_value(prods, 2, r, 1.0, h, None, 1e-9)
+    assert route == "symmetrized" and error <= 1e-9
+    want = moment(cov, h, r)
+    assert float(evaluate(val, h)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.9])
+def test_symmetrized_level_three_is_the_sixth_moment(h):
+    # at r = 0 the series of int_0^1 B^2 B_c^4 stops at level 3, whose 15
+    # terms hold one ramp each: E[X^2 Y^4] = 3 a c^2 + 12 b^2 c for X = B_s,
+    # Y = B_c, a = Var X, b = Cov(X, Y), c = Var Y, integrated over s
+    p, c = 2.0 * h, 0.5
+
+    def cov(s, t):
+        return 0.5 * (s ** p + t ** p - np.abs(s - t) ** p)
+
+    xs, ws = _unit_rule(n_graded=8)
+    want = sum(np.sum((b - a) * ws * (3.0 * cov(s, s) * cov(c, c) ** 2
+                                      + 12.0 * cov(s, c) ** 2 * cov(c, c)))
+               for a, b in ((0.0, c), (c, 1.0)) for s in [a + (b - a) * xs])
+    res = exp_series(parse(f"IB2(0,1)*B({c})^4"), 0.0, 1.0, h, 4)
+    assert [d["route"] for d in res.diagnostics[1:]] == [
+        "vanishes", "vanishes", "symmetrized", "vanishes"]
+    assert float(evaluate(res.value, h)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_symmetrized_route_runs_path_by_path_on_an_ensemble():
+    # at r = 0.3 the level-2 terms of exp(-int_.3^1 B^2) mix single-variable
+    # and coupled ramps under the random prefactor exp(-0.7 B(.3)^2); the
+    # route's integrals do not read the path, so an ensemble takes it at once
+    times = (0.0, 0.15, 0.3, 0.65, 1.0)
+    ens = _random_path(times, n_paths=8, seed=17)
+    f = parse("exp(-IB2(0.3,1))")
+    res = exp_series(f, 0.3, 1.0, 0.7, 2, path=ens)
+    assert "symmetrized" in res.diagnostics[2]["route"]
+    assert abs(res.terms[2]).min() > 1e-3
+    for k in range(8):
+        one = exp_series(f, 0.3, 1.0, 0.7, 2, path=GridPath(times, ens.values[k]))
+        for many, single in zip(res.terms, one.terms):
+            assert many[k] == pytest.approx(single, rel=1e-14, abs=0.0)
+
+
+def test_symmetrized_route_raises_above_its_tolerance():
+    # the route's grid gap is the level's error; no grid reaches 1e-16 (at
+    # r = 0 level 1 of this quartic vanishes, so level 2 is the first to try)
+    f = parse("IB2(0,1)^2")
+    gap = exp_series(f, 0.0, 1.0, 0.7, 2).diagnostics[2]["error"]
+    with pytest.raises(EngineError, match="symmetrized") as err:
+        exp_series(f, 0.0, 1.0, 0.7, 2, rel_tol=1e-16)
+    assert f"{gap:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("text,order,r,match", [
+    # three ramps tie the levels together at level 3: an s-integral of
+    # dimension 3
+    ("exp(-IB2(0,1))", 3, 0.0, "dimension 3"),
+    # at r > 0 a coupled level-2 term holds a time integral of the path
+    ("IB2(0,1)^2*B(0.5)", 2, 0.3, "reads the path"),
+])
+def test_terms_outside_every_route_fail_before_any_integral(monkeypatch, text, order,
+                                                             r, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was integrated")
+
+    monkeypatch.setattr(expformula, "_level_value", refuse)
+    with pytest.raises(EngineError, match=match):
+        exp_series(parse(text), r, 1.0, 0.7, order)
+
+
+def test_symmetrized_route_needs_a_symmetric_term_set():
+    # relabeling the levels maps (u1 v2)(u2)(v1) to (u2 v1)(u1)(v2), which
+    # is not in the set: the simplex-to-cube identity does not hold for it
+    from fbmseries.functional import ramp_max
+
+    term = make_product([ramp_max(1.0, (0.0, "_u1", "_v2")), ramp_max(1.0, (0.0, "_u2")),
+                         ramp_max(1.0, (0.0, "_v1"))])
+    with pytest.raises(EngineError, match="not symmetric"):
+        expformula._check_level([term], 2, 0.0, 1.0)
+    twin = make_product([ramp_max(1.0, (0.0, "_u2", "_v1")), ramp_max(1.0, (0.0, "_u1")),
+                         ramp_max(1.0, (0.0, "_v2"))])
+    expformula._check_level([term, twin], 2, 0.0, 1.0)

@@ -4,7 +4,9 @@ tests/golden/cli.json holds the stdout and exit code of a fixed set of CLI
 commands, as the package printed them before the derivative memo and the
 joint evaluation schedule went into the backward Taylor engine; the
 `expform` entry on exp(0.5*B(1))*B(0.5), whose levels from 2 up take the
-separable route, as the package first printed it with that route.  A
+separable route, as the package first printed it with that route; and the
+`expform` entry on exp(-IB2(0,1)), whose level 2 takes the symmetrized
+route, as the package first printed it with that route.  A
 change that keeps the numbers keeps every byte.  To rewrite the goldens after a
 deliberate change of output, run
 
@@ -46,6 +48,8 @@ COMMANDS = [
     ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.25",
      "--expr", "exp(0.5*B(1))*B(0.5)", "--order", "3", "--mc.paths", "1",
      "--mc.seed", "5", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0",
+     "--expr", "exp(-IB2(0,1))", "--order", "2", "--format", "json"],
     ["simulate", "--hurst", "0.7", "--T", "1", "--grid", "0,0.25,0.5,0.75,1",
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "2000",

@@ -7,7 +7,7 @@ import pytest
 
 from fbmseries.kernel import phi_antiderivative
 from fbmseries.quadrature import (PanelGrid, QuadratureError, adaptive_panels,
-                                  graded_cuts, graded_points, nested_simplex,
+                                  graded_cuts, graded_points,
                                   phi_weighted_integral, simplex_product)
 
 
@@ -24,20 +24,6 @@ def test_phi_weighted_unit_integrand_is_the_antiderivative(v):
     got = phi_weighted_integral(lambda us: np.ones_like(np.asarray(us)),
                                 0.1, 0.9, v, h)
     assert got == pytest.approx(phi_antiderivative(0.1, 0.9, v, h), rel=1e-10)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_nested_simplex_volume(dim):
-    r, t = 0.2, 1.0
-    got = nested_simplex(lambda vs: 1.0, r, t, dim, n=8)
-    assert got == pytest.approx((t - r) ** dim / math.factorial(dim), rel=1e-12)
-
-
-def test_nested_simplex_symmetric_product_is_half_the_square():
-    r, t = 0.2, 1.0
-    got = nested_simplex(lambda vs: math.exp(vs[0]) * math.exp(vs[1]), r, t, 2,
-                         rel_tol=1e-12)
-    assert got == pytest.approx((math.exp(t) - math.exp(r)) ** 2 / 2.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("toward_start", [True, False])
