@@ -259,8 +259,8 @@ def _check_level(prods, i, r, big_t):
     symmetrized one, and relabeling the levels maps the set of those terms
     onto itself (the simplex-to-cube identity needs it).  Swaps of
     neighbouring levels generate every relabeling, so they are the ones
-    tried."""
-    terms = [t for t in prods if i >= 2 and _separable(t, i) is None]
+    tried.  At r = T every level >= 1 is 0, and nothing is checked."""
+    terms = [t for t in prods if i >= 2 and r < big_t and _separable(t, i) is None]
     for t in terms:
         _box_plan(t, i, r, big_t)
 
@@ -451,6 +451,10 @@ def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
     """(value, route) for one frozen product term at level i >= 1."""
     split = _separable(term, i)
     if split is None:
+        if r == big_t:  # the v-range [r, T] is empty: exactly 0, no gap
+            s_expr = make_product([f for f in product_factors(term) if not free_vars(f)])
+            val = level._checked((0.0, 0.0), 0.0, "", rel_tol)
+            return _attach(s_expr, val, path, hh), "quadrature" if i == 1 else "symmetrized"
         if i == 1:
             return _quadrature_value(term, r, big_t, hh, path, rel_tol, level)
         return _attach(*level.symmetrized(term, i, rel_tol), path, hh), "symmetrized"
@@ -507,7 +511,8 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     error the level's grid reached there (separable and symmetrized terms,
     and quadrature terms at level 1), if any term used it.  A level with a
     term outside every route raises EngineError before any level is
-    integrated.
+    integrated.  At r = T the v-range [r, T] is empty, so every level >= 1
+    is exactly 0.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)
@@ -544,10 +549,6 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
                         diagnostics=diags)
 
 
-# the most values one block of v2 rows of the quadrature cross-check holds (1 MB)
-_CIR_BLOCK = 1 << 17
-
-
 def _cir_ordered_integrals(big_t, hh, refine):
     """(I1, I2, I3) of cir_fourth_order_integral on one tensor-product Gauss
     grid, or on it with every panel bisected when refine."""
@@ -561,55 +562,45 @@ def _cir_ordered_integrals(big_t, hh, refine):
         graded_points(0.0, big_t, 3, ratio=0.15),
         graded_cuts([0.0, 1.0], 8, 0.2),
         graded_cuts([0.0, 1.0], 3, 0.15)))
-    # u = v1 - x^kappa with x = v1^p y, so x^kappa = v1 y^kappa and the
-    # innermost du phi_H(u, v1) becomes hh v1^p dy
+    # u = v1 - x^kappa with x = v1^p y, so x^kappa = v1 rest with
+    # rest = 1 - y^kappa, and the innermost du phi_H(u, v1) becomes hh v1^p dy;
+    # then v2 - u = v2 (1 - s rest) and v1 - u = v1 (1 - rest), so the
+    # y-integrals are functions of s alone, taken once on the (s, y) grid
     rest = 1.0 - gy.nodes ** kappa
+    s_rest = gs.nodes[..., None, None] * rest
+    lead = -np.expm1(p * np.log1p(-s_rest))  # 1 - (1 - s rest)^p
+    tail = (1.0 - rest) * (1.0 - s_rest) ** (2.0 * hh - 2.0)
+    # A(s), B(s), C(s), D(s): the y-integrals of lead, rest lead, tail, rest tail
+    a, b, c, d = gy.integral(np.stack([lead, rest * lead, tail, rest * tail]))
+    # v1 = s v2 maps the triangle v1 <= v2 to the unit square, jacobian v2
+    v2 = g2.nodes[..., None, None]
+    v1 = v2 * gs.nodes
 
-    def m0(a, b, v2):
-        # int_a^b phi_H(u, v2) du for 0 <= a <= b <= v2
-        return hh * ((v2 - a) ** p - (v2 - b) ** p)
+    def m0(lo, hi):
+        # int_lo^hi phi_H(u, v2) du for 0 <= lo <= hi <= v2
+        return hh * ((v2 - lo) ** p - (v2 - hi) ** p)
 
-    def m1(a, b, v2):
-        # int_a^b u phi_H(u, v2) du via the elementary antiderivative
+    def m1(lo, hi):
+        # int_lo^hi u phi_H(u, v2) du via the elementary antiderivative
         def anti(u):
             return k2 * ((v2 - u) ** (2.0 * hh) / (2.0 * hh)
                          - v2 * (v2 - u) ** p / p)
 
-        return anti(b) - anti(a)
+        return anti(hi) - anti(lo)
 
-    def inner1(v1, v2):
-        # innermost u2-integral exact, u1 substituted
-        e1, e2 = v1[..., None, None], v2[..., None, None]
-        u1 = e1 * rest
-        g = ((big_t - u1) + 2.0 * (big_t - e1)) * (e2 ** p - (e2 - u1) ** p)
-        return hh * hh * v1 ** p * (big_t - v2) * gy.integral(g)
-
-    def inner2(v1, v2):
-        c0 = big_t * (big_t - v2) + 2.0 * (big_t - v1) * (big_t - v2)
-        c1 = -(big_t - v2)
-        exact = hh * v1 ** p * (c0 * m0(0.0, v1, v2) + c1 * m1(0.0, v1, v2))
-        # the piece carrying (v1 - u2)^(2H-1) has no closed form; substitute
-        e1, e2 = v1[..., None, None], v2[..., None, None]
-        u2 = e1 * rest
-        g = (e1 - u2) * (e2 - u2) ** (2.0 * hh - 2.0) \
-            * (c0[..., None, None] + c1[..., None, None] * u2)
-        return exact - hh * k2 * kappa * v1 ** p * gy.integral(g)
-
-    def inner3(v1, v2):
-        c0 = 2.0 * big_t * (big_t - v2) + (big_t - v1) * (big_t - v2)
-        c1 = -2.0 * (big_t - v2)
-        return hh * v1 ** p * (c0 * m0(v1, v2, v2) + c1 * m1(v1, v2, v2))
-
-    # v1 = s v2 maps the triangle v1 <= v2 to the unit square, jacobian v2
-    v2s = g2.nodes.reshape(-1, 1, 1)
-    rows = max(1, _CIR_BLOCK // (gs.nodes.size * gy.nodes.size))
-
-    def integral(inner):
-        vals = [vb.ravel() * gs.integral(inner(vb * gs.nodes, vb))
-                for vb in np.split(v2s, range(rows, len(v2s), rows))]
-        return 4.0 * g2.integral(np.concatenate(vals).reshape(g2.nodes.shape))
-
-    return np.array([integral(inner) for inner in (inner1, inner2, inner3)])
+    # innermost u2-integral exact, u1 substituted
+    inner1 = hh * hh * v1 ** p * (big_t - v2) * v2 ** p \
+        * ((3.0 * big_t - 2.0 * v1) * a - v1 * b)
+    c0 = big_t * (big_t - v2) + 2.0 * (big_t - v1) * (big_t - v2)
+    c1 = -(big_t - v2)
+    # the piece carrying (v1 - u2)^(2H-1) has no closed form; substituted
+    inner2 = hh * v1 ** p * (c0 * m0(0.0, v1) + c1 * m1(0.0, v1)) \
+        - hh * k2 * kappa * v1 ** (p + 1.0) * v2 ** (2.0 * hh - 2.0) * (c0 * c + c1 * v1 * d)
+    c0 = 2.0 * big_t * (big_t - v2) + (big_t - v1) * (big_t - v2)
+    c1 = -2.0 * (big_t - v2)
+    inner3 = hh * v1 ** p * (c0 * m0(v1, v2) + c1 * m1(v1, v2))
+    return np.array([4.0 * g2.integral(g2.nodes * gs.integral(inner))
+                     for inner in (inner1, inner2, inner3)])
 
 
 def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
@@ -633,11 +624,13 @@ def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
     innermost u-integral by exact kernel moments, the one against
     phi_H(u, v1) after x = (v1 - u)^(2H-1), and the rest on one
     tensor-product Gauss grid in v2, s = v1 / v2 and y = x / v1^(2H-1)
-    (v2 graded toward 0, s and y toward both ends), evaluated a block of
-    v2 rows at a time.  The same sums on the grid with every panel
-    bisected on all three axes are returned; their gap to the first,
-    relative to sum |I_k|, is the error estimate, and a gap above rel_tol
-    raises QuadratureError carrying it in .achieved.
+    (v2 graded toward 0, s and y toward both ends).  Every y-dependent
+    factor is a power of v1 or v2 times a function of (s, y), so the
+    y-sums are taken first, once per s node, and the rest is a sum on the
+    (v2, s) grid.  The same sums on the grid with every panel bisected on
+    all three axes are returned; their gap to the first, relative to
+    sum |I_k|, is the error estimate, and a gap above rel_tol raises
+    QuadratureError carrying it in .achieved.
     """
     hh = _hval(h)
     big_t = float(big_t)

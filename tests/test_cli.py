@@ -108,6 +108,21 @@ class TestSubcommands:
         assert calls == [True]
         assert json.loads(out)["n_paths"] == 1
 
+    @pytest.mark.parametrize("expr,order", [("IB2(0,1)^2", 1), ("exp(-IB2(0,1))", 2)])
+    def test_expform_at_the_horizon_has_only_level_zero(self, expr, order):
+        # at r = T every level >= 1 integrates over the empty range [r, T]
+        def run(k):
+            code, out = run_cli(["expform", "--hurst", "0.7", "--T", "1", "--r", "1",
+                                 "--expr", expr, "--order", str(k), "--mc.paths", "1",
+                                 "--mc.seed", "5", "--format", "json"])
+            assert code == 0
+            return json.loads(out)
+
+        doc = run(order)
+        assert doc["terms"][1:] == [0.0] * order
+        # level 0 is F on the simulated path, as the level-0 series has it
+        assert doc["partial_sums"] == [run(0)["value"]] * (order + 1)
+
     def test_merton_csv_schema(self):
         code, out = run_cli(["merton", "--hurst", "0.75", "--T", "1",
                              "--order", "5", "--format", "csv"])

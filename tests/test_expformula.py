@@ -385,7 +385,7 @@ def test_separable_route_raises_above_its_tolerance():
 
 
 @pytest.mark.parametrize("big_t", [0.01, 1.0, 2.0])
-@pytest.mark.parametrize("h", [0.55, 0.65, 0.75, 0.85, 0.95])
+@pytest.mark.parametrize("h", [0.51, 0.55, 0.65, 0.75, 0.85, 0.95, 0.97, 0.99])
 def test_fourth_order_quadrature_matches_each_closed_form(h, big_t):
     # each ordered integral on its own, so that errors cannot cancel in the sum
     closed = cir_fourth_order_integral(big_t, h, method="closed")
@@ -405,6 +405,18 @@ def test_fourth_order_quadrature_raises_above_its_tolerance(h):
         cir_fourth_order_integral(1.0, h, method="quadrature", rel_tol=1e-15)
     assert err.value.achieved >= actual
     assert err.value.achieved <= 1e-7
+
+
+def test_fourth_order_quadrature_gap_is_conservative_near_half():
+    # at H = 0.505 the grid misses 1e-7: the gap to the bisected grid
+    # (about 1.7e-7) says so, and it bounds the actual error (about 1.1e-9)
+    closed = np.array(cir_fourth_order_integral(1.0, 0.505, method="closed"))
+    with pytest.raises(QuadratureError) as err:
+        cir_fourth_order_integral(1.0, 0.505, method="quadrature")
+    fine = expformula._cir_ordered_integrals(1.0, 0.505, True)
+    actual = np.sum(np.abs(fine - closed)) / np.sum(np.abs(closed))
+    assert 1e-7 < err.value.achieved
+    assert actual <= err.value.achieved
 
 
 def test_fourth_order_quadrature_runs_no_adaptive_bisection(monkeypatch):
@@ -621,3 +633,24 @@ def test_symmetrized_route_needs_a_symmetric_term_set():
     twin = make_product([ramp_max(1.0, (0.0, "_u2", "_v1")), ramp_max(1.0, (0.0, "_u1")),
                          ramp_max(1.0, (0.0, "_v2"))])
     expformula._check_level([term, twin], 2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("text,order", [("IB2(0,1)^2", 1), ("exp(-IB2(0,1))", 2),
+                                        ("exp(-IB2(0,1))", 3)])
+def test_levels_vanish_at_the_horizon(text, order):
+    # at r = T the v-range [r, T] is empty: every level >= 1 is exactly 0,
+    # on the grid routes too, and level 0 is F on the path
+    f = parse(text)
+    path = _random_path([0.0, 0.25, 0.5, 0.75, 1.0])
+    res = exp_series(f, 1.0, 1.0, 0.7, order, path=path)
+    assert res.terms[0] == evaluate(f, 0.7, path)
+    assert all(t == 0.0 for t in res.terms[1:])
+    assert res.diagnostics[1]["route"] == "quadrature"
+    assert all(d["error"] == 0.0 for d in res.diagnostics[1:])
+    ens = _random_path([0.0, 0.5, 1.0], n_paths=3)
+    res = exp_series(f, 1.0, 1.0, 0.7, order, path=ens)
+    assert np.array_equal(res.terms[0], evaluate(f, 0.7, ens))
+    assert all(np.array_equal(t, np.zeros(3)) for t in res.terms[1:])
+    # without a path the levels are symbolic zeros
+    res = exp_series(f, 1.0, 1.0, 0.7, order)
+    assert all(t == ZERO for t in res.terms[1:])

@@ -11,6 +11,12 @@ change that keeps the numbers keeps every byte.  To rewrite the goldens after a
 deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+tests/golden/cir4.json holds the (I1, I2, I3) sums of the fourth-order
+quadrature cross-check on its grid and on the bisected grid, as hex floats,
+as the 3-D tensor-product sums gave them before the y-integrals were
+separated out; a reordering of the same sums keeps them to rounding.  That
+script leaves it as it is.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ import numpy as np
 import pytest
 
 from fbmseries.cli import main
+from fbmseries.expformula import _cir_ordered_integrals
 from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import TimeGrid, evaluate, to_sexpr
 from fbmseries.parser import parse
@@ -29,6 +36,7 @@ from fbmseries.taylor import backward_taylor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
 ENGINES = pathlib.Path(__file__).parent / "golden" / "engines.json"
+CIR4 = pathlib.Path(__file__).parent / "golden" / "cir4.json"
 
 COMMANDS = [
     ["taylor", "--hurst", "0.7", "--r", "0.3", "--grid", "0,0.25,0.5,0.75,1",
@@ -118,6 +126,15 @@ def test_engine_golden_covers_every_case():
 def test_engine_terms_are_bit_identical(case):
     want = {g["case"]: g for g in json.loads(ENGINES.read_text())}
     assert _engine_run(case) == want["|".join(map(str, case))]
+
+
+@pytest.mark.parametrize("row", json.loads(CIR4.read_text()),
+                         ids=lambda g: f"T{g['T']}-H{g['H']}")
+def test_cir4_sums_match_their_golden(row):
+    for name, refine in (("coarse", False), ("fine", True)):
+        want = np.array([float.fromhex(x) for x in row[name]])
+        got = _cir_ordered_integrals(row["T"], row["H"], refine)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(want)), name
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in that
-module, and every node kind is slotted.
+module, every private top-level name is used somewhere in the package, and
+every node kind is slotted.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -38,6 +39,34 @@ def test_every_import_is_used(module):
         if not re.search(rf"\b{re.escape(name)}\b", "\n".join(rest)):
             unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{module.name} imports unused names: {unused}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_every_private_top_level_name_is_used(module):
+    # a leftover private constant or helper is dead code; a use inside its
+    # own definition (a recursive call) does not count
+    lines = module.read_text().splitlines()
+    others = "\n".join(m.read_text() for m in MODULES if m != module)
+    unused = []
+    for node, name in _private_definitions(ast.parse("\n".join(lines))):
+        rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:] + [others])
+        if not re.search(rf"\b{re.escape(name)}\b", rest):
+            unused.append(f"{name} (line {node.lineno})")
+    assert not unused, f"{module.name} defines unused private names: {unused}"
 
 
 def test_node_kinds_have_slots_and_no_instance_dict():
