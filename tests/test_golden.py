@@ -6,8 +6,12 @@ joint evaluation schedule went into the backward Taylor engine; the
 `expform` entry on exp(0.5*B(1))*B(0.5), whose levels from 2 up take the
 separable route, as the package first printed it with that route; and the
 `expform` entry on exp(-IB2(0,1)), whose level 2 takes the symmetrized
-route, as the package first printed it with that route.  A
-change that keeps the numbers keeps every byte.  To rewrite the goldens after a
+route, as the package first printed it with that route; and two
+`expform` entries at r = 0.3 whose level-1 terms hold a time integral from
+the bound variable u (exp(-IB2(0,1)) and IB2(0,1)*B(1)), as the package
+printed them when that integral's kernel moment still ran one adaptive
+quadrature per partner node.  A change that keeps the numbers keeps every
+byte.  To rewrite the goldens after a
 deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -58,6 +62,12 @@ COMMANDS = [
      "--mc.seed", "5", "--format", "json"],
     ["expform", "--hurst", "0.7", "--T", "1", "--r", "0",
      "--expr", "exp(-IB2(0,1))", "--order", "2", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+     "--expr", "exp(-IB2(0,1))", "--order", "1", "--mc.paths", "1",
+     "--mc.refinement", "8", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+     "--expr", "IB2(0,1)*B(1)", "--order", "2", "--mc.paths", "1",
+     "--mc.seed", "5", "--format", "json"],
     ["simulate", "--hurst", "0.7", "--T", "1", "--grid", "0,0.25,0.5,0.75,1",
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "2000",
