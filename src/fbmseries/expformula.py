@@ -29,11 +29,12 @@ over the ordered simplex.  Five routes are tried per product term:
                   with G_1 and each g_k in closed form at the nodes, so it
                   costs O(i n) closed-form evaluations for n nodes;
   * quadrature  - the rest at level 1: u_1 is paired with phi_H(u_1, v_1)
-                  as a kernel integral, in closed form (for a whole array of
-                  v at once) when the u factors are piecewise polynomial and
-                  by singularity-absorbing panels otherwise, and the
-                  v-integrand is evaluated once on each of the level's two
-                  grids, with v bound to the array of nodes;
+                  as a kernel integral, in closed form for a whole array of
+                  v at once (the u factors are piecewise polynomial, or a
+                  time integral from u_1, which on one path is piecewise
+                  polynomial in u_1), and the v-integrand is evaluated once
+                  on each of the level's two grids, with v bound to the
+                  array of nodes;
   * symmetrized - the rest at levels i >= 2, when every factor holding
                   level variables is a ramp or an indicator (the prefactor
                   may read the path).  D^{2i} F is symmetric in its pairs of

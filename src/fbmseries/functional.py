@@ -29,10 +29,13 @@ ramps max(0, b - max(args)), kernel integrals) appear as derivative output
 and as partially integrated kernel terms.  Evaluation on a path is strict:
 sampling, or integrating between limits of the functional, at a time that
 is not a grid point is an error, never an interpolation.  A time integral
-whose lower limit is a bound variable, which ranges over quadrature nodes,
-starts from the path's linear interpolant there.  A variable may be bound
-to an array of values, such as all the nodes of a quadrature grid, which
-one evaluation then handles elementwise (see evaluate).
+whose lower limit is a bound variable starts from the path's linear
+interpolant there, so on one path it is a polynomial in that limit on each
+grid cell (TimeIntB.pieces); a kernel integral over that variable is then a
+closed-form kernel moment, as for the piecewise-polynomial factors.  A
+variable may be bound to an array of values, such as all the nodes of a
+quadrature grid, which one evaluation then handles elementwise (see
+evaluate).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .kernel import Interval, PiecewisePoly, _hval, phi_poly_moment, pieces_phi_moment
+from .kernel import PiecewisePoly, pieces_phi_moment
 from .special import hermite_eval
 
 
@@ -179,10 +182,6 @@ class _Node:
         """The node on the path stopped at r, given its frozen operands."""
         return self
 
-    def kinks(self, ivar: str, bindings) -> tuple:
-        """Where the node bends as a function of ivar, for quadrature panels."""
-        return ()
-
 
 def _kind(cls):
     """Declare a node kind: a frozen, slotted dataclass compared by identity.
@@ -284,7 +283,8 @@ class WienerInt(_Node):
 @_kind
 class TimeIntB(_Node):
     """int_{max(lower)}^{upper} B_s^power ds for a power >= 1; lower mixes
-    constants and variable names."""
+    constants and variable names.  A constant of lower that is the lower
+    limit of some element must be a grid time."""
 
     lower: tuple
     upper: float
@@ -308,18 +308,33 @@ class TimeIntB(_Node):
                              ramp_max(self.upper, self.lower + (c,))])
         return make_sum([time_int_b(self.lower, c, self.power), tail])
 
+    def _floor(self, args, path, bindings):
+        """max(args), elementwise; a constant of args that is the limit of an
+        element below upper is checked to be a grid time, since only a bound
+        variable may fall between grid times."""
+        lo = _max(_resolve_args(args, bindings))
+        for c in set(args).intersection(np.ravel(lo)[np.ravel(lo) < self.upper].tolist()):
+            path.index_of(c)
+        return lo
+
     def step(self, x, h, path, bindings):
         path = _on(path, "a time integral", bindings)
-        lo = _max(_resolve_args(self.lower, bindings))
+        lo = self._floor(self.lower, path, bindings)
         if np.ndim(lo):
-            for c in set(self.lower).intersection(lo[lo < self.upper].tolist()):
-                path.index_of(c)
             return path.integral_from(lo, self.upper, self.power)
-        if lo >= self.upper:
-            return 0.0
-        if lo in self.lower:
-            path.index_of(lo)  # only a bound variable may fall between grid times
-        return path.trapezoid(self.power, lo, self.upper)
+        return 0.0 if lo >= self.upper else path.trapezoid(self.power, lo, self.upper)
+
+    def pieces(self, ivar, path, bindings):
+        """The path form in ivar: u -> the integral with ivar bound to u, on
+        one path, as pieces (a, b, ascending coefficients in u); the other
+        limits may be bound to arrays (see GridPath.integral_pieces)."""
+        path = _on(path, "a time integral", bindings)
+        if path.values.ndim > 1:
+            raise EvalError(f"the kernel moment of a time integral from '{ivar}' "
+                            f"needs a single path")
+        others = [a for a in self.lower if a != ivar]
+        floor = self._floor(others, path, bindings) if others else 0.0
+        return path.integral_pieces(floor, self.upper, self.power)
 
     def sexpr(self, inner, rename) -> str:
         if self.power == 1:
@@ -340,9 +355,6 @@ class RampMax(_Node):
 
     def free_vars(self, inner, _):
         return {a for a in self.args if isinstance(a, str)}
-
-    def kinks(self, ivar, bindings):
-        return (self.cap, *_resolve_args([a for a in self.args if a != ivar], bindings))
 
     def step(self, x, h, path, bindings):
         return _max([0.0, self.cap - _max(_resolve_args(self.args, bindings))])
@@ -388,9 +400,6 @@ class Indicator(_Node):
 
     def free_vars(self, inner, _):
         return {self.var}
-
-    def kinks(self, ivar, bindings):
-        return (self.lo, self.hi)
 
     def step(self, x, h, path, bindings):
         v = _resolve_args([self.var], bindings)[0]
@@ -550,12 +559,14 @@ class Exp(_Node):
 class PhiMoment(_Node):
     """Kernel integral int_lo^hi (prod factors)(ivar) phi_H(ivar, partner) d ivar.
 
-    When every factor is piecewise polynomial in ivar (their breakpoints may
-    involve other free variables) the value is the exact kernel moment,
-    produced once every other variable is bound, for a whole batch of
-    array bindings at once; otherwise the integrand is not deterministic in
-    ivar, no closed form applies, and the value comes from
-    singularity-split Gauss panels, one quadrature per element of a batch.
+    The value is the exact kernel moment, produced once every other
+    variable is bound, for a whole batch of array bindings at once.  The
+    factors are piecewise polynomial in ivar (their breakpoints may involve
+    other free variables), save at most one time integral from ivar of
+    power 1, which on one path is piecewise polynomial in ivar too
+    (TimeIntB.pieces).  Any other factor that reads the path raises
+    UnsupportedNodeError: a closed form of such a product, or of a higher
+    power, loses digits on narrow grid cells far from the partner.
     """
 
     factors: tuple[Expr, ...]
@@ -563,10 +574,6 @@ class PhiMoment(_Node):
     lo: float
     hi: float
     partner: str
-
-    @property
-    def closed(self) -> bool:
-        return all(f.pw for f in self.factors)
 
     def children(self):
         return self.factors
@@ -581,7 +588,7 @@ class PhiMoment(_Node):
         return out
 
     def derivative(self, ds, at):
-        if not self.closed:
+        if not all(f.pw for f in self.factors):
             raise UnsupportedNodeError(
                 "no derivative of a kernel integral with factors outside "
                 "the piecewise polynomials")
@@ -594,48 +601,16 @@ class PhiMoment(_Node):
     def step(self, x, h, path, bindings):
         if h is None:
             raise EvalError("Hurst index required to evaluate a kernel integral")
-        shape = _batch_shape(bindings)
-        if not self.closed:
-            if shape:
-                return np.reshape([self.quadrature(h, path, {
-                    k: b[i] if np.ndim(b) else b for k, b in bindings.items()})
-                    for i in np.ndindex(shape)], shape)
-            return self.quadrature(h, path, bindings)
-        v = _resolve_args([self.partner], bindings)[0]
-        if shape:
-            scale_val, ws = _factor_forms(self.factors, self.ivar,
-                                          self.lo, self.hi, bindings)
-            if ws is None:
-                return 0.0
-            ws = [list(w.pieces()) if isinstance(w, PiecewisePoly) else w for w in ws]
-            return scale_val * pieces_phi_moment(ws, self.lo, self.hi, v, h)
-        scale_val, poly = _combine_pwpoly(self.factors, self.ivar,
-                                          self.lo, self.hi, bindings)
-        if poly is None or scale_val == 0.0:
+        scale_val, ws = _factor_forms(self.factors, self.ivar, self.lo, self.hi,
+                                      path, bindings)
+        if ws is None:
             return 0.0
-        return scale_val * phi_poly_moment(poly, Interval(self.lo, self.hi), v, h)
-
-    def quadrature(self, h, path, bindings):
-        """Singularity-absorbing quadrature of the integral, whatever its
-        factors, for scalar bindings; one array evaluation per Gauss panel."""
-        from .quadrature import phi_weighted_integral
-
+        ws = [list(w.pieces()) if isinstance(w, PiecewisePoly) else w for w in ws]
         v = _resolve_args([self.partner], bindings)[0]
-        integrand = make_product(list(self.factors))
-
-        def f(us):
-            return evaluate(integrand, h, path, {**(bindings or {}), self.ivar: us})
-
-        # kinks sit where ramp/indicator breakpoints fall inside the range, and
-        # at the path's grid times, where a time integral from u bends
-        breaks = set() if path is None else set(path.times)
-        for fac in self.factors:
-            breaks.update(fac.kinks(self.ivar, bindings))
-        return phi_weighted_integral(f, self.lo, self.hi, v, _hval(h),
-                                     breaks=sorted(breaks), rel_tol=1e-10)
+        return scale_val * pieces_phi_moment(ws, self.lo, self.hi, v, h)
 
     def sexpr(self, inner, rename) -> str:
-        return (f"({'phimom' if self.closed else 'uint'} {_name(self.partner, rename)} "
+        return (f"(phimom {_name(self.partner, rename)} "
                 f"{_name(self.ivar, rename)} {_fmt(self.lo)} {_fmt(self.hi)} "
                 f"({' '.join(inner)}))")
 
@@ -983,11 +958,7 @@ class GridPath:
         grid times starting from the linear interpolant as in trapezoid."""
         j = self.index_of(hi)
         ts, ys = np.asarray(self.times[:j + 1]), self.values[:j + 1]
-        tail = self._tails.get((j, power))
-        if tail is None:
-            yp = _pow(ys, power)
-            cells = np.diff(ts) * (yp[1:] + yp[:-1]) / 2.0
-            tail = self._tails[j, power] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        tail = self._tail(j, power)
         if np.min(lo) < ts[0]:
             raise ValueError("integral limits out of order")
         k = np.minimum(np.searchsorted(ts, lo, side="right"), j)  # t_{k-1} <= lo < t_k
@@ -995,6 +966,36 @@ class GridPath:
         at_lo = ys[k - 1] + (ys[k] - ys[k - 1]) * ((lo - a) / (b - a))
         head = 0.5 * (_pow(at_lo, power) + _pow(ys[k], power)) * (b - lo)
         return np.where(lo < hi, head + tail[k], 0.0)
+
+    def _tail(self, j: int, power: int):
+        """Trapezoid rule of B^power on a single path from each grid time up
+        to the grid time t_j (0 from t_j on), computed once."""
+        tail = self._tails.get((j, power))
+        if tail is None:
+            ts, yp = np.asarray(self.times[:j + 1]), _pow(self.values[:j + 1], power)
+            cells = np.diff(ts) * (yp[1:] + yp[:-1]) / 2.0
+            tail = self._tails[j, power] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        return tail
+
+    def integral_pieces(self, floor, hi: float, power: int) -> list:
+        """u -> integral_from(max(floor, u), hi, power) on a single path, as
+        pieces (a, b, ascending coefficients in u): the constant
+        integral_from(floor) below floor; on each grid cell [t_{m-1}, t_m]
+        above it, 0.5 (L(u)^power + y_m^power)(t_m - u) + tail_m, with L the
+        cell's linear interpolant and tail_m the rule from t_m; and nothing
+        from hi on.  floor may be an array, which makes the limits arrays."""
+        j = self.index_of(hi)
+        ts, ys, tail = self.times, self.values, self._tail(j, power)
+        poly = np.polynomial.polynomial
+        out = [(ts[0], floor, (self.integral_from(floor, hi, power),))]
+        for m in range(1, j + 1):
+            slope = (ys[m] - ys[m - 1]) / (ts[m] - ts[m - 1])
+            ends = poly.polyadd(poly.polypow((ys[m - 1] - slope * ts[m - 1], slope), power),
+                                (_pow(ys[m], power),))
+            c = 0.5 * poly.polymul(ends, (ts[m], -1.0))
+            c[0] += tail[m]
+            out.append((np.maximum(ts[m - 1], floor), ts[m], tuple(c)))
+        return out
 
     def stieltjes(self, weight, lo: float, hi: float):
         """Riemann-Stieltjes sum sum f(midpoint) dB over grid cells in [lo, hi]."""
@@ -1047,15 +1048,24 @@ def _batch_shape(bindings) -> tuple:
     return max(shapes, default=())
 
 
-def _factor_forms(factors, ivar, lo, hi, bindings):
+def _factor_forms(factors, ivar, lo, hi, path, bindings):
     """(scale, forms): the product of the factors constant in ivar, and the
-    pwpoly forms of the others in order; (0.0, None) once a form vanishes."""
+    forms of the others in order, pwpoly forms or the path form of a time
+    integral from ivar; (0.0, None) once a form vanishes.  The only factor
+    outside the piecewise polynomials it takes is one such time integral
+    of power 1 (see PhiMoment)."""
+    rest = [f for f in factors if not f.pw]
+    if rest and not (len(rest) == 1 and isinstance(rest[0], TimeIntB)
+                     and rest[0].power == 1 and ivar in rest[0].lower):
+        raise UnsupportedNodeError(
+            f"no closed kernel moment in '{ivar}' of the factors "
+            f"{' '.join(to_sexpr(f) for f in rest)}: only one time integral "
+            f"from '{ivar}', of power 1, may read the path")
     scale_val, forms = 1.0, []
     for f in factors:
         if not f.pw:
-            raise UnsupportedNodeError(
-                f"{type(f).__name__} is not a deterministic factor in '{ivar}'")
-        if ivar not in f.free_vars((), None):  # a pw kind is a leaf
+            forms.append(f.pieces(ivar, path, bindings))
+        elif ivar not in f.free_vars((), None):  # a pw kind is a leaf
             scale_val = scale_val * f.step(None, None, None, bindings)
         elif (w := f.pwpoly(ivar, lo, hi, bindings)) is not None:
             forms.append(w)
@@ -1066,7 +1076,7 @@ def _factor_forms(factors, ivar, lo, hi, bindings):
 
 def _combine_pwpoly(factors, ivar, lo, hi, bindings):
     """Product of factor polynomials; (scale, PiecewisePoly|None)."""
-    scale_val, forms = _factor_forms(factors, ivar, lo, hi, bindings)
+    scale_val, forms = _factor_forms(factors, ivar, lo, hi, None, bindings)
     if forms == [] and lo < hi:
         forms = [PiecewisePoly.indicator(lo, hi)]
     poly = (functools.reduce(lambda p, w: p and p.mul(w), forms[1:], forms[0])

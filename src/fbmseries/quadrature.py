@@ -6,6 +6,13 @@ are carried through).  Singular or kinked locations are handled by listing
 them as breakpoints and, where useful, by geometric panel grading toward an
 endpoint; the kernel singularities in this package are integrable, so split
 panels converge quickly.
+
+The engines use the fixed Gauss panel grids (PanelGrid, graded cuts,
+bisection, running and simplex integrals).  No package code calls the
+adaptive rules (fixed_panel, adaptive_panels, phi_weighted_integral): every
+kernel integral is a closed form, and they stay as the tests' independent
+reference for those closed forms.  perfbench/tracer.py binds
+phi_weighted_integral by name.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ of the batch.
 import numpy as np
 import pytest
 
-from fbmseries import functional
 from fbmseries.functional import (
     EvalError,
     GridPath,
@@ -132,23 +131,10 @@ class TestKernelMoments:
         check(node, {"v": 0.4, "w": GRID_VALUES}, exact=False)
 
     def test_residual_integral_loops_over_the_partners(self):
-        # a time integral from u is not a polynomial in u: one quadrature per
-        # element, each the scalar one
+        # a time integral from u, piecewise polynomial in u on one path: the
+        # moments of all partners at once, each the scalar one
         node = PhiMoment((TimeIntB((0.0, "u"), 0.5, 1),), "u", 0.0, 1.0, "v")
         check(node, {"v": np.array([0.2, 0.5, 0.9])}, single_path())
-
-    def test_residual_integral_evaluates_one_array_per_gauss_panel(self, monkeypatch):
-        shapes = []
-        real = functional.evaluate
-
-        def counting(expr, h=None, path=None, bindings=None):
-            shapes.append(np.shape(bindings["u"]))
-            return real(expr, h, path, bindings)
-
-        node = PhiMoment((TimeIntB((0.0, "u"), 0.5, 1),), "u", 0.0, 1.0, "v")
-        monkeypatch.setattr(functional, "evaluate", counting)
-        node.quadrature(H, single_path(), {"v": 0.3})
-        assert shapes and set(shapes) == {(24,)}
 
 
 class TestShapes:

@@ -51,6 +51,7 @@ from fbmseries.functional import (
 )
 from fbmseries.kernel import PiecewisePoly, phi_antiderivative
 from fbmseries.parser import ParseError, parse
+from fbmseries.quadrature import phi_weighted_integral
 from fbmseries.taylor import backward_taylor
 
 from oracles import (grid_partials, path_from_dict, quad_phi_moment, tree_evaluate,
@@ -347,13 +348,15 @@ class TestEvaluate:
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_residual_integral_matches_exact_moment(self):
-        # a deterministic residual integrand must agree with the closed form
-        factors = (RampMax(1.0, (0.2, "u")),)
-        exact = PhiMoment(factors, "u", 0.0, 1.0, "v")
+        # the closed form agrees with the singularity-absorbing quadrature of
+        # the pointwise integrand, split at the ramp's kinks
+        ramp = RampMax(1.0, (0.2, "u"))
+        exact = PhiMoment((ramp,), "u", 0.0, 1.0, "v")
         h = 0.68
         for v in (0.15, 0.5, 0.95):
             a = evaluate(exact, h=h, bindings={"v": v})
-            b = exact.quadrature(h, None, {"v": v})
+            b = phi_weighted_integral(lambda us: evaluate(ramp, h, None, {"u": us}),
+                                      0.0, 1.0, v, h, breaks=[0.2, 1.0], rel_tol=1e-10)
             assert b == pytest.approx(a, rel=1e-8)
 
     def test_path_from_dict(self):

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in that
-module, every private top-level name is used somewhere in the package, and
-every node kind is slotted.
+module, every private top-level name is used somewhere in the package,
+every node kind is slotted, and the symbolic layer imports no quadrature.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -80,3 +80,17 @@ def test_node_kinds_have_slots_and_no_instance_dict():
         assert "__slots__" in vars(kind), kind.__name__
         assert kind.__dictoffset__ == 0, kind.__name__
     assert not hasattr(functional.Const(1.0), "__dict__")
+
+
+def test_functional_imports_nothing_from_quadrature():
+    # every kernel integral of the symbolic layer is a closed form; an
+    # adaptive-quadrature branch must not come back into it
+    tree = ast.parse(pathlib.Path(functional.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("quadrature" in n.split(".") for n in names), ast.unparse(node)
