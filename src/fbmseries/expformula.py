@@ -110,14 +110,6 @@ def second_derivative(x: Expr, k: int) -> Expr:
     return collect_terms(directional(d, _uname(k)))
 
 
-def derivative_levels(f: Expr, order: int) -> list:
-    """[F, D_{u_1}D_{v_1}F, ..., D_{u_order}D_{v_order} ... F], unfrozen."""
-    out = [f]
-    for k in range(1, order + 1):
-        out.append(second_derivative(out[-1], k))
-    return out
-
-
 def _separable(term: Expr, i: int):
     """Sort a product term's factors by the level variables they mention.
 
@@ -655,18 +647,3 @@ def cir_fourth_order_integral(big_t: float, h, method: str = "closed",
         raise QuadratureError(
             f"fourth-order ordered integrals at H={hh} missed rel_tol {rel_tol:.3e}", gap)
     return tuple(float(v) for v in fine)
-
-
-def assumption_b_sequence(f: Expr, r: float, big_t: float, n_max: int, h,
-                          sup_norm) -> list:
-    """Summability certificate (T^2H - r^2H)^i / (2^i i!) * sup_norm(2i).
-
-    sup_norm(m) must bound, in L2, the sup over the derivative arguments of
-    the frozen m-th Malliavin derivative of f.  Absolute convergence of the
-    series follows whenever these terms are summable; their decay rate is
-    the practical truncation guide.
-    """
-    hh = _hval(h)
-    base = big_t ** (2.0 * hh) - r ** (2.0 * hh)
-    return [base ** i / (2.0 ** i * math.factorial(i)) * float(sup_norm(2 * i))
-            for i in range(n_max + 1)]

@@ -225,32 +225,3 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
     term_exprs = [layer.get(l, ZERO) for l in range(order + 1)]
     n_counts = [0 if t == ZERO else len(sum_terms(t)) for t in term_exprs]
     return _package(order, term_exprs, n_counts, hh, path)
-
-
-def assumption_a_sequence(f: Expr, r: float, grid: TimeGrid, n_max: int, h,
-                          sup_norm) -> list:
-    """Convergence-bound sequence for the backward expansion.
-
-    sup_norm(m) must return || sup_{|w| = m} |D^w f| ||_{L2}; the N-th bound is
-
-        sum_{i=0}^{N} sup_norm(2N - i) C(N,i)^2 sqrt(i!) (N + J - 1)!
-                      / (2^{N-i} (N!)^2)
-                      (T^2H - r^2H + (T - r)^2H)^{N-i} (T - r)^{iH}
-
-    and the expansion is justified when the sequence tends to zero.
-    """
-    hh = _hval(h)
-    t_final = grid.final_time
-    j = grid.n_cells
-    base = t_final ** (2 * hh) - r ** (2 * hh) + (t_final - r) ** (2 * hh)
-    out = []
-    for n in range(n_max + 1):
-        total = 0.0
-        for i in range(n + 1):
-            combinatorial = (math.comb(n, i) ** 2 * math.sqrt(math.factorial(i))
-                             * math.factorial(n + j - 1)
-                             / (2.0 ** (n - i) * math.factorial(n) ** 2))
-            total += (sup_norm(2 * n - i) * combinatorial
-                      * base ** (n - i) * (t_final - r) ** (i * hh))
-        out.append(total)
-    return out

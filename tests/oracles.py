@@ -5,7 +5,10 @@ quadrature code: they go through scipy's adaptive Gauss-Kronrod integrator
 with explicit singular-point hints, so agreement is evidence and not
 tautology.  The backward Taylor oracles build the series by the literal
 enumeration over per-segment multi-indices, without the engine's shared
-layers or its derivative memo.
+layers or its derivative memo.  The convergence-bound sequences of the two
+engines (assumption_a_sequence, assumption_b_sequence) and the unfrozen
+derivative levels of the exponential formula (derivative_levels) live here
+too, as only the tests use them.
 """
 
 import math
@@ -16,6 +19,7 @@ from itertools import product as iter_product
 import numpy as np
 from scipy import integrate
 
+from fbmseries.expformula import second_derivative
 from fbmseries.fbm import FbmEnsemble, covariance
 from fbmseries.functional import (ZERO, Const, Exp, FbmSample, GridPath,
                                   HermitePoly, Power, Product, Sum,
@@ -185,7 +189,7 @@ def grid_partials(expr, grid, q: tuple):
 def mc_sup_norm(f, grid, h, ensemble):
     """Monte-Carlo estimator of m -> || sup_{|w| = m} |D^w f| ||_{L2}.
 
-    This is the sup_norm argument of taylor.assumption_a_sequence: the two
+    This is the sup_norm argument of assumption_a_sequence: the two
     together give the order-selection bound of the backward expansion.
     The supremum over derivative multi-indices is taken as a maximum over
     the enumerated multi-indices of total order m (ties in the grid-time
@@ -203,6 +207,56 @@ def mc_sup_norm(f, grid, h, ensemble):
         return float(np.sqrt(np.mean(best ** 2)))
 
     return norm
+
+
+def assumption_a_sequence(f, r: float, grid, n_max: int, h, sup_norm) -> list:
+    """Convergence-bound sequence for the backward expansion.
+
+    sup_norm(m) must return || sup_{|w| = m} |D^w f| ||_{L2}; the N-th bound is
+
+        sum_{i=0}^{N} sup_norm(2N - i) C(N,i)^2 sqrt(i!) (N + J - 1)!
+                      / (2^{N-i} (N!)^2)
+                      (T^2H - r^2H + (T - r)^2H)^{N-i} (T - r)^{iH}
+
+    and the expansion is justified when the sequence tends to zero.
+    """
+    hh = _hval(h)
+    t_final = grid.final_time
+    j = grid.n_cells
+    base = t_final ** (2 * hh) - r ** (2 * hh) + (t_final - r) ** (2 * hh)
+    out = []
+    for n in range(n_max + 1):
+        total = 0.0
+        for i in range(n + 1):
+            combinatorial = (math.comb(n, i) ** 2 * math.sqrt(math.factorial(i))
+                             * math.factorial(n + j - 1)
+                             / (2.0 ** (n - i) * math.factorial(n) ** 2))
+            total += (sup_norm(2 * n - i) * combinatorial
+                      * base ** (n - i) * (t_final - r) ** (i * hh))
+        out.append(total)
+    return out
+
+
+def assumption_b_sequence(r: float, big_t: float, n_max: int, h, sup_norm) -> list:
+    """Summability certificate (T^2H - r^2H)^i / (2^i i!) * sup_norm(2i).
+
+    sup_norm(m) must bound, in L2, the sup over the derivative arguments of
+    the frozen m-th Malliavin derivative of the functional.  Absolute convergence of the
+    series follows whenever these terms are summable; their decay rate is
+    the practical truncation guide.
+    """
+    hh = _hval(h)
+    base = big_t ** (2.0 * hh) - r ** (2.0 * hh)
+    return [base ** i / (2.0 ** i * math.factorial(i)) * float(sup_norm(2 * i))
+            for i in range(n_max + 1)]
+
+
+def derivative_levels(f, order: int) -> list:
+    """[F, D_{u_1}D_{v_1}F, ..., D_{u_order}D_{v_order} ... F], unfrozen."""
+    out = [f]
+    for k in range(1, order + 1):
+        out.append(second_derivative(out[-1], k))
+    return out
 
 
 @dataclass(frozen=True)

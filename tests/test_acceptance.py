@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
-from oracles import (grid_partials, hermite_coefficients, hermite_generating_check,
-                     hermite_shift_identity_gap, quad_phi_moment_alg, quad_rect)
+from oracles import (assumption_a_sequence, grid_partials, hermite_coefficients,
+                     hermite_generating_check, hermite_shift_identity_gap,
+                     quad_phi_moment_alg, quad_rect)
 from fbmseries.applications import (cir_mc_check, cir_small_t,
                                     lognormal_cf_series, lognormal_moment)
 from fbmseries.expformula import cir_fourth_order_integral, exp_series
@@ -24,7 +25,7 @@ from fbmseries.functional import (GridPath, TimeGrid, evaluate,
 from fbmseries.kernel import Interval, PiecewisePoly, phi_poly_moment, rect_integral
 from fbmseries.parser import parse
 from fbmseries.special import hermite_eval, stirling2, stirling_falling_sum
-from fbmseries.taylor import assumption_a_sequence, backward_taylor
+from fbmseries.taylor import backward_taylor
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):

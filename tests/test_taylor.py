@@ -30,13 +30,12 @@ from fbmseries.kernel import Interval, rect_integral
 from fbmseries.parser import parse
 from fbmseries.taylor import (
     DerivativeMemo,
-    assumption_a_sequence,
     backward_taylor,
     psi_orders,
 )
 
-from oracles import (PsiSpec, compositions, iter_kernel_integral, mc_sup_norm, psi,
-                     reference_expansion)
+from oracles import (PsiSpec, assumption_a_sequence, compositions, iter_kernel_integral,
+                     mc_sup_norm, psi, reference_expansion)
 
 H_VALUES = [0.6, 0.8]
 
