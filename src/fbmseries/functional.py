@@ -31,8 +31,8 @@ sampling, or integrating between limits of the functional, at a time that
 is not a grid point is an error, never an interpolation.  A time integral
 whose lower limit is a bound variable starts from the path's linear
 interpolant there, so on one path it is a polynomial in that limit on each
-grid cell (TimeIntB.pieces); a kernel integral over that variable is then a
-closed-form kernel moment, as for the piecewise-polynomial factors.  A
+grid cell (TimeIntB.pieces); a kernel integral over that variable is then an
+exact kernel moment, as for the piecewise-polynomial factors.  A
 variable may be bound to an array of values, such as all the nodes of a
 quadrature grid, which one evaluation then handles elementwise (see
 evaluate).
@@ -565,7 +565,7 @@ class PhiMoment(_Node):
     other free variables), save at most one time integral from ivar of
     power 1, which on one path is piecewise polynomial in ivar too
     (TimeIntB.pieces).  Any other factor that reads the path raises
-    UnsupportedNodeError: a closed form of such a product, or of a higher
+    UnsupportedNodeError: the exact moment of such a product, or of a higher
     power, loses digits on narrow grid cells far from the partner.
     """
 
@@ -1058,7 +1058,7 @@ def _factor_forms(factors, ivar, lo, hi, path, bindings):
     if rest and not (len(rest) == 1 and isinstance(rest[0], TimeIntB)
                      and rest[0].power == 1 and ivar in rest[0].lower):
         raise UnsupportedNodeError(
-            f"no closed kernel moment in '{ivar}' of the factors "
+            f"no exact kernel moment in '{ivar}' of the factors "
             f"{' '.join(to_sexpr(f) for f in rest)}: only one time integral "
             f"from '{ivar}', of power 1, may read the path")
     scale_val, forms = 1.0, []
