@@ -10,8 +10,10 @@ route, as the package first printed it with that route; and two
 `expform` entries at r = 0.3 whose level-1 terms hold a time integral from
 the bound variable u (exp(-IB2(0,1)) and IB2(0,1)*B(1)), as the package
 printed them when that integral's kernel moment still ran one adaptive
-quadrature per partner node.  A change that keeps the numbers keeps every
-byte.  To rewrite the goldens after a
+quadrature per partner node; and a `cir` entry on 20000 paths, three
+blocks of simulate, as the package printed it when each block's normals
+were still drawn in line with its Cholesky product.  A change that keeps
+the numbers keeps every byte.  To rewrite the goldens after a
 deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -72,6 +74,8 @@ COMMANDS = [
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "2000",
      "--mc.seed", "7", "--mc.refinement", "4", "--format", "json"],
+    ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "20000",
+     "--mc.seed", "7", "--mc.refinement", "16", "--format", "json"],
 ]
 
 
