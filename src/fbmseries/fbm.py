@@ -11,15 +11,20 @@ refinement factor.  Draws come from a single counter-based generator keyed
 by the seed, which makes every ensemble bit-reproducible.
 
 Paths are drawn, transformed and evaluated one block of _PATH_BLOCK rows at
-a time, with the bits of a one-shot draw.  simulate still returns the whole
+a time, with the bits of a one-shot draw.  While the caller's thread takes
+one block through its Cholesky product and evaluation, one worker thread
+draws the next block's normals from the same stream; a single block is
+drawn in line and starts no thread.  simulate still returns the whole
 ensemble; mc_expect, and cir_mc_check in applications, keep only one value
-per path, so their memory is O(block x grid + n_paths): a command such as
-`fbmseries cir --mc.paths 10000000` fits in memory.
+per path, so their memory is O(2 blocks x grid + n_paths): a command such
+as `fbmseries cir --mc.paths 10000000` fits in memory.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +87,13 @@ def simulate(grid: TimeGrid, h, cfg: McConfig, each=None):
     """Sample an ensemble with the exact joint law on the grid times.
 
     The paths are drawn _PATH_BLOCK at a time from one stream, bit for bit
-    the one-shot draw.  Without each, the whole ensemble comes back in one
+    the one-shot draw; the next block's normals are drawn on a worker
+    thread while this block is transformed and goes to each, and a single
+    block runs in line.  Without each, the whole ensemble comes back in one
     array.  With each, every block goes to each(block ensemble) as soon as
-    it is drawn, and only the per-path results come back, concatenated
-    along their last (path) axis, so memory is O(block x grid + n_paths).
+    it is transformed, and only the per-path results come back,
+    concatenated along their last (path) axis, so memory is
+    O(2 blocks x grid + n_paths).
     """
     hh = _hval(h)
     p = 2.0 * hh
@@ -104,12 +112,13 @@ def simulate(grid: TimeGrid, h, cfg: McConfig, each=None):
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n, m = cfg.n_paths, len(grid.times)
     vals = np.zeros((n, m)) if each is None else None
-    parts = []
-    for lo, hi in _blocks(n):
-        block = vals[lo:hi] if each is None else np.zeros((hi - lo, m))
-        block[:, 1:] = rng.standard_normal((hi - lo, m - 1)) @ chol.T
-        if each is not None:
-            parts.append(each(FbmEnsemble(grid, block, hh, cfg.seed)))
+    parts, blocks = [], _blocks(n)
+    with closing(_normals(rng, blocks, m - 1)) as normals:
+        for (lo, hi), z in zip(blocks, normals):
+            block = vals[lo:hi] if each is None else np.zeros((hi - lo, m))
+            block[:, 1:] = z @ chol.T
+            if each is not None:
+                parts.append(each(FbmEnsemble(grid, block, hh, cfg.seed)))
     if each is None:
         return FbmEnsemble(grid, vals, hh, cfg.seed)
     return np.concatenate(parts, axis=-1)
@@ -123,6 +132,45 @@ def _blocks(n: int) -> list:
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _normals(rng, blocks: list, cols: int):
+    """Each block's standard normals in turn, from the one stream in block
+    order.  With more than one block, one worker thread draws them into two
+    buffers that take turns, the next block while the caller uses this one;
+    close() joins the worker, and an exception in it is raised here."""
+    if len(blocks) == 1:
+        yield rng.standard_normal((blocks[0][1], cols))
+        return
+    bufs = np.empty((2, max(hi - lo for lo, hi in blocks), cols))
+    free, ready, stop, failed = (threading.Semaphore(2), threading.Semaphore(0),
+                                 threading.Event(), [])
+
+    def draw():
+        try:
+            for k, (lo, hi) in enumerate(blocks):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=bufs[k % 2, :hi - lo])
+                ready.release()
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=draw, name="fbm-draws")
+    worker.start()
+    try:
+        for k, (lo, hi) in enumerate(blocks):
+            ready.acquire()
+            if failed:
+                raise failed[0]
+            yield bufs[k % 2, :hi - lo]
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
 
 
 def _abs_pow_each(x: np.ndarray, p: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Simulator law checks: covariance fit, determinism, estimate consistency."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,62 @@ class TestPathBlocks:
 
         cir_mc_check(0.3, 0.7, McConfig(n_paths=2, grid_refinement=16))
         assert peak(8 * B) - peak(4 * B) <= 4 * (4 * B * 8)
+
+
+class _Interrupt(BaseException):
+    """Stands for a signal handler's exception, such as a case time-out."""
+
+
+class TestDrawWorker:
+    """The worker that draws the next block's normals is joined on every
+    exit and hands its exceptions to the caller."""
+
+    GRID = TimeGrid((0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("exc", [RuntimeError, _Interrupt])
+    def test_exception_in_each_joins_the_worker(self, exc):
+        seen, before = [], threading.active_count()
+
+        def each(ens):
+            seen.append(ens.n_paths)
+            if len(seen) == 2:
+                raise exc("block 2")
+            return ens.values[:, -1]
+
+        with pytest.raises(exc, match="block 2"):
+            simulate(self.GRID, 0.7, McConfig(n_paths=3 * B, seed=35), each=each)
+        assert seen == [B, B]
+        assert threading.active_count() == before
+
+    def test_draw_error_in_the_worker_reaches_the_caller(self, monkeypatch):
+        threads, make = [], np.random.Generator
+
+        class Failing:
+            def __init__(self, bitgen):
+                self.rng = make(bitgen)
+
+            def standard_normal(self, *args, out=None):
+                threads.append(threading.current_thread())
+                if len(threads) == 2:
+                    raise FloatingPointError("draw 2")
+                return self.rng.standard_normal(*args, out=out)
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw 2"):
+            simulate(self.GRID, 0.7, McConfig(n_paths=3 * B, seed=36))
+        assert threads[1] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for n in (2, B, B + 1):
+            cfg = McConfig(n_paths=n, seed=37)
+            assert simulate(self.GRID, 0.7, cfg).values.shape == (n, 3)
+            assert mc_expect(parse("B(1)^2"), 0.7, cfg, grid=self.GRID).n_paths == n
 
 
 class TestMcExpect:
