@@ -1,0 +1,15 @@
+"""Shared fixtures of the test suite."""
+
+import threading
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running it did not find: every
+    worker that simulate starts is joined before simulate returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
