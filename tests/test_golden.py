@@ -74,6 +74,10 @@ COMMANDS = [
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "2000",
      "--mc.seed", "7", "--mc.refinement", "4", "--format", "json"],
+]
+
+# commands whose paths simulate draws in more than one block
+BLOCKED_COMMANDS = [
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "20000",
      "--mc.seed", "7", "--mc.refinement", "16", "--format", "json"],
 ]
@@ -123,11 +127,17 @@ def _golden():
 
 
 def test_golden_covers_every_command():
-    assert sorted(_golden()) == sorted(" ".join(a) for a in COMMANDS)
+    assert sorted(_golden()) == sorted(
+        " ".join(a) for a in COMMANDS + BLOCKED_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
 def test_cli_output_is_byte_identical(argv):
+    assert _run(argv) == _golden()[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", BLOCKED_COMMANDS, ids=lambda a: a[0])
+def test_blocked_cli_output_is_byte_identical(argv):
     assert _run(argv) == _golden()[" ".join(argv)]
 
 
@@ -153,6 +163,7 @@ def test_cir4_sums_match_their_golden(row):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([_run(a) for a in COMMANDS], indent=1) + "\n")
+    GOLDEN.write_text(json.dumps([_run(a) for a in COMMANDS + BLOCKED_COMMANDS],
+                                 indent=1) + "\n")
     ENGINES.write_text(json.dumps([_engine_run(c) for c in ENGINE_CASES], indent=1)
                        + "\n")
