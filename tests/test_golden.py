@@ -12,7 +12,11 @@ the bound variable u (exp(-IB2(0,1)) and IB2(0,1)*B(1)), as the package
 printed them when that integral's kernel moment still ran one adaptive
 quadrature per partner node; and a `cir` entry on 20000 paths, three
 blocks of simulate, as the package printed it when each block's normals
-were still drawn in line with its Cholesky product.  A change that keeps
+were still drawn in line with its Cholesky product; and an `expform`
+entry on three paths, exp(0.5*IB(0,1))*B(1), whose levels take the
+factorized and separable routes with frozen prefactors shared across
+levels, as the package printed it when each level's prefactors and
+cluster moments were still evaluated term by term.  A change that keeps
 the numbers keeps every byte.  To rewrite the goldens after a
 deliberate change of output, run
 
@@ -74,6 +78,9 @@ COMMANDS = [
      "--mc.paths", "4", "--mc.seed", "1", "--format", "csv"],
     ["cir", "--hurst", "0.7", "--T", "0.3", "--mc.paths", "2000",
      "--mc.seed", "7", "--mc.refinement", "4", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+     "--expr", "exp(0.5*IB(0,1))*B(1)", "--order", "4", "--mc.paths", "3",
+     "--mc.seed", "5", "--mc.refinement", "8", "--format", "json"],
 ]
 
 # commands whose paths simulate draws in more than one block
