@@ -23,6 +23,7 @@ a header row of grid times and one row per simulated path.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -204,7 +205,10 @@ def _read_config(path: str) -> dict:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call of the process
+    and reused after it; parse_args leaves it as it was."""
     top = argparse.ArgumentParser(prog="fbmseries",
                                   description="series engines for conditional "
                                               "expectations of fBm functionals")
@@ -334,8 +338,8 @@ def _run_expform(args) -> dict:
         res = exp_series(f, r, big_t, h, order, path=path)
     else:
         res = exp_series(f, r, big_t, h, order)
-        res.terms = [float(evaluate(t, h)) for t in res.terms]
-        res.partial_sums = [float(evaluate(p, h)) for p in res.partial_sums]
+        vals = [float(v) for v in evaluate(res.terms + res.partial_sums, h)]
+        res.terms, res.partial_sums = vals[:order + 1], vals[order + 1:]
         n_paths = 0
     args.r = r
     doc = _series_doc(args, res, n_paths)

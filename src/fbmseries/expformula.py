@@ -32,9 +32,9 @@ over the ordered simplex.  Five routes are tried per product term:
                   as a kernel integral, in closed form for a whole array of
                   v at once (the u factors are piecewise polynomial, or a
                   time integral from u_1, which on one path is piecewise
-                  polynomial in u_1), and the v-integrand is evaluated once
-                  on each of the level's two grids, with v bound to the
-                  array of nodes;
+                  polynomial in u_1), and the v-integrand is evaluated once,
+                  with v bound to the array of the nodes of the level's two
+                  grids;
   * symmetrized - the rest at levels i >= 2, when every factor holding
                   level variables is a ramp or an indicator (the prefactor
                   may read the path).  D^{2i} F is symmetric in its pairs of
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -178,14 +179,7 @@ def _u_pair(facs, k, r, big_t) -> Expr:
                      for hi in his])
 
 
-def _attach(s_expr, integral, path, hh):
-    """Multiply the variable-free prefactor by a computed v-integral."""
-    if path is None:
-        return scale(s_expr, integral)
-    return integral * evaluate(s_expr, hh, path)
-
-
-def _quadrature_value(term, r, big_t, hh, path, rel_tol, level):
+def _quadrature_value(term, r, big_t, path, rel_tol, level):
     """Level 1 on the level's grid, u_1 paired with phi_H(u_1, v_1)."""
     s_facs = [f for f in product_factors(term) if not free_vars(f)]
     facs = [f for f in product_factors(term) if free_vars(f)]
@@ -202,7 +196,7 @@ def _quadrature_value(term, r, big_t, hh, path, rel_tol, level):
             raise EngineError(
                 "stochastic simplex integrand supports single paths only")
     val = level.integral(g_expr, path, rel_tol)
-    return _attach(make_product(s_facs), val, path, hh), "quadrature"
+    return make_product(s_facs), val, "quadrature"
 
 
 def _box_plan(term, i, r, big_t):
@@ -353,25 +347,38 @@ class _LevelGrid:
     The grid has Gauss panels on [r, T], split at the level's break times
     and graded toward them, where the integrands have |v - c|^(2H-1) kinks;
     its refinement bisects every panel.  Both are built when a term first
-    needs them.  Each distinct separable cluster is evaluated on both once:
-    in v_1 as its exact running integral, in the other variables as its
-    density; a level-1 quadrature integrand takes one array evaluate per
-    grid.  error is the largest gap between the two grids' values,
-    relative to the integral of the absolute integrand, over the terms so
-    far, and None while no term has used the grid.
+    needs them, and each integrand is evaluated once on the nodes of both.
+    Each distinct separable cluster is evaluated once per exp_series call
+    and grid, in the call's memo: in v_1 as its exact running integral, in
+    the other variables as its density; a level-1 quadrature integrand
+    takes one array evaluate.  error is the largest gap between the two
+    grids' values, relative to the integral of the absolute integrand, over
+    the terms so far, and None while no term has used the grid; hits counts
+    the terms whose every moment came from the memo.
     """
 
-    def __init__(self, prods, r, big_t, hh):
-        self.prods, self.r, self.big_t, self.hh = prods, r, big_t, hh
-        self.memo = {}
+    def __init__(self, prods, r, big_t, hh, memo):
+        self.prods, self.r, self.big_t, self.hh, self.memo = prods, r, big_t, hh, memo
         self.error = None
+        self.hits = 0
+
+    @functools.cached_property
+    def breaks(self):
+        return tuple(sorted({c for t in self.prods for c in times(t)
+                             if self.r < c < self.big_t}))
 
     @functools.cached_property
     def grids(self):
-        r, big_t = self.r, self.big_t
-        breaks = sorted({c for t in self.prods for c in times(t) if r < c < big_t})
-        cuts = graded_cuts([r, *breaks, big_t], _GRADED, _RATIO)
+        cuts = graded_cuts([self.r, *self.breaks, self.big_t], _GRADED, _RATIO)
         return PanelGrid(cuts, _NODES), PanelGrid(bisected(cuts), _NODES)
+
+    def _on_both(self, fn):
+        """fn at the nodes of each grid, from one call on both sets of nodes:
+        every step is elementwise, so each value has the bits of a call on
+        its own grid."""
+        coarse, fine = self.grids
+        vals = fn(np.concatenate([coarse.nodes, fine.nodes]))
+        return vals[:len(coarse.nodes)], vals[len(coarse.nodes):]
 
     def _checked(self, vals, size, what, rel_tol):
         """The refined value, once its gap to the coarse one is within rel_tol."""
@@ -384,33 +391,32 @@ class _LevelGrid:
 
     def integral(self, g_expr, path, rel_tol):
         """int_r^T g(v_1) dv_1 of a level-1 integrand."""
-        gs = [evaluate(g_expr, self.hh, path, {_vname(1): grid.nodes})
-              for grid in self.grids]
+        gs = self._on_both(lambda vs: evaluate(g_expr, self.hh, path, {_vname(1): vs}))
         vals = [float(grid.integral(g)) for grid, g in zip(self.grids, gs)]
         return self._checked(vals, self.grids[1].integral(np.abs(gs[1])),
                              "level-1 quadrature", rel_tol)
 
-    def _on(self, g, key, polys, first):
-        memo_key = (g, key, first)
-        if memo_key not in self.memo:
-            vs = self.grids[g].nodes
-            if first:
-                out = _cluster_value(polys, self.r, self.hh, vs)
-            else:
-                out = _cluster_density(polys, self.r, self.big_t, self.hh, vs)
-            self.memo[memo_key] = out
-        return self.memo[memo_key]
+    def _on(self, key, polys, first):
+        """(values on both grids, memo hit) of a cluster."""
+        memo_key = (self.breaks, key, first)
+        hit = memo_key in self.memo
+        if not hit:
+            self.memo[memo_key] = self._on_both(
+                lambda vs: _cluster_value(polys, self.r, self.hh, vs) if first
+                else _cluster_density(polys, self.r, self.big_t, self.hh, vs))
+        return self.memo[memo_key], hit
 
     def separable(self, clusters, keys, rel_tol):
         """Integral of the product of the clusters over the ordered simplex."""
         if any(polys is None for polys in clusters):  # exactly 0: no gap
             return self._checked((0.0, 0.0), 0.0, "", rel_tol)
-        vals = []
-        for g, grid in enumerate(self.grids):
-            gs = [self._on(g, key, polys, k == 0)
-                  for k, (key, polys) in enumerate(zip(keys, clusters))]
-            vals.append(simplex_product(gs[0], gs[1:], grid))
-        size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], grid)
+        ons, hits = zip(*[self._on(key, polys, k == 0)
+                          for k, (key, polys) in enumerate(zip(keys, clusters))])
+        self.hits += all(hits)
+        vals = [simplex_product(gs[0], gs[1:], grid)
+                for grid, gs in zip(self.grids, zip(*ons))]
+        gs = [fine for _, fine in ons]
+        size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], self.grids[1])
         return self._checked(vals, size, "separable simplex integral", rel_tol)
 
     def symmetrized(self, term, i, rel_tol):
@@ -441,52 +447,56 @@ class _LevelGrid:
 
 
 def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
-    """(value, route) for one frozen product term at level i >= 1."""
+    """(prefactor, integral, route) of one frozen product term at level
+    i >= 1: the prefactor is the product of its factors free of the level
+    variables, and the term's value is the integral times the prefactor's.
+    A cluster's exact moment is computed once per exp_series call, in
+    level.memo under its fingerprint."""
     split = _separable(term, i)
     if split is None:
         if r == big_t:  # the v-range [r, T] is empty: exactly 0, no gap
             s_expr = make_product([f for f in product_factors(term) if not free_vars(f)])
             val = level._checked((0.0, 0.0), 0.0, "", rel_tol)
-            return _attach(s_expr, val, path, hh), "quadrature" if i == 1 else "symmetrized"
+            return s_expr, val, "quadrature" if i == 1 else "symmetrized"
         if i == 1:
-            return _quadrature_value(term, r, big_t, hh, path, rel_tol, level)
-        return _attach(*level.symmetrized(term, i, rel_tol), path, hh), "symmetrized"
+            return _quadrature_value(term, r, big_t, path, rel_tol, level)
+        return (*level.symmetrized(term, i, rel_tol), "symmetrized")
     s_facs, per_level = split
     keys = [_canonical_cluster(u, v, k + 1) for k, (u, v) in enumerate(per_level)]
     s_expr = make_product(s_facs)
     if len(set(keys)) == 1:
-        u, v = per_level[0]
-        cluster = _cluster_value(_cluster_polys(u, v, 1, r, big_t), r, hh)
+        if keys[0] in level.memo:
+            level.hits += 1
+        else:
+            u, v = per_level[0]
+            level.memo[keys[0]] = _cluster_value(_cluster_polys(u, v, 1, r, big_t), r, hh)
+        cluster = level.memo[keys[0]]
         if i == 1:
-            return _attach(s_expr, cluster, path, hh), "exact"
-        val = cluster ** i / math.factorial(i)
-        return _attach(s_expr, val, path, hh), "factorized"
+            return s_expr, cluster, "exact"
+        return s_expr, cluster ** i / math.factorial(i), "factorized"
     clusters = [_cluster_polys(u, v, k + 1, r, big_t)
                 for k, (u, v) in enumerate(per_level)]
-    val = level.separable(clusters, keys, rel_tol)
-    return _attach(s_expr, val, path, hh), "separable"
+    return s_expr, level.separable(clusters, keys, rel_tol), "separable"
 
 
-def _level_value(prods, i, r, big_t, hh, path, rel_tol):
-    """(value, routes, error) of level i; error is the estimate of the
-    level's grid, None when no term used it."""
+def _level_value(prods, i, r, big_t, hh, path, rel_tol, memo, out):
+    """(out, routes, error, hits) of level i.  out receives each term's
+    (prefactor, integral) pair as soon as it is computed; level 0 gives one
+    pair, the collected frozen functional and None.  error is the estimate
+    of the level's grid, None when no term used it, and hits the number of
+    terms whose moments came from memo, the exp_series call's memo."""
     if i == 0:
-        expr = collect_terms(make_sum(prods))
-        return (expr if path is None else evaluate(expr, hh, path)), "evaluate", None
+        out.append((collect_terms(make_sum(prods)), None))
+        return out, "evaluate", None, 0
     if not prods:
-        return (ZERO if path is None else 0.0), "vanishes", None
-    vals, routes = [], set()
-    level = _LevelGrid(prods, r, big_t, hh)
+        return out, "vanishes", None, 0
+    routes = set()
+    level = _LevelGrid(prods, r, big_t, hh, memo)
     for t in prods:
-        v, route = _term_value(t, i, r, big_t, hh, path, rel_tol, level)
-        vals.append(v)
+        s_expr, val, route = _term_value(t, i, r, big_t, hh, path, rel_tol, level)
+        out.append((s_expr, val))
         routes.add(route)
-    if path is None:
-        return collect_terms(make_sum(vals)), "+".join(sorted(routes)), level.error
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    return total, "+".join(sorted(routes)), level.error
+    return out, "+".join(sorted(routes)), level.error, level.hits
 
 
 def exp_series(f: Expr, r: float, big_t: float, h, order: int,
@@ -500,12 +510,19 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     grid.  Without a path the terms come back as expressions in the
     observed samples (stochastic simplex integrands then raise
     EngineError).  diagnostics[i] records the routes taken and the number
-    of product terms at level i, and under "error" the largest relative
-    error the level's grid reached there (separable and symmetrized terms,
-    and quadrature terms at level 1), if any term used it.  A level with a
-    term outside every route raises EngineError before any level is
-    integrated.  At r = T the v-range [r, T] is empty, so every level >= 1
-    is exactly 0.
+    of product terms at level i, under "memo_hits" the number of those
+    whose cluster moments an earlier term of the call had computed, and
+    under "error" the largest relative error the level's grid reached there
+    (separable and symmetrized terms, and quadrature terms at level 1), if
+    any term used it.  A level with a term outside every route raises
+    EngineError before any level is integrated.  At r = T the v-range
+    [r, T] is empty, so every level >= 1 is exactly 0.
+
+    With a path, the frozen functional and the prefactor of every term of
+    every level are evaluated on one joint schedule, after the last level
+    is integrated, so a node they share is computed once; when an integral
+    raises, the prefactors before it are evaluated first, so that an error
+    of theirs surfaces as it would have in term order.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)
@@ -525,19 +542,34 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
         frozen = collect_terms(make_sum(expand(freeze(x, r))))
         levels.append([t for t in sum_terms(frozen) if t != ZERO])
         _check_level(levels[-1], i, r, big_t)
-    terms, sums, diags = [], [], []
-    running = None
-    for i, prods in enumerate(levels):
-        val, route, error = _level_value(prods, i, r, big_t, hh, path, rel_tol)
-        terms.append(val)
+    memo, pairs, diags, failure = {}, [], [], None
+    try:
+        for i, prods in enumerate(levels):
+            pairs.append([])
+            _, route, error, hits = _level_value(prods, i, r, big_t, hh, path, rel_tol,
+                                                 memo, pairs[-1])
+            diags.append({"order": i, "route": route, "n_terms": len(prods),
+                          "memo_hits": hits})
+            if error is not None:
+                diags[-1]["error"] = error
+    except Exception as err:  # raised after the prefactors before it are evaluated
+        failure = err
+    if path is not None:
+        values = iter(evaluate([s for level in pairs for s, _ in level], hh, path))
+    if failure is not None:
+        raise failure
+    terms, sums, running = [], [], None
+    for i, level in enumerate(pairs):
         if path is None:
+            val = level[0][0] if i == 0 else (
+                collect_terms(make_sum([scale(s, v) for s, v in level])) if level else ZERO)
             running = val if running is None else collect_terms(make_sum([running, val]))
         else:
+            vals = [next(values) if v is None else v * next(values) for _, v in level]
+            val = functools.reduce(operator.add, vals) if vals else 0.0
             running = val if running is None else running + val
+        terms.append(val)
         sums.append(running)
-        diags.append({"order": i, "route": route, "n_terms": len(prods)})
-        if error is not None:
-            diags[-1]["error"] = error
     return SeriesResult(order=order, terms=terms, partial_sums=sums,
                         diagnostics=diags)
 

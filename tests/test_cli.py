@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmseries import cli
 from fbmseries.cli import main, render_table
 from fbmseries.expformula import exp_series
 from fbmseries.fbm import McConfig, simulate
@@ -18,6 +19,29 @@ def run_cli(argv):
     out = io.StringIO()
     code = main(argv, stdout=out)
     return code, out.getvalue()
+
+
+def test_parser_built_once_gives_the_bytes_of_fresh_parsers():
+    argvs = [
+        ["expform", "--hurst", "0.75", "--T", "1", "--expr", "exp(IB(0,1))",
+         "--order", "4", "--format", "json"],
+        ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3", "--expr", "IB(0,1)*B(1)",
+         "--order", "2", "--mc.paths", "1", "--mc.seed", "5", "--format", "table"],
+        ["simulate", "--hurst", "0.7", "--T", "1", "--mc.paths", "2", "--format", "csv"],
+        ["merton", "--hurst", "0.7", "--T", "1", "--order", "3"],
+        ["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "0.5", "--p", "2",
+         "--format", "json"],
+        ["expform", "--hurst", "0.4", "--T", "1", "--expr", "B(1)", "--format", "json"],
+    ]
+    cli._build_parser.cache_clear()
+    back_to_back = [run_cli(a) for a in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for a in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(a))
+    assert back_to_back == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, 2]
 
 
 class TestSubcommands:

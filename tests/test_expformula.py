@@ -18,6 +18,7 @@ from fbmseries.functional import (
     Expr,
     GridPath,
     Indicator,
+    OffGridTimeError,
     TimeGrid,
     ZERO,
     collect_terms,
@@ -551,8 +552,10 @@ def test_symmetrized_level_two_is_the_isserlis_moment(text, moment, r, h):
 
     d2 = derivative_levels(parse(text), 2)[2]
     prods = list(sum_terms(collect_terms(make_sum(expand(freeze(d2, r))))))
-    val, route, error = expformula._level_value(prods, 2, r, 1.0, h, None, 1e-9)
+    pairs, route, error, _ = expformula._level_value(prods, 2, r, 1.0, h, None, 1e-9,
+                                                     {}, [])
     assert route == "symmetrized" and error <= 1e-9
+    val = collect_terms(make_sum([scale(s, v) for s, v in pairs]))
     want = moment(cov, h, r)
     assert float(evaluate(val, h)) == pytest.approx(want, rel=1e-10, abs=0.0)
 
@@ -653,3 +656,67 @@ def test_levels_vanish_at_the_horizon(text, order):
     # without a path the levels are symbolic zeros
     res = exp_series(f, 1.0, 1.0, 0.7, order)
     assert all(t == ZERO for t in res.terms[1:])
+
+
+_FINE_TIMES = sorted({i / 64 for i in range(65)} | {0.3, 0.5, 0.7})
+
+
+@pytest.mark.parametrize("text,r,order,path", [
+    *[(text, 0.0, 1, None) for text in ("IB2(0,1)", "exp(-IB2(0,1))")],
+    *[("IB2(0,1)", r, 1, _random_path(_FINE_TIMES)) for r in (0.3, 0.5, 0.7)],
+    ("exp(0.5*B(1))*B(0.5)", 0.25, 3, _random_path([0.0, 0.25, 0.5, 1.0])),
+])
+@pytest.mark.parametrize("h", [0.6, 0.7, 0.8])
+def test_one_evaluation_on_both_grids_has_the_bits_of_two(monkeypatch, text, r, order,
+                                                          path, h):
+    # the level-1 quadrature integrand and the separable cluster moments are
+    # evaluated once on the nodes of the grid and its refinement together
+    seen = []
+    real = expformula._LevelGrid._on_both
+
+    def on_both(level, fn):
+        out = real(level, fn)
+        seen.extend(np.array_equal(got, fn(grid.nodes))
+                    for grid, got in zip(level.grids, out))
+        return out
+
+    monkeypatch.setattr(expformula._LevelGrid, "_on_both", on_both)
+    exp_series(parse(text), r, 1.0, h, order, path=path)
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("text,order", [("IB2(0,1)*B(1)", 2), ("exp(-IB2(0,1))", 1),
+                                        ("exp(0.5*IB(0,1))*B(1)", 4)])
+def test_prefactors_take_one_evaluate_per_call(monkeypatch, text, order):
+    # the frozen functional and every prefactor of every level share one
+    # schedule; only a level-1 quadrature integrand takes an evaluate of its own
+    evaluates, integrals = [], []
+    real_evaluate, real_integral = expformula.evaluate, expformula._LevelGrid.integral
+    monkeypatch.setattr(expformula, "evaluate",
+                        lambda *a, **k: evaluates.append(1) or real_evaluate(*a, **k))
+    monkeypatch.setattr(expformula._LevelGrid, "integral",
+                        lambda *a, **k: integrals.append(1) or real_integral(*a, **k))
+    path = _random_path(sorted({i / 16 for i in range(17)} | {0.3}))
+    exp_series(parse(text), 0.3, 1.0, 0.7, order, path=path)
+    assert len(evaluates) == 1 + len(integrals)
+
+
+def test_prefactor_errors_surface_before_a_later_integral_fails():
+    # on an ensemble the level-1 quadrature route raises EngineError, but the
+    # path misses r, so the frozen functional of level 0 fails to evaluate
+    # first, as it did when each level was evaluated in turn
+    ens = _random_path([0.0, 0.5, 1.0], n_paths=3)
+    with pytest.raises(OffGridTimeError):
+        exp_series(parse("IB2(0,1)*B(1)"), 0.3, 1.0, 0.7, 2, path=ens)
+    ens = _random_path([0.0, 0.3, 0.5, 1.0], n_paths=3)
+    with pytest.raises(EngineError, match="single paths only"):
+        exp_series(parse("IB2(0,1)*B(1)"), 0.3, 1.0, 0.7, 2, path=ens)
+
+
+def test_cluster_moments_come_from_the_call_memo():
+    # every level of the integrated exponential is a power of one cluster,
+    # computed at level 1; the memo does not outlive the call
+    for _ in range(2):
+        diags = exp_series(_integrated_exponential(1.0, 1.0), 0.0, 1.0, 0.75, 6).diagnostics
+        assert [d["memo_hits"] for d in diags] == [0, 0, 1, 1, 1, 1, 1]
+        assert all(d["n_terms"] == 1 for d in diags)

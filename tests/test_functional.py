@@ -275,6 +275,26 @@ class TestEvaluate:
         with pytest.raises(OffGridTimeError):
             evaluate(time_int_b((0.1,), 1.0), path=path)
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_trapezoid_has_the_bits_of_numpy(self, power):
+        ts = tuple(i / 16 for i in range(17))
+        block = np.random.default_rng(4).standard_normal((64, 2 * len(ts)))
+        for values in (block[0, :len(ts)], block[:, :len(ts)], block[:, ::2]):
+            path = GridPath(ts, values)
+            pw = (lambda x: x) if power == 1 else (lambda x: x * x)
+            ys = pw(values)
+            assert np.array_equal(path.trapezoid(power, 0.0, 1.0),
+                                  np.trapezoid(ys, ts, axis=-1))
+            assert np.array_equal(path.trapezoid(power, 0.25, 0.75),
+                                  np.trapezoid(ys[..., 4:13], ts[4:13], axis=-1))
+            # a lower limit off the grid: the cell from the interpolant at
+            # 0.3, then the rule from the next grid time
+            at_lo = values[..., 4] + (values[..., 5] - values[..., 4]) * (
+                (0.3 - ts[4]) / (ts[5] - ts[4]))
+            head = 0.5 * (pw(at_lo) + ys[..., 5]) * (ts[5] - 0.3)
+            assert np.array_equal(path.trapezoid(power, 0.3, 1.0),
+                                  head + np.trapezoid(ys[..., 5:], ts[5:], axis=-1))
+
     def test_vectorized_matches_scalar(self):
         paths = sample_path(9, n=64)
         f = parse("B(0.5)^2*B(1)+exp(B(0.25))")
