@@ -162,6 +162,12 @@ def _grid_list(text: str) -> tuple:
         raise ConfigError(f"bad grid list {text!r}")
 
 
+def _output_format(text: str) -> str:
+    if text not in ("json", "csv", "table"):
+        raise ConfigError(f"unknown output format {text!r}")
+    return text
+
+
 _CONFIG_KEYS = {
     "hurst": ("hurst", float),
     "r": ("r", float),
@@ -176,7 +182,7 @@ _CONFIG_KEYS = {
     "mc.paths": ("mc_paths", int),
     "mc.seed": ("mc_seed", int),
     "mc.refinement": ("mc_refinement", int),
-    "format": ("format", str),
+    "format": ("format", _output_format),
     "output": ("output", str),
 }
 
@@ -216,9 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         sp = subs.add_parser(name)
         for key, (dest, conv) in _CONFIG_KEYS.items():
-            choices = ("json", "csv", "table") if key == "format" else None
-            sp.add_argument("--" + key, dest=dest, type=conv, default=None,
-                            choices=choices)
+            sp.add_argument("--" + key, dest=dest, type=conv, default=None)
         sp.add_argument("--config", type=str, default=None)
     return top
 

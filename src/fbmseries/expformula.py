@@ -53,8 +53,10 @@ bisected.  The gap between the two, relative to the integral of the
 absolute integrand, is the error of the separable, level-1 quadrature and
 symmetrized routes; a gap above rel_tol raises EngineError.
 
-Terms outside all five routes raise EngineError, and exp_series checks
-every level for them before it integrates any.
+Before any level is integrated, exp_series sorts each term's factors once
+by the level variables they hold, which picks the term's route, and builds
+each symmetrized term's box plan once; a term outside all five routes
+raises EngineError there.
 """
 
 from __future__ import annotations
@@ -111,26 +113,26 @@ def second_derivative(x: Expr, k: int) -> Expr:
     return collect_terms(directional(d, _uname(k)))
 
 
-def _separable(term: Expr, i: int):
-    """Sort a product term's factors by the level variables they mention.
+def _sort_factors(term: Expr, i: int):
+    """Sort a level-i product term's factors by the level variables they hold.
 
-    Returns (s_facs, per_level): factors free of every level variable, and
-    per level k the pair (u_k only, v_k only) of piecewise-polynomial
-    factors; None when a factor ties variables together or is not
-    piecewise polynomial, so that the term has no separable route.
+    Returns (s_facs, held, per_level): the factors free of every level
+    variable; the others, in the term's order, each with the set of its
+    level variables; and per level k the pair (u_k only, v_k only) of
+    piecewise-polynomial factors, or None when a factor ties variables
+    together or is not piecewise polynomial, so that the term has no
+    separable route.
     """
-    s_facs = []
+    named = [(fac, free_vars(fac)) for fac in product_factors(term)]
+    s_facs = [fac for fac, names in named if not names]
+    held = [(fac, names) for fac, names in named if names]
     per_level = [([], []) for _ in range(i)]
-    for fac in product_factors(term):
-        names = free_vars(fac)
-        if not names:
-            s_facs.append(fac)
-            continue
+    for fac, names in held:
         if len(names) > 1 or not fac.pw:
-            return None
-        name = names.pop()
+            return s_facs, held, None
+        name, = names
         per_level[int(name[2:]) - 1][name[1] == "v"].append(fac)
-    return s_facs, per_level
+    return s_facs, held, per_level
 
 
 def _cluster_polys(u_facs, v_facs, k, r, big_t):
@@ -141,19 +143,14 @@ def _cluster_polys(u_facs, v_facs, k, r, big_t):
     return None if wu is None or wv is None else (su * sv, wu, wv)
 
 
-def _cluster_value(polys, r, hh, v_hi=None):
+def _cluster_value(polys, r, big_t, hh, v_hi=None):
     """Exact 1/2 (int_0^T + int_0^r) du int_r^T dv of a cluster; with v_hi
     the v-range ends at v_hi instead (an array of ends gives the integral
     up to each)."""
     if polys is None:
         return 0.0
     c, wu, wv = polys
-    val = 0.5 * poly_rect_integral(wu, wv, hh, v_hi)
-    if r > 0.0:
-        wur = wu.restrict(0.0, r)
-        if wur is not None:
-            val += 0.5 * poly_rect_integral(wur, wv, hh, v_hi)
-    return c * val
+    return c * _box_moment(wu, None, wv, v_hi, r, big_t, hh)
 
 
 def _cluster_density(polys, r, big_t, hh, vs):
@@ -179,14 +176,13 @@ def _u_pair(facs, k, r, big_t) -> Expr:
                      for hi in his])
 
 
-def _quadrature_value(term, r, big_t, path, rel_tol, level):
-    """Level 1 on the level's grid, u_1 paired with phi_H(u_1, v_1)."""
-    s_facs = [f for f in product_factors(term) if not free_vars(f)]
-    facs = [f for f in product_factors(term) if free_vars(f)]
-    uf = [f for f in facs if _uname(1) in free_vars(f)]
+def _quadrature_value(held, r, big_t, path, rel_tol, level):
+    """int_r^T dv_1 of a level-1 term's factors held (see _sort_factors) on
+    the level's grid, u_1 paired with phi_H(u_1, v_1)."""
+    uf = [f for f, names in held if _uname(1) in names]
     if not uf:
         raise EngineError(f"level-1 term carries no {_uname(1)} dependence")
-    g_expr = make_product([f for f in facs if _uname(1) not in free_vars(f)]
+    g_expr = make_product([f for f, names in held if _uname(1) not in names]
                           + [_u_pair(uf, 1, r, big_t)])
     if not is_deterministic(g_expr):
         if path is None:
@@ -195,36 +191,33 @@ def _quadrature_value(term, r, big_t, path, rel_tol, level):
         if np.ndim(path.values) > 1:
             raise EngineError(
                 "stochastic simplex integrand supports single paths only")
-    val = level.integral(g_expr, path, rel_tol)
-    return make_product(s_facs), val, "quadrature"
+    return level.integral(g_expr, path, rel_tol)
 
 
-def _box_plan(term, i, r, big_t):
+def _box_plan(held, i, r, big_t):
     """A level-i term of the symmetrized route, cut up for its integral.
 
-    Returns (s_facs, scale, lims, weights): the factors free of level
-    variables; the constant of the single-variable factors (0 when one
-    vanishes); the s-range (floor, cap) of each ramp holding several level
-    variables; and per variable u_1, v_1, u_2, ... the pair (piecewise
-    polynomial on its range, index of its ramp or None).  Raises
-    EngineError for a term outside the route.
+    held is the term's factors that hold level variables (see
+    _sort_factors).  Returns (scale, lims, weights, breaks): the constant of
+    the single-variable factors (0 when one vanishes); the s-range
+    (floor, cap) of each ramp holding several level variables; per
+    variable u_1, v_1, u_2, ... the pair (piecewise polynomial on its
+    range, index of its ramp or None); and the breaks of the s-grid.
+    Raises EngineError for a term outside the route.
     """
-    s_facs, single, ramps = [], {}, []
-    for f in product_factors(term):
-        names = free_vars(f)
-        if not names:
-            s_facs.append(f)
-        elif not f.pw:
+    single, ramps = {}, []
+    for f, names in held:
+        if not f.pw:
             raise EngineError(
                 f"no level-{i} route integrates the factor {to_sexpr(f)}: it reads "
                 f"the path or is not piecewise polynomial in its level variables")
-        elif len(names) == 1:
-            single.setdefault(names.pop(), []).append(f)
+        if len(names) == 1:
+            single.setdefault(next(iter(names)), []).append(f)
         else:  # a ramp cap - max(floor, x, y, ...) = int_floor^cap 1{x, y, ... < s} ds
-            ramps.append(f)
-    slot = {n: j for j, f in enumerate(ramps) for n in free_vars(f)}
+            ramps.append((f, names))
+    slot = {n: j for j, (_, names) in enumerate(ramps) for n in names}
     if len(ramps) > 2 or len(slot.keys() | single.keys()) < sum(
-            len(free_vars(f)) for f in product_factors(term)):
+            len(names) for _, names in held):
         raise EngineError(f"a level-{i} term needs an s-integral of dimension "
                           f"{len(ramps)} or holds a level variable in two factors; "
                           f"the symmetrized route takes dimension 1 or 2 and one "
@@ -236,20 +229,26 @@ def _box_plan(term, i, r, big_t):
             scale_val *= c
             weights.append((w, slot.get(name)))
     lims = [(max([0.0] + [a for a in f.args if not isinstance(a, str)]), f.cap)
-            for f in ramps]
-    return s_facs, scale_val, lims, weights
+            for f, _ in ramps]
+    breaks = _balanced({0.0, r, big_t}.union(*[f.times() for f, _ in held]))
+    return scale_val, lims, weights, breaks
 
 
 def _check_level(prods, i, r, big_t):
-    """Raise EngineError, before any integral runs, unless each level-i term
+    """The split (s_facs, held, per_level, plan) of each level-i term: its
+    factors as _sort_factors sorts them, and its box plan (_box_plan), or
+    None when it takes another route.  Level 0, evaluated whole, has none.
+
+    Raises EngineError, before any integral runs, unless each level-i term
     (i >= 2) outside the exact, factorized and separable routes fits the
     symmetrized one, and relabeling the levels maps the set of those terms
     onto itself (the simplex-to-cube identity needs it).  Swaps of
     neighbouring levels generate every relabeling, so they are the ones
     tried.  At r = T every level >= 1 is 0, and nothing is checked."""
-    terms = [t for t in prods if i >= 2 and r < big_t and _separable(t, i) is None]
-    for t in terms:
-        _box_plan(t, i, r, big_t)
+    splits = [_sort_factors(t, i) for t in prods] if i else []
+    plans = [_box_plan(held, i, r, big_t) if i >= 2 and r < big_t and per_level is None
+             else None for _, held, per_level in splits]
+    terms = [t for t, plan in zip(prods, plans) if plan is not None]
 
     def key(k):  # the term set with levels k and k + 1 swapped (k = 0: as it is)
         ren = {f"{c}{a}": f"{c}{b}" for a, b in ((k, k + 1), (k + 1, k))
@@ -259,6 +258,7 @@ def _check_level(prods, i, r, big_t):
 
     if any(key(k) != key(0) for k in range(1, i)):
         raise EngineError(f"the level-{i} terms are not symmetric in the levels")
+    return [(*split, plan) for split, plan in zip(splits, plans)]
 
 
 def _box_moment(wu, cu, wv, cv, r, big_t, hh):
@@ -402,7 +402,7 @@ class _LevelGrid:
         hit = memo_key in self.memo
         if not hit:
             self.memo[memo_key] = self._on_both(
-                lambda vs: _cluster_value(polys, self.r, self.hh, vs) if first
+                lambda vs: _cluster_value(polys, self.r, self.big_t, self.hh, vs) if first
                 else _cluster_density(polys, self.r, self.big_t, self.hh, vs))
         return self.memo[memo_key], hit
 
@@ -419,8 +419,9 @@ class _LevelGrid:
         size = simplex_product(np.abs(gs[0]), [np.abs(g) for g in gs[1:]], self.grids[1])
         return self._checked(vals, size, "separable simplex integral", rel_tol)
 
-    def symmetrized(self, term, i, rel_tol):
-        """(prefactor, value) of a level-i term of the symmetrized route.
+    def symmetrized(self, plan, i, rel_tol):
+        """The value of a level-i term of the symmetrized route, given its
+        box plan (_box_plan).
 
         The level's term set is symmetric in the levels (_check_level), so
         its simplex integral is 1/i! times its integral over the cube
@@ -428,11 +429,9 @@ class _LevelGrid:
         the cube integral at fixed s factors over the levels into box
         moments, and an integral over the one or two s is left.
         """
-        s_facs, scale_val, lims, weights = _box_plan(term, i, self.r, self.big_t)
+        scale_val, lims, weights, breaks = plan
         if scale_val == 0.0:  # exactly 0: no gap
-            return make_product(s_facs), self._checked((0.0, 0.0), 0.0, "", rel_tol)
-        breaks = _balanced({0.0, self.r, self.big_t}.union(
-            *[f.times() for f in product_factors(term) if free_vars(f)]))
+            return self._checked((0.0, 0.0), 0.0, "", rel_tol)
 
         def g(s):
             return scale_val * math.prod(
@@ -443,33 +442,33 @@ class _LevelGrid:
         vals, sizes = zip(*[_s_integral(g, lims, breaks, refine)
                             for refine in (False, True)])
         val = self._checked(vals, sizes[1], "symmetrized box-moment integral", rel_tol)
-        return make_product(s_facs), float(val) / math.factorial(i)
+        return float(val) / math.factorial(i)
 
 
-def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
+def _term_value(split, i, r, big_t, hh, path, rel_tol, level):
     """(prefactor, integral, route) of one frozen product term at level
-    i >= 1: the prefactor is the product of its factors free of the level
-    variables, and the term's value is the integral times the prefactor's.
-    A cluster's exact moment is computed once per exp_series call, in
-    level.memo under its fingerprint."""
-    split = _separable(term, i)
-    if split is None:
+    i >= 1, given its split of _check_level: the prefactor is the product
+    of its factors free of the level variables, and the term's value is the
+    integral times the prefactor's.  A cluster's exact moment is computed
+    once per exp_series call, in level.memo under its fingerprint."""
+    s_facs, held, per_level, plan = split
+    s_expr = make_product(s_facs)
+    if per_level is None:
         if r == big_t:  # the v-range [r, T] is empty: exactly 0, no gap
-            s_expr = make_product([f for f in product_factors(term) if not free_vars(f)])
             val = level._checked((0.0, 0.0), 0.0, "", rel_tol)
             return s_expr, val, "quadrature" if i == 1 else "symmetrized"
         if i == 1:
-            return _quadrature_value(term, r, big_t, path, rel_tol, level)
-        return (*level.symmetrized(term, i, rel_tol), "symmetrized")
-    s_facs, per_level = split
+            return (s_expr, _quadrature_value(held, r, big_t, path, rel_tol, level),
+                    "quadrature")
+        return s_expr, level.symmetrized(plan, i, rel_tol), "symmetrized"
     keys = [_canonical_cluster(u, v, k + 1) for k, (u, v) in enumerate(per_level)]
-    s_expr = make_product(s_facs)
     if len(set(keys)) == 1:
         if keys[0] in level.memo:
             level.hits += 1
         else:
             u, v = per_level[0]
-            level.memo[keys[0]] = _cluster_value(_cluster_polys(u, v, 1, r, big_t), r, hh)
+            level.memo[keys[0]] = _cluster_value(_cluster_polys(u, v, 1, r, big_t),
+                                                 r, big_t, hh)
         cluster = level.memo[keys[0]]
         if i == 1:
             return s_expr, cluster, "exact"
@@ -479,12 +478,13 @@ def _term_value(term, i, r, big_t, hh, path, rel_tol, level):
     return s_expr, level.separable(clusters, keys, rel_tol), "separable"
 
 
-def _level_value(prods, i, r, big_t, hh, path, rel_tol, memo, out):
-    """(out, routes, error, hits) of level i.  out receives each term's
-    (prefactor, integral) pair as soon as it is computed; level 0 gives one
-    pair, the collected frozen functional and None.  error is the estimate
-    of the level's grid, None when no term used it, and hits the number of
-    terms whose moments came from memo, the exp_series call's memo."""
+def _level_value(prods, splits, i, r, big_t, hh, path, rel_tol, memo, out):
+    """(out, routes, error, hits) of level i, whose terms prods have the
+    splits of _check_level.  out receives each term's (prefactor, integral)
+    pair as soon as it is computed; level 0 gives one pair, the collected
+    frozen functional and None.  error is the estimate of the level's grid,
+    None when no term used it, and hits the number of terms whose moments
+    came from memo, the exp_series call's memo."""
     if i == 0:
         out.append((collect_terms(make_sum(prods)), None))
         return out, "evaluate", None, 0
@@ -492,8 +492,8 @@ def _level_value(prods, i, r, big_t, hh, path, rel_tol, memo, out):
         return out, "vanishes", None, 0
     routes = set()
     level = _LevelGrid(prods, r, big_t, hh, memo)
-    for t in prods:
-        s_expr, val, route = _term_value(t, i, r, big_t, hh, path, rel_tol, level)
+    for split in splits:
+        s_expr, val, route = _term_value(split, i, r, big_t, hh, path, rel_tol, level)
         out.append((s_expr, val))
         routes.add(route)
     return out, "+".join(sorted(routes)), level.error, level.hits
@@ -540,14 +540,14 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
         if i:
             x = second_derivative(x, i)
         frozen = collect_terms(make_sum(expand(freeze(x, r))))
-        levels.append([t for t in sum_terms(frozen) if t != ZERO])
-        _check_level(levels[-1], i, r, big_t)
+        prods = [t for t in sum_terms(frozen) if t != ZERO]
+        levels.append((prods, _check_level(prods, i, r, big_t)))
     memo, pairs, diags, failure = {}, [], [], None
     try:
-        for i, prods in enumerate(levels):
+        for i, (prods, splits) in enumerate(levels):
             pairs.append([])
-            _, route, error, hits = _level_value(prods, i, r, big_t, hh, path, rel_tol,
-                                                 memo, pairs[-1])
+            _, route, error, hits = _level_value(prods, splits, i, r, big_t, hh, path,
+                                                 rel_tol, memo, pairs[-1])
             diags.append({"order": i, "route": route, "n_terms": len(prods),
                           "memo_hits": hits})
             if error is not None:

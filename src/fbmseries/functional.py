@@ -107,8 +107,7 @@ class _Node:
     nodes at once may get two nodes, which collect_terms then keeps as
     separate terms.
     _plain lists the positions of the fields that hold plain values
-    rather than nodes (see _kind); _plan caches the evaluation schedule of
-    a node evaluated as a root.
+    rather than nodes (see _kind).
 
     A kind's rules are its methods; the fold rules take the results at the
     node's operands (or children) and one argument.  Besides the defaults
@@ -123,7 +122,7 @@ class _Node:
     n-ary kind folds an operand's value into its own (combine).
     """
 
-    __slots__ = ("_plan", "__weakref__")
+    __slots__ = ("__weakref__",)
     _plain = ()
     random = False
     discrete = True
@@ -1104,41 +1103,34 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
     first reach it, and its value is dropped at its last use, so a shared
     subtree costs one evaluation and few values are alive at a time.  A
     list of roots gives the list of their values from one joint schedule,
-    which computes a node shared by several roots once; a single root
-    caches its schedule.  An ensemble of more than _PATH_BLOCK paths runs
-    the schedule on one block of paths at a time, so the values alive at
-    a time are few blocks wide; every step works path by path, so the
-    joined values have the bits of one run over all paths.
+    which computes a node shared by several roots once.  An ensemble of
+    more than _PATH_BLOCK paths runs the schedule on one block of paths at
+    a time, so the values alive at a time are few blocks wide; every step
+    works path by path, so the joined values have the bits of one run over
+    all paths.
     """
     shape = _batch_shape(bindings)
-    if isinstance(expr, list):
-        plan, root = _schedule(expr), None
-    elif not isinstance(expr, _Node):
+    if not isinstance(expr, (list, _Node)):
         raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
-    else:
-        plan, root = getattr(expr, "_plan", None), expr
-        if plan is None:
-            plan = _schedule((expr,), cached=expr)
-            object.__setattr__(expr, "_plan", plan)
+    plan = _schedule(expr if isinstance(expr, list) else (expr,))
     if path is None or path.values.ndim < 2 or len(path.values) <= _PATH_BLOCK:
-        out = _run(plan, root, h, path, bindings, shape)
+        out = _run(plan, h, path, bindings, shape)
     else:
         blocks = (GridPath(path.times, path.values[lo:lo + _PATH_BLOCK])
                   for lo in range(0, len(path.values), _PATH_BLOCK))
-        runs = [_run(plan, root, h, b, bindings, shape) for b in blocks]
+        runs = [_run(plan, h, b, bindings, shape) for b in blocks]
         # a root that reads no path is one scalar, the same in every block
         out = [vs[0] if all(np.ndim(v) == 0 for v in vs) else np.concatenate(vs)
                for vs in zip(*runs)]
-    return out if root is None else out[0]
+    return out if isinstance(expr, list) else out[0]
 
 
-def _run(plan: tuple, root, h, path, bindings, shape) -> list:
+def _run(plan: tuple, h, path, bindings, shape) -> list:
     """Run a schedule; the values of its roots, broadcast to the shape of
-    the array bindings if any.  A step's node None stands for root."""
+    the array bindings if any."""
     n_slots, steps, outs = plan
     vals = [None] * n_slots
     for node, slot, arg, last in steps:
-        node = node or root
         if arg is None:
             vals[slot] = node.step(None, h, path, bindings)
         elif node.combine is None:
@@ -1151,16 +1143,14 @@ def _run(plan: tuple, root, h, path, bindings, shape) -> list:
             else vals[s] for s in outs]
 
 
-def _schedule(roots, cached=None) -> tuple:
+def _schedule(roots) -> tuple:
     """(number of value slots, steps, root slots) evaluating roots.
 
     A step [node, slot, arg, last] stores in slot the value of a node
     without operands (arg None) or of a unary node applied to the value in
     slot arg, or combines the value in slot arg into the sum or product
     accumulating in slot, which starts from its empty value; last holds
-    arg when no later step reads it and it is no root's slot.  The node
-    cached appears as None, so a schedule cached on it holds no reference
-    back to it.
+    arg when no later step reads it and it is no root's slot.
     """
     slots, steps, reader = {}, [], {}
     outs = [_emit(e, slots, steps, reader) for e in roots]
@@ -1168,10 +1158,6 @@ def _schedule(roots, cached=None) -> tuple:
         reader.pop(s, None)
     for arg, step in reader.items():
         step[3] = (arg,)
-    if cached is not None:
-        for step in steps:
-            if step[0] is cached:
-                step[0] = None
     return len(slots), steps, outs
 
 

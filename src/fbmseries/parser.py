@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .functional import (
+    Const,
     Expr,
     TimeGrid,
     WienerInt,
@@ -188,7 +189,6 @@ class _Parser:
         self.fail("expected an expression")
 
     def _const(self) -> Expr:
-        from .functional import Const
         return Const(self.number())
 
     def _sample(self) -> Expr:

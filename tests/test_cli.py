@@ -331,6 +331,28 @@ class TestConfigFile:
         assert run_cli(["merton", "--config", str(cfg), "--hurst", "0.75",
                         "--T", "1"])[0] == 2
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unknown_format_rejected_as_flag_and_as_config_entry(self, where, tmp_path,
+                                                                 capsys):
+        argv = ["merton", "--hurst", "0.7", "--T", "1", "--order", "2"]
+        if where == "flag":
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(argv + ["--format", "xml"])
+            assert exit_.value.code == 2
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format = xml\n")
+            assert run_cli(argv + ["--config", str(cfg)]) == (2, "")
+        assert "format" in capsys.readouterr().err
+
+    def test_config_format_selects_the_output(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n")
+        argv = ["merton", "--hurst", "0.7", "--T", "1", "--order", "2"]
+        code, out = run_cli(argv + ["--config", str(cfg)])
+        assert (code, out) == run_cli(argv + ["--format", "json"])
+        assert json.loads(out)["order"] == 2
+
     def test_missing_config_file_rejected(self):
         assert run_cli(["merton", "--config", "/no/such/file",
                         "--hurst", "0.75", "--T", "1"])[0] == 2

@@ -552,8 +552,9 @@ def test_symmetrized_level_two_is_the_isserlis_moment(text, moment, r, h):
 
     d2 = derivative_levels(parse(text), 2)[2]
     prods = list(sum_terms(collect_terms(make_sum(expand(freeze(d2, r))))))
-    pairs, route, error, _ = expformula._level_value(prods, 2, r, 1.0, h, None, 1e-9,
-                                                     {}, [])
+    splits = expformula._check_level(prods, 2, r, 1.0)
+    pairs, route, error, _ = expformula._level_value(prods, splits, 2, r, 1.0, h, None,
+                                                     1e-9, {}, [])
     assert route == "symmetrized" and error <= 1e-9
     val = collect_terms(make_sum([scale(s, v) for s, v in pairs]))
     want = moment(cov, h, r)
@@ -635,6 +636,18 @@ def test_symmetrized_route_needs_a_symmetric_term_set():
     twin = make_product([ramp_max(1.0, (0.0, "_u2", "_v1")), ramp_max(1.0, (0.0, "_u1")),
                          ramp_max(1.0, (0.0, "_v2"))])
     expformula._check_level([term, twin], 2, 0.0, 1.0)
+
+
+def test_box_plan_is_built_once_per_symmetrized_term(monkeypatch):
+    # level 2 of the quartic has three symmetrized terms; the plan made when
+    # the level is checked is the one its integral uses
+    builds = []
+    real = expformula._box_plan
+    monkeypatch.setattr(expformula, "_box_plan",
+                        lambda *a: builds.append(1) or real(*a))
+    res = exp_series(parse("IB2(0,1)^2"), 0.0, 1.0, 0.7, 2)
+    assert res.diagnostics[2]["route"] == "symmetrized"
+    assert res.diagnostics[2]["n_terms"] == len(builds) == 3
 
 
 @pytest.mark.parametrize("text,order", [("IB2(0,1)^2", 1), ("exp(-IB2(0,1))", 2),
