@@ -17,7 +17,12 @@ entry on three paths, exp(0.5*IB(0,1))*B(1), whose levels take the
 factorized and separable routes with frozen prefactors shared across
 levels, as the package printed it when each level's prefactors and
 cluster moments were still evaluated term by term.  A change that keeps
-the numbers keeps every byte.  To rewrite the goldens after a
+the numbers keeps every byte.
+
+tests/golden/engines.json holds, per backward_taylor case, the SHA-1 of each
+symbolic term and the hex floats of the terms on a few paths.  The blocked
+case evaluates its terms on 20 paths in blocks of 8, three blocks, as the
+package gave them when every sum and product step built a new array.  To rewrite the goldens after a
 deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -37,6 +42,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from fbmseries import functional
 from fbmseries.cli import main
 from fbmseries.expformula import _cir_ordered_integrals
 from fbmseries.fbm import McConfig, simulate
@@ -106,21 +112,31 @@ ENGINE_CASES = [
     ("B(0.5)^2*B(1.0)^2", _G4, 6),
 ]
 
+# (expr, grid, order, paths) evaluated in blocks of _BLOCK paths
+_BLOCK = 8
+BLOCKED_ENGINE_CASES = [("exp(0.1*B(1.0))", _G4, 6, 20)]
+
 
 def _engine_run(case):
     """SHA-1 of each symbolic term's S-expression and the hex floats of the
-    terms on 8 paths drawn with seed 11."""
-    text, grid_text, order = case
+    terms on the case's paths (8 if it names no count) drawn with seed 11."""
+    text, grid_text, order, *n_paths = case
     r, h = 0.3, 0.7
     grid = TimeGrid(tuple(float(t) for t in grid_text.split(",")))
     terms = backward_taylor(parse(text), r, grid, order, h).terms
     ens = simulate(TimeGrid.covering(grid.times + (r,)), h,
-                   McConfig(n_paths=8, seed=11))
+                   McConfig(n_paths=n_paths[0] if n_paths else 8, seed=11))
     values = evaluate(list(terms), h=h, path=ens.as_grid_path())
     return {"case": "|".join(map(str, case)),
             "sexpr_sha1": [hashlib.sha1(to_sexpr(t).encode()).hexdigest()
                            for t in terms],
             "values": [[float(x).hex() for x in np.ravel(v)] for v in values]}
+
+
+def _blocked_engine_run(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functional, "_PATH_BLOCK", _BLOCK)
+        return _engine_run(case)
 
 
 def _run(argv):
@@ -150,13 +166,20 @@ def test_blocked_cli_output_is_byte_identical(argv):
 
 def test_engine_golden_covers_every_case():
     assert [g["case"] for g in json.loads(ENGINES.read_text())] == [
-        "|".join(map(str, c)) for c in ENGINE_CASES]
+        "|".join(map(str, c)) for c in ENGINE_CASES + BLOCKED_ENGINE_CASES]
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda c: f"{c[0]}-o{c[2]}")
 def test_engine_terms_are_bit_identical(case):
     want = {g["case"]: g for g in json.loads(ENGINES.read_text())}
     assert _engine_run(case) == want["|".join(map(str, case))]
+
+
+@pytest.mark.parametrize("case", BLOCKED_ENGINE_CASES,
+                         ids=lambda c: f"{c[0]}-o{c[2]}-p{c[3]}")
+def test_blocked_engine_terms_are_bit_identical(case):
+    want = {g["case"]: g for g in json.loads(ENGINES.read_text())}
+    assert _blocked_engine_run(case) == want["|".join(map(str, case))]
 
 
 @pytest.mark.parametrize("row", json.loads(CIR4.read_text()),
@@ -172,5 +195,6 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([_run(a) for a in COMMANDS + BLOCKED_COMMANDS],
                                  indent=1) + "\n")
-    ENGINES.write_text(json.dumps([_engine_run(c) for c in ENGINE_CASES], indent=1)
-                       + "\n")
+    ENGINES.write_text(json.dumps([_engine_run(c) for c in ENGINE_CASES]
+                                  + [_blocked_engine_run(c) for c in BLOCKED_ENGINE_CASES],
+                                  indent=1) + "\n")
