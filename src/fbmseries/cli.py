@@ -155,16 +155,20 @@ def _emit(doc: dict, fmt: str, output, stream) -> None:
 
 # ------------------------------------------------------------ arguments
 
+# a converter's message is the whole error text for a flag and the tail of
+# it for a config line
 def _grid_list(text: str) -> tuple:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise ConfigError(f"bad grid list {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"bad grid list {text!r}: expected comma-separated times, such as 0,0.5,1")
 
 
 def _output_format(text: str) -> str:
     if text not in ("json", "csv", "table"):
-        raise ConfigError(f"unknown output format {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"unknown output format {text!r}: expected json, csv or table")
     return text
 
 
@@ -206,8 +210,8 @@ def _read_config(path: str) -> dict:
         dest, conv = _CONFIG_KEYS[key]
         try:
             out[dest] = conv(val)
-        except (ValueError, ConfigError):
-            raise ConfigError(f"config line {ln}: bad value for {key!r}")
+        except (ValueError, argparse.ArgumentTypeError) as e:
+            raise ConfigError(f"config line {ln}: bad value for {key!r}: {e}")
     return out
 
 

@@ -111,15 +111,16 @@ class _Node:
 
     A kind's rules are its methods; the fold rules take the results at the
     node's operands (or children) and one argument.  Besides the defaults
-    below, every kind defines step, its value given its operand's value,
-    and sexpr, its S-expression given those of its children.  The class
-    flags say
+    below, every kind defines sexpr, its S-expression given those of its
+    children, and every kind but the n-ary ones defines step, its value
+    given its operand's value.  The class flags say
     whether a kind reads the path (random), whether it depends on the path
     only through B_t samples if at all (discrete), whether it has an exact
     piecewise-polynomial form in one variable (pw; such a kind has pwpoly,
     its concrete piecewise polynomial in a variable it depends on, over
     [lo, hi], or None for an identically zero restriction), and how an
-    n-ary kind folds an operand's value into its own (combine).
+    n-ary kind folds an operand's value into its own, in place where it can
+    (combine), starting from its value with no operands (empty).
     """
 
     __slots__ = ("__weakref__",)
@@ -172,6 +173,10 @@ class _Node:
     def free_vars(self, inner: list, _) -> set:
         """Unbound names, given those of the children."""
         return set().union(*inner)
+
+    def sample_times(self, inner: list, _) -> frozenset:
+        """Times of the B_t samples, given those of the children."""
+        return frozenset().union(*inner)
 
     def derivative(self, ds: list, at) -> Expr:
         """D_at of the node, given D_at of each operand."""
@@ -227,6 +232,9 @@ class FbmSample(_Node):
 
     def frozen(self, fs, r):
         return fbm_sample(min(self.t, r))
+
+    def sample_times(self, inner, _):
+        return frozenset((self.t,))
 
     def step(self, x, h, path, bindings):
         return _on(path, "B_t", bindings).value(self.t)
@@ -465,7 +473,8 @@ class HermitePoly(_Node):
 @_kind
 class Sum(_Node):
     terms: tuple[Expr, ...]
-    combine = operator.add
+    combine = operator.iadd
+    empty = 0.0
 
     def operands(self):
         return self.terms
@@ -476,9 +485,6 @@ class Sum(_Node):
     def frozen(self, fs, r):
         return make_sum(fs)
 
-    def step(self, x, h, path, bindings):
-        return 0.0  # the empty sum; evaluate folds the terms in one by one
-
     def sexpr(self, inner, rename) -> str:
         return "(+ " + " ".join(inner) + ")"
 
@@ -486,7 +492,8 @@ class Sum(_Node):
 @_kind
 class Product(_Node):
     factors: tuple[Expr, ...]
-    combine = operator.mul
+    combine = operator.imul
+    empty = 1.0
 
     def operands(self):
         return self.factors
@@ -500,9 +507,6 @@ class Product(_Node):
 
     def frozen(self, fs, r):
         return make_product(fs)
-
-    def step(self, x, h, path, bindings):
-        return 1.0
 
     def sexpr(self, inner, rename) -> str:
         return "(* " + " ".join(inner) + ")"
@@ -791,10 +795,12 @@ def nodes(expr: Expr):
             stack.extend(reversed(node.children()))
 
 
-def fbm_times(expr: Expr) -> set:
-    """Times of every B_t sample in the expression (the random kind that is
-    discrete)."""
-    return {n.t for n in nodes(expr) if n.random and n.discrete}
+def fbm_times(expr: Expr, done: "dict | None" = None) -> frozenset:
+    """Times of every B_t sample in the expression.  done, {id(node): its
+    sample times}, carries the times of each node across calls; it is keyed
+    by identity, so its owner must keep every expr it passed alive while it
+    uses done (see directional)."""
+    return _fold(expr, "sample_times", kids="children", done=done)
 
 
 def times(expr: Expr) -> set:
@@ -909,12 +915,15 @@ class GridPath:
 
     Lookup is strict: a time that is not exactly a grid time raises
     OffGridTimeError rather than interpolating.  Only the lower limit of
-    trapezoid may fall between grid times.
+    trapezoid may fall between grid times.  values is a read-only view, so
+    a write through a sample taken from it raises; the array passed in
+    keeps its own flags.
     """
 
     def __init__(self, times, values):
         self.times = tuple(float(t) for t in times)
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.asarray(values, dtype=float).view()
+        self.values.flags.writeable = False
         if self.values.shape[-1] != len(self.times):
             raise ValueError("values last axis must match the number of times")
         self._index = {t: i for i, t in enumerate(self.times)}
@@ -1107,7 +1116,10 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
     more than _PATH_BLOCK paths runs the schedule on one block of paths at
     a time, so the values alive at a time are few blocks wide; every step
     works path by path, so the joined values have the bits of one run over
-    all paths.
+    all paths.  A sum or product accumulates in place in an array it made
+    itself at its first array operand; a path, a binding or an operand's
+    value is never written, and every run starts from the schedule's
+    initial values, which hold whatever reads neither path nor bindings.
     """
     shape = _batch_shape(bindings)
     if not isinstance(expr, (list, _Node)):
@@ -1126,10 +1138,10 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
 
 
 def _run(plan: tuple, h, path, bindings, shape) -> list:
-    """Run a schedule; the values of its roots, broadcast to the shape of
-    the array bindings if any."""
-    n_slots, steps, outs = plan
-    vals = [None] * n_slots
+    """Run a schedule from a copy of its initial values; the values of its
+    roots, broadcast to the shape of the array bindings if any."""
+    init, steps, outs = plan
+    vals = list(init)
     for node, slot, arg, last in steps:
         if arg is None:
             vals[slot] = node.step(None, h, path, bindings)
@@ -1144,36 +1156,52 @@ def _run(plan: tuple, h, path, bindings, shape) -> list:
 
 
 def _schedule(roots) -> tuple:
-    """(number of value slots, steps, root slots) evaluating roots.
+    """(initial values, steps, root slots) evaluating roots.
 
-    A step [node, slot, arg, last] stores in slot the value of a node
-    without operands (arg None) or of a unary node applied to the value in
-    slot arg, or combines the value in slot arg into the sum or product
-    accumulating in slot, which starts from its empty value; last holds
-    arg when no later step reads it and it is no root's slot.
+    The initial values, one per slot, hold what reads neither path nor
+    bindings, resolved here: a constant's value, and the start of each sum
+    or product, its empty value with its leading constant operands folded
+    in by the same float operations a run would do; every other slot starts
+    as None.  A step [node, slot, arg, last] stores in slot the value of a
+    node without operands (arg None) or of a unary node applied to the value
+    in slot arg, or combines the value in slot arg into the sum or product
+    accumulating in slot; last holds arg when no later step reads it and it
+    is no root's slot.
     """
-    slots, steps, reader = {}, [], {}
-    outs = [_emit(e, slots, steps, reader) for e in roots]
+    slots, init, steps, reader = {}, [], [], {}
+    outs = [_emit(e, slots, init, steps, reader) for e in roots]
     for s in outs:
         reader.pop(s, None)
     for arg, step in reader.items():
         step[3] = (arg,)
-    return len(slots), steps, outs
+    return init, steps, outs
 
 
-def _emit(node: Expr, slots: dict, steps: list, reader: dict) -> int:
-    """Append the steps computing node, unless already scheduled, with
-    last left empty; reader maps each slot read to its latest reading step.
-    The node's slot."""
+def _emit(node: Expr, slots: dict, init: list, steps: list, reader: dict) -> int:
+    """Append node's initial value to init and the steps computing it,
+    unless already scheduled, with last left empty; reader maps each slot
+    read to its latest reading step.  The node's slot."""
     slot = slots.get(id(node))
     if slot is not None:
         return slot
-    slot = slots[id(node)] = len(slots)
+    slot = slots[id(node)] = len(init)
     ops = node.operands()
-    if not ops or node.combine is not None:
+    if node.combine is not None:
+        acc, k = node.empty, 0
+        while k < len(ops) and isinstance(ops[k], Const):
+            acc = node.combine(acc, ops[k].value)
+            k += 1
+        init.append(acc)
+        ops = ops[k:]
+    elif ops:
+        init.append(None)
+    elif isinstance(node, Const):
+        init.append(node.value)
+    else:
+        init.append(None)
         steps.append([node, slot, None, ()])
     for c in ops:
-        steps.append(step := [node, slot, _emit(c, slots, steps, reader), ()])
+        steps.append(step := [node, slot, _emit(c, slots, init, steps, reader), ()])
         reader[step[2]] = step
     return slot
 

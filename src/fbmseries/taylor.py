@@ -54,21 +54,25 @@ from .results import SeriesResult
 
 
 class DerivativeMemo:
-    """collect_terms(directional(expr, at)) memoized for one engine call.
+    """collect_terms(directional(expr, at)) memoized for one engine call,
+    and the sample times of the expressions it is asked for.
 
     The derivatives taken at one grid time share one directional memo, so a
     node that recurs across the expressions differentiated there is
     differentiated once, and a repeated (expr, at) request returns the
-    collected result.  The memo is keyed by node identity, so it keeps
-    every expression it differentiated alive; no node refers back to it,
+    collected result.  Likewise the sample times of each distinct node are
+    collected once.  The memo is keyed by node identity, so it keeps every
+    expression it differentiated or timed alive; no node refers back to it,
     and dropping it frees everything it holds.
     """
 
-    __slots__ = ("_done", "_collected")
+    __slots__ = ("_done", "_collected", "_times", "_timed")
 
     def __init__(self):
         self._done = {}        # at -> {id(node): D_at node}
         self._collected = {}   # (id(expr), at) -> (expr, collected D_at expr)
+        self._times = {}       # id(node) -> its sample times
+        self._timed = []       # the expressions timed, kept alive
 
     def __call__(self, expr: Expr, at: float) -> Expr:
         hit = self._collected.get((id(expr), at))
@@ -76,6 +80,10 @@ class DerivativeMemo:
             d = collect_terms(directional(expr, at, self._done.setdefault(at, {})))
             hit = self._collected[id(expr), at] = (expr, d)
         return hit[1]
+
+    def sample_times(self, expr: Expr) -> frozenset:
+        self._timed.append(expr)
+        return fbm_times(expr, self._times)
 
 
 def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
@@ -91,7 +99,7 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
     derive = derive or DerivativeMemo()
     if x == ZERO or k_max == 0:
         return [x] + [ZERO] * k_max
-    cuts = sorted(t for t in fbm_times(x) | {t_final} if 0.0 < t <= t_final)
+    cuts = sorted(t for t in derive.sample_times(x) | {t_final} if 0.0 < t <= t_final)
     cells = list(zip([0.0] + cuts[:-1], cuts))
     rng = Interval(a, b)
     rects = [rect_integral(Interval(lo, hi), rng, hh) for lo, hi in cells]

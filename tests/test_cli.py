@@ -345,6 +345,28 @@ class TestConfigFile:
             assert run_cli(argv + ["--config", str(cfg)]) == (2, "")
         assert "format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling, accepted", [
+        (["--format", "xml"], "expected json, csv or table"),
+        (["--grid", "0,x"], "expected comma-separated times"),
+        ("format = xml\n", "expected json, csv or table"),
+        ("grid = 0,x\n", "expected comma-separated times"),
+    ], ids=["format-flag", "grid-flag", "format-config", "grid-config"])
+    def test_bad_value_names_the_accepted_values(self, spelling, accepted, tmp_path,
+                                                 capsys):
+        argv = ["merton", "--hurst", "0.7", "--T", "1", "--order", "2"]
+        if isinstance(spelling, list):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(argv + spelling)
+            assert exit_.value.code == 2
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(spelling)
+            assert run_cli(argv + ["--config", str(cfg)]) == (2, "")
+        err = capsys.readouterr().err
+        assert accepted in err
+        assert "invalid" not in err and "_output_format" not in err
+        assert "_grid_list" not in err
+
     def test_config_format_selects_the_output(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = json\n")

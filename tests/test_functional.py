@@ -17,10 +17,12 @@ from fbmseries.functional import (
     Const,
     FbmSample,
     GridPath,
+    HermitePoly,
     Indicator,
     OffGridTimeError,
     PolyInVar,
     PhiMoment,
+    Product,
     RampMax,
     Sum,
     TimeGrid,
@@ -384,6 +386,17 @@ class TestEvaluate:
         assert p.value(0.5) == 1.2
         assert p.value(0.0) == 0.0
 
+    def test_path_values_are_a_read_only_view(self):
+        vals = np.array([[0.0, 0.1, 0.2], [0.0, -0.1, 0.3]])
+        path = GridPath((0.0, 0.5, 1.0), vals)
+        assert np.shares_memory(path.values, vals) and vals.flags.writeable
+        sample = evaluate(fbm_sample(0.5), path=path)
+        with pytest.raises(ValueError, match="read-only"):
+            sample += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            path.values[0, 1] = 5.0
+        assert vals.tolist() == [[0.0, 0.1, 0.2], [0.0, -0.1, 0.3]]
+
 
 class TestGridPartials:
     def test_known_second_partial(self):
@@ -653,3 +666,57 @@ class TestSharedEvaluation:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak < 8 * n * 8
+
+
+class TestInPlaceEvaluation:
+    """Sums and products accumulate in arrays they made themselves: a path,
+    a binding or an operand's value is never written."""
+
+    B5, B1 = fbm_sample(0.5), fbm_sample(1.0)
+    X = Sum((B5, B1))
+    # B(t) or a value aliasing it first; x is a root and an operand of others
+    ROOTS = [X, Product((B5, B1, make_exp(B1))), Sum((HermitePoly(1, B5), Const(2.0), B1)),
+             Product((X, B5)), make_sum([X, fbm_sample(0.75)]),
+             make_product([Const(3.0), B5, X]), Product((Const(0.5), Const(3.0), X)), X]
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_paths_kept_and_values_match_the_out_of_place_oracle(self, n, monkeypatch):
+        monkeypatch.setattr(functional, "_PATH_BLOCK", 8)  # 20 paths: three blocks
+        ens = simulate(GRID, 0.7, McConfig(n_paths=n, seed=41))
+        values = ens.values[0] if n == 1 else ens.values
+        kept = values.copy()
+        path = GridPath(GRID.times, values)
+        got = evaluate(self.ROOTS, path=path)
+        singles = [evaluate(e, path=path) for e in self.ROOTS]
+        assert values.tobytes() == kept.tobytes()
+        ref = GridPath(GRID.times, kept)
+        for e, g, s in zip(self.ROOTS, got, singles):
+            want = np.asarray(tree_evaluate(e, path=ref))
+            assert np.shape(g) == want.shape and np.asarray(g).tobytes() == want.tobytes()
+            assert np.asarray(s).tobytes() == want.tobytes()
+        assert got[0].tobytes() == got[-1].tobytes()
+
+    def test_array_bindings_kept_and_values_match_the_out_of_place_oracle(self):
+        vals = np.concatenate([[0.0], np.cumsum(np.random.default_rng(4).normal(0, .3, 4))])
+        u, w = np.linspace(0.0, 1.0, 9), np.linspace(0.1, 0.9, 9)
+        kept = [a.copy() for a in (vals, u, w)]
+        path, bindings = GridPath(GRID.times, vals), {"u": u, "w": w}
+        ind, poly = Indicator("u", 0.0, 0.5), PolyInVar((1.0, 2.0), "w")
+        roots = [Sum((ind, poly, self.B5)), Product((RampMax(1.0, ("u",)), poly, Const(3.0))),
+                 Product((time_int_b(("u",), 1.0), self.B5)), Sum((HermitePoly(1, poly), ind)),
+                 make_product([Const(2.0), poly, ind])]
+        got = evaluate(roots, path=path, bindings=bindings)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((vals, u, w), kept))
+        for e, g in zip(roots, got):
+            want = np.asarray(tree_evaluate(e, path=path, bindings=bindings))
+            assert g.shape == u.shape and g.tobytes() == want.tobytes()
+
+    def test_wide_taylor_schedule_resolves_its_constants_when_built(self):
+        # the terms the ensemble benchmark evaluates on 40k paths: 9644
+        # steps a block when every constant and empty sum was a step
+        terms = backward_taylor(parse("exp(0.1*B(1))"), 0.3, GRID, 6, 0.7).terms
+        init, steps, outs = functional._schedule(terms)
+        assert len(steps) <= 5600
+        assert not any(isinstance(node, Const) or node.combine and arg is None
+                       for node, _, arg, _ in steps)
+        assert len(init) > max(outs)

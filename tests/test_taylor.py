@@ -12,6 +12,7 @@ from fbmseries import functional, taylor
 from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import (
     ONE,
+    FbmSample,
     GridPath,
     TimeGrid,
     ZERO,
@@ -202,6 +203,17 @@ def test_derivative_memo_matches_fresh_derivatives():
         assert derive(d, at) is want
         assert derive(d, at) is want
         d = want
+
+
+def test_derivative_memo_sample_times_match_a_fresh_walk():
+    # one memo across a chain of derivatives: each expression's times are
+    # those of its own B_t samples, not of an earlier expression's
+    derive = DerivativeMemo()
+    d = parse("exp(0.5*B(1))*B(0.5)^2+B(0.25)")
+    for at in (0.25, 1.0, 0.5, 0.5, 0.5):
+        want = {n.t for n in nodes(d) if isinstance(n, FbmSample)}
+        assert derive.sample_times(d) == want == functional.fbm_times(d)
+        d = derive(d, at)
 
 
 def test_psi_invariant_under_partition_refinement():
