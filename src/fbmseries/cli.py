@@ -328,6 +328,9 @@ def _run_taylor(args) -> dict:
     r = args.r if args.r is not None else 0.0
     f, _ = _parse_expr(args)
     expand_grid = TimeGrid.covering(grid_times)
+    if not 0.0 <= r <= expand_grid.final_time:
+        raise ValueError(f"need 0 <= r <= horizon, got r={r}, "
+                         f"horizon={expand_grid.final_time}")
     path, n_paths = _sim_path(args, f, h, expand_grid.times + (r,))
     res = backward_taylor(f, r, expand_grid, order, h, path=path)
     args.r = r

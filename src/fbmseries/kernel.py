@@ -22,6 +22,13 @@ integration by parts:
     int y^n Phi_m(y) dy = sum_{s=0..n} (-1)^s n!/(n-s)! y^(n-s) Phi_{m+1+s}(y).
 
 Fractional powers |x|^p are computed as exp(p log|x|) with 0 mapped to 0.
+
+The moments evaluate Phi_m through an endpoint table (`_Endpoint`): for one
+endpoint y, a float or an array, it takes sign(y) and log|y| once and each
+Phi_m(y) and y**k the first time it is asked for, by the same float
+operations as a lone evaluation.  Each moment call builds one table per
+distinct endpoint (a cut or piece break minus the partner v, or e - c and
+e - d for the ends e of a rectangle's u-piece) and drops them on return.
 """
 
 from __future__ import annotations
@@ -61,23 +68,49 @@ class Interval:
 
 def abs_pow(x, p: float):
     """|x|**p via exp(p log|x|), with the convention 0**p = 0 (p may be fractional)."""
-    if np.ndim(x) == 0:
-        ax = abs(float(x))
-        return 0.0 if ax == 0.0 else math.exp(p * math.log(ax))
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(ax)
-    nz = ax > 0.0
-    out[nz] = np.exp(p * np.log(ax[nz]))
-    return out
+    return _Endpoint(x).abs_pow(p)
 
 
-def sign_pow(x, m: int):
-    """sign(x)**m with sign(0) = 0."""
-    if np.ndim(x) == 0:
-        s = math.copysign(1.0, x) if x != 0.0 else 0.0
-        return s if m % 2 else (0.0 if x == 0.0 else 1.0)
-    s = np.sign(np.asarray(x, dtype=float))
-    return s if m % 2 else np.abs(s)
+class _Endpoint:
+    """Phi_m(y), |y|**p and y**k at one endpoint y (float or array).
+
+    sign(y) and log|y| are taken once, each Phi_m(y) and y**k the first
+    time it is asked for; h is the Hurst index of Phi_m.
+    """
+
+    def __init__(self, y, h=None):
+        self.y, self.h, self.phis, self.pows = y, h, {}, {}
+        if isinstance(y, float) or np.ndim(y) == 0:
+            # sign(y)**m for odd and even m, with sign(0) = 0
+            self.sign = (math.copysign(1.0, y) if y != 0.0 else 0.0,
+                         0.0 if y == 0.0 else 1.0)
+            self.nz, self.log = None, (None if y == 0.0 else math.log(abs(float(y))))
+        else:
+            s = np.sign(np.asarray(y, dtype=float))
+            self.sign, self.nz = (s, np.abs(s)), np.abs(s) > 0.0
+            self.log = np.log(np.abs(np.asarray(y, dtype=float))[self.nz])
+
+    def abs_pow(self, p: float):
+        if self.nz is None:
+            return 0.0 if self.log is None else math.exp(p * self.log)
+        out = np.zeros(self.nz.shape)
+        out[self.nz] = np.exp(p * self.log)
+        return out
+
+    def phi(self, m: int):
+        """Phi_m(y) = kappa_m sign(y)^m |y|^(2H-2+m)."""
+        if m not in self.phis:
+            hh = _hval(self.h)
+            kappa = hh * (2.0 * hh - 1.0)
+            for j in range(1, m + 1):
+                kappa /= 2.0 * hh - 2.0 + j
+            self.phis[m] = kappa * self.sign[1 - m % 2] * self.abs_pow(2.0 * hh - 2.0 + m)
+        return self.phis[m]
+
+    def pow(self, k: int):
+        if k not in self.pows:
+            self.pows[k] = self.y ** k
+        return self.pows[k]
 
 
 def phi(u, v, h) -> float:
@@ -92,13 +125,9 @@ def phi(u, v, h) -> float:
 
 def phi_family(m: int, x, h):
     """m-th iterated antiderivative Phi_m of the kernel (m >= 1), Phi_m' = Phi_{m-1}."""
-    hh = _hval(h)
     if m < 1:
         raise ValueError("phi_family is defined for m >= 1")
-    kappa = hh * (2.0 * hh - 1.0)
-    for j in range(1, m + 1):
-        kappa /= 2.0 * hh - 2.0 + j
-    return kappa * sign_pow(x, m) * abs_pow(x, 2.0 * hh - 2.0 + m)
+    return _Endpoint(x, h).phi(m)
 
 
 def phi_antiderivative(a: float, b: float, v: float, h) -> float:
@@ -115,11 +144,15 @@ def int_pow_phi(n: int, m: int, alpha, beta, h):
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
+    return _int_pow_phi(n, m, _Endpoint(alpha, h), _Endpoint(beta, h))
+
+
+def _int_pow_phi(n: int, m: int, ta: _Endpoint, tb: _Endpoint):
+    """int_pow_phi between the endpoints of the tables ta and tb."""
     total = 0.0
     ff = 1.0
     for s in range(n + 1):
-        g = beta ** (n - s) * phi_family(m + 1 + s, beta, h) \
-            - alpha ** (n - s) * phi_family(m + 1 + s, alpha, h)
+        g = tb.pow(n - s) * tb.phi(m + 1 + s) - ta.pow(n - s) * ta.phi(m + 1 + s)
         total += (-1.0) ** s * ff * g
         ff *= n - s
     return total
@@ -222,11 +255,12 @@ def _piece_at(w: PiecewisePoly, x: float):
     return None
 
 
-def _mono_phi_moment(i: int, a: float, b: float, v, h):
-    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y (v float or array)."""
+def _mono_phi_moment(i: int, ta: _Endpoint, tb: _Endpoint, v):
+    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y (v float or
+    array), from the tables of a - v and b - v."""
     total = 0.0
     for j in range(i + 1):
-        total += math.comb(i, j) * v ** (i - j) * int_pow_phi(j, 0, a - v, b - v, h)
+        total += math.comb(i, j) * v ** (i - j) * _int_pow_phi(j, 0, ta, tb)
     return total
 
 
@@ -245,10 +279,11 @@ def phi_poly_moment(w: PiecewisePoly, iv: Interval, v, h):
     clipped = w.restrict(iv.lo, iv.hi)
     if clipped is None:
         return total
-    for a, b, c in clipped.pieces():
+    ends = [_Endpoint(x - v, h) for x in clipped.breaks]
+    for c, ta, tb in zip(clipped.coeffs, ends, ends[1:]):
         for i, ci in enumerate(c):
             if ci != 0.0:
-                total += ci * _mono_phi_moment(i, a, b, v, h)
+                total += ci * _mono_phi_moment(i, ta, tb, v)
     return total
 
 
@@ -264,8 +299,9 @@ def pieces_phi_moment(ws, lo: float, hi: float, v, h):
     """
     limits = [np.clip(x, lo, hi) for w in ws for a, b, _ in w for x in (a, b)]
     cuts = np.sort(np.broadcast_arrays(lo, hi, *limits, v)[:-1], axis=0)
+    ends = [_Endpoint(x - v, h) for x in cuts]
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b, ta, tb in zip(cuts[:-1], cuts[1:], ends, ends[1:]):
         mid = 0.5 * (a + b)
         poly = [1.0]
         for w in ws:
@@ -279,11 +315,11 @@ def pieces_phi_moment(ws, lo: float, hi: float, v, h):
                         if 0 <= n - k < len(coeffs))
                     for n in range(len(poly) + len(coeffs) - 1)]
         for i, ci in enumerate(poly):
-            total = total + ci * _mono_phi_moment(i, a, b, v, h)
+            total = total + ci * _mono_phi_moment(i, ta, tb, v)
     return total
 
 
-def _mono_rect_terms(i: int, a: float, b: float, h):
+def _mono_rect_terms(i: int, a: float, b: float):
     """int_a^b u^i phi_H(u, v) du as terms coef * v^vp * (e - v)^k * Phi_m(e - v)."""
     terms = []
     for j in range(i + 1):
@@ -297,13 +333,15 @@ def _mono_rect_terms(i: int, a: float, b: float, h):
     return terms
 
 
-def _int_v_poly_shifted(pw: int, c: float, d, e: float, k: int, m: int, h):
-    """Exact int_c^d v^pw (e - v)^k Phi_m(e - v) dv (d float or array)."""
+def _int_v_poly_shifted(pw: int, e: float, k: int, m: int,
+                        td: _Endpoint, tc: _Endpoint):
+    """Exact int_c^d v^pw (e - v)^k Phi_m(e - v) dv (d float or array), from
+    the tables of e - d and e - c."""
     total = 0.0
     for t in range(pw + 1):
         epow = e ** (pw - t) if pw - t > 0 else 1.0
         total += math.comb(pw, t) * epow * (-1.0) ** t \
-            * int_pow_phi(k + t, m, e - d, e - c, h)
+            * _int_pow_phi(k + t, m, td, tc)
     return total
 
 
@@ -318,13 +356,14 @@ def poly_rect_integral(wu: PiecewisePoly, wv: PiecewisePoly, h, v_hi=None):
         for c, d, cv in wv.pieces():
             if v_hi is not None:
                 d = np.clip(v_hi, c, d)
+            ends = {e: (_Endpoint(e - d, h), _Endpoint(e - c, h)) for e in (a, b)}
             for i, cui in enumerate(cu):
                 if cui == 0.0:
                     continue
-                for coef, vp, e, k, m in _mono_rect_terms(i, a, b, h):
+                for coef, vp, e, k, m in _mono_rect_terms(i, a, b):
                     for p, cvp in enumerate(cv):
                         if cvp == 0.0:
                             continue
                         total += cui * cvp * coef \
-                            * _int_v_poly_shifted(vp + p, c, d, e, k, m, h)
+                            * _int_v_poly_shifted(vp + p, e, k, m, *ends[e])
     return total

@@ -8,7 +8,9 @@ enumeration over per-segment multi-indices, without the engine's shared
 layers or its derivative memo.  The convergence-bound sequences of the two
 engines (assumption_a_sequence, assumption_b_sequence) and the unfrozen
 derivative levels of the exponential formula (derivative_levels) live here
-too, as only the tests use them.
+too, as only the tests use them.  The reference_* kernel moments take every
+Phi_m afresh for each term, as the kernel did before its endpoint tables;
+the tables must give the same bits.
 """
 
 import math
@@ -94,6 +96,116 @@ def quad_rect(wu, u_lo, u_hi, wv, v_lo, v_hi, h, v_breaks=(),
         val, _ = integrate.quad(inner, a, b, limit=100, epsabs=epsabs,
                                 epsrel=epsrel)
         total += val
+    return total
+
+
+def reference_phi_family(m, x, h):
+    """Phi_m(x) = kappa_m sign(x)^m exp((2H-2+m) log|x|), 0 at x = 0."""
+    hh = _hval(h)
+    kappa = hh * (2.0 * hh - 1.0)
+    for j in range(1, m + 1):
+        kappa /= 2.0 * hh - 2.0 + j
+    p = 2.0 * hh - 2.0 + m
+    if np.ndim(x) == 0:
+        s = math.copysign(1.0, x) if x != 0.0 else 0.0
+        sign = s if m % 2 else (0.0 if x == 0.0 else 1.0)
+        ax = abs(float(x))
+        return kappa * sign * (0.0 if ax == 0.0 else math.exp(p * math.log(ax)))
+    s = np.sign(np.asarray(x, dtype=float))
+    ax = np.abs(np.asarray(x, dtype=float))
+    mag = np.zeros_like(ax)
+    nz = ax > 0.0
+    mag[nz] = np.exp(p * np.log(ax[nz]))
+    return kappa * (s if m % 2 else np.abs(s)) * mag
+
+
+def reference_int_pow_phi(n, m, alpha, beta, h):
+    """int_alpha^beta y^n Phi_m(y) dy by integration by parts."""
+    total = 0.0
+    ff = 1.0
+    for s in range(n + 1):
+        g = beta ** (n - s) * reference_phi_family(m + 1 + s, beta, h) \
+            - alpha ** (n - s) * reference_phi_family(m + 1 + s, alpha, h)
+        total += (-1.0) ** s * ff * g
+        ff *= n - s
+    return total
+
+
+def _reference_mono_moment(i, a, b, v, h):
+    total = 0.0
+    for j in range(i + 1):
+        total += math.comb(i, j) * v ** (i - j) * reference_int_pow_phi(j, 0, a - v, b - v, h)
+    return total
+
+
+def reference_phi_poly_moment(w, iv, v, h):
+    """kernel.phi_poly_moment, term by term."""
+    if np.ndim(v) == 0:
+        v, total = float(v), 0.0
+    else:
+        v = np.asarray(v, dtype=float)
+        total = np.zeros_like(v)
+    clipped = w.restrict(iv.lo, iv.hi)
+    if clipped is None:
+        return total
+    for a, b, c in clipped.pieces():
+        for i, ci in enumerate(c):
+            if ci != 0.0:
+                total += ci * _reference_mono_moment(i, a, b, v, h)
+    return total
+
+
+def reference_pieces_phi_moment(ws, lo, hi, v, h):
+    """kernel.pieces_phi_moment, term by term."""
+    limits = [np.clip(x, lo, hi) for w in ws for a, b, _ in w for x in (a, b)]
+    cuts = np.sort(np.broadcast_arrays(lo, hi, *limits, v)[:-1], axis=0)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        poly = [1.0]
+        for w in ws:
+            coeffs = [0.0] * max(len(c) for _, _, c in w)
+            for pa, pb, c in w:
+                inside = (pa <= mid) & (mid < pb)
+                for j, cj in enumerate(c):
+                    coeffs[j] = coeffs[j] + np.where(inside, cj, 0.0)
+            poly = [sum(poly[k] * coeffs[n - k] for k in range(len(poly))
+                        if 0 <= n - k < len(coeffs))
+                    for n in range(len(poly) + len(coeffs) - 1)]
+        for i, ci in enumerate(poly):
+            total = total + ci * _reference_mono_moment(i, a, b, v, h)
+    return total
+
+
+def _reference_v_shifted(pw, c, d, e, k, m, h):
+    total = 0.0
+    for t in range(pw + 1):
+        epow = e ** (pw - t) if pw - t > 0 else 1.0
+        total += math.comb(pw, t) * epow * (-1.0) ** t \
+            * reference_int_pow_phi(k + t, m, e - d, e - c, h)
+    return total
+
+
+def reference_poly_rect_integral(wu, wv, h, v_hi=None):
+    """kernel.poly_rect_integral, term by term."""
+    total = 0.0
+    for a, b, cu in wu.pieces():
+        for c, d, cv in wv.pieces():
+            if v_hi is not None:
+                d = np.clip(v_hi, c, d)
+            for i, cui in enumerate(cu):
+                if cui == 0.0:
+                    continue
+                for j in range(i + 1):
+                    ff = 1.0
+                    for s in range(j + 1):
+                        coef = math.comb(i, j) * (-1.0) ** s * ff
+                        for sgn, e in ((coef, b), (-coef, a)):
+                            for p, cvp in enumerate(cv):
+                                if cvp != 0.0:
+                                    total += cui * cvp * sgn * _reference_v_shifted(
+                                        i - j + p, c, d, e, j - s, 1 + s, h)
+                        ff *= j - s
     return total
 
 

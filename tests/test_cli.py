@@ -253,6 +253,15 @@ class TestExitCodes:
         assert run_cli(argv)[0] == 2
         assert "grid times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", ["-1", "inf", "nan"])
+    def test_taylor_r_off_the_grid_is_reported_as_r(self, r, capsys):
+        # r is checked before the simulation grid that would carry it
+        code, _ = run_cli(["taylor", "--hurst", "0.7", "--r", r, "--grid", "0,0.5,1",
+                           "--expr", "B(1)", "--order", "1", "--mc.paths", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "need 0 <= r <= horizon, got r=" in err and "grid times" not in err
+
     def test_negative_moment_order_is_configuration(self):
         assert run_cli(["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "1",
                         "--p", "2", "--order", "-1"])[0] == 2

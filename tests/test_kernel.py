@@ -15,11 +15,14 @@ from fbmseries.kernel import (
     phi_antiderivative,
     phi_family,
     phi_poly_moment,
+    pieces_phi_moment,
     poly_rect_integral,
     rect_integral,
 )
 
-from oracles import quad_phi_moment, quad_phi_moment_alg, quad_rect
+from oracles import (quad_phi_moment, quad_phi_moment_alg, quad_rect,
+                     reference_phi_poly_moment, reference_pieces_phi_moment,
+                     reference_poly_rect_integral)
 
 
 def rel_err(a, b):
@@ -206,6 +209,90 @@ class TestClosedForms:
         clipped = phi_poly_moment(w, Interval(0.0, 1.0), 0.5, h)
         rest = phi_poly_moment(w, Interval(1.0, 2.0), 0.5, h)
         assert full == pytest.approx(clipped + rest, rel=1e-12)
+
+
+def _exp_arguments(call):
+    """The argument of every math.exp and np.exp that call() makes."""
+    seen = []
+    m_exp, np_exp = math.exp, np.exp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "exp", lambda x: seen.append(float(x)) or m_exp(x))
+        mp.setattr(np, "exp", lambda x: seen.append(np.asarray(x).tobytes()) or np_exp(x))
+        call()
+    return seen
+
+
+class TestEndpointTables:
+    """The moments take each Phi_m at an endpoint once per call, by the same
+    float operations as the term-by-term reference, so every bit is kept."""
+
+    H = (0.55, 0.7, 0.9)
+    # pieces of degree 0 to 3; the partners below sit on its breaks too
+    W = PiecewisePoly((0.2, 0.45, 0.6, 0.9, 1.3),
+                      ((1.5,), (1.0, -0.5), (0.3, 0.2, 0.7), (-0.4, 1.1, 0.0, 0.6)))
+
+    @pytest.mark.parametrize("h", H)
+    def test_phi_poly_moment_keeps_every_bit(self, h):
+        vs = np.array([0.0, 0.2, 0.45, 0.6, 0.9, 1.1, 1.3, 1.7])
+        for iv in (Interval(0.0, 1.5), Interval(0.4, 1.0)):
+            assert np.array_equal(phi_poly_moment(self.W, iv, vs, h),
+                                  reference_phi_poly_moment(self.W, iv, vs, h))
+            for v in vs:
+                assert phi_poly_moment(self.W, iv, float(v), h) \
+                    == reference_phi_poly_moment(self.W, iv, float(v), h)
+
+    @pytest.mark.parametrize("h", H)
+    def test_pieces_phi_moment_keeps_every_bit(self, h):
+        # a batch of three, with limits, coefficients and partners as arrays;
+        # the partner 0.35 of the last element sits on a limit
+        ws = [[(np.array([0.1, 0.2, 0.15]), np.array([0.6, 0.9, 0.7]),
+                (np.array([1.0, 2.0, 0.5]), 0.3, -0.2, np.array([0.1, 0.0, 0.4])))],
+              [(0.35, np.array([1.1, 1.2, 1.05]), (0.5, -0.2)),
+               (0.0, 0.35, (2.0,))]]
+        vs = np.array([0.45, 0.8, 0.35])
+        got = pieces_phi_moment(ws, 0.05, 1.25, vs, h)
+        assert np.array_equal(got, reference_pieces_phi_moment(ws, 0.05, 1.25, vs, h))
+        for k, v in enumerate(vs):
+            one = [[(a if np.ndim(a) == 0 else a[k], b if np.ndim(b) == 0 else b[k],
+                     tuple(c if np.ndim(c) == 0 else c[k] for c in cs))
+                    for a, b, cs in w] for w in ws]
+            for lo, hi in ((0.05, 1.25), (0.35, 0.9)):
+                assert pieces_phi_moment(one, lo, hi, float(v), h) \
+                    == reference_pieces_phi_moment(one, lo, hi, float(v), h)
+
+    @pytest.mark.parametrize("h", H)
+    def test_poly_rect_integral_keeps_every_bit(self, h):
+        # wv starts at wu's break 0.6, so e - c is 0 there
+        wv = PiecewisePoly((0.6, 1.0, 1.4), ((0.7, 0.0, -1.2), (0.2, 0.5, 0.1, -0.3)))
+        caps = np.array([0.1, 0.6, 0.75, 1.0, 1.2, 1.5])
+        for wu, wvv in ((self.W, wv), (wv, self.W), (self.W, self.W)):
+            assert poly_rect_integral(wu, wvv, h) == reference_poly_rect_integral(wu, wvv, h)
+            assert np.array_equal(poly_rect_integral(wu, wvv, h, caps),
+                                  reference_poly_rect_integral(wu, wvv, h, caps))
+
+    def test_each_phi_is_taken_once_per_call(self):
+        # each exp is one |y|^(2H-2+m) of one (endpoint, m); none may repeat
+        # within a call, and a second identical call does the same work
+        h = 0.7
+        wu = PiecewisePoly.from_poly((0.3, -1.0, 0.5, 2.0), 0.1, 0.7)
+        wv = PiecewisePoly.from_poly((1.0, 0.4, -0.8), 0.25, 1.3)
+        ws = [[(np.array([0.1, 0.2, 0.15]), np.array([0.6, 0.9, 0.7]),
+                (np.array([1.0, 2.0, 0.5]), 0.3, -0.2, 0.1))],
+              [(0.35, np.array([1.1, 1.2, 1.05]), (0.5, -0.2))]]
+        calls = {
+            "poly_rect_integral": lambda: poly_rect_integral(wu, wv, h),
+            "poly_rect_integral capped": lambda: poly_rect_integral(
+                wu, wv, h, np.array([0.4, 0.9, 1.1])),
+            "pieces_phi_moment": lambda: pieces_phi_moment(
+                ws, 0.05, 1.25, np.array([0.45, 0.8, 1.0]), h),
+            "pieces_phi_moment scalar": lambda: pieces_phi_moment(
+                [[(0.1, 0.6, (1.0, 0.3, -0.2, 0.1))], [(0.35, 1.1, (0.5, -0.2))]],
+                0.05, 1.25, 0.45, h),
+        }
+        for name, call in calls.items():
+            first = _exp_arguments(call)
+            assert first and len(first) == len(set(first)), name
+            assert len(_exp_arguments(call)) == len(first), name
 
 
 class TestPiecewisePoly:
