@@ -86,9 +86,10 @@ class _Endpoint:
                          0.0 if y == 0.0 else 1.0)
             self.nz, self.log = None, (None if y == 0.0 else math.log(abs(float(y))))
         else:
-            s = np.sign(np.asarray(y, dtype=float))
-            self.sign, self.nz = (s, np.abs(s)), np.abs(s) > 0.0
-            self.log = np.log(np.abs(np.asarray(y, dtype=float))[self.nz])
+            ay = np.asarray(y, dtype=float)
+            s, ax = np.sign(ay), np.abs(ay)
+            self.sign, self.nz = (s, np.abs(s)), ax > 0.0
+            self.log = np.log(ax[self.nz])
 
     def abs_pow(self, p: float):
         if self.nz is None:
