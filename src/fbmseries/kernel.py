@@ -27,8 +27,8 @@ The moments evaluate Phi_m through an endpoint table (`_Endpoint`): for one
 endpoint y, a float or an array, it takes sign(y) and log|y| once and each
 Phi_m(y) and y**k the first time it is asked for, by the same float
 operations as a lone evaluation.  Each moment call builds one table per
-distinct endpoint (a cut or piece break minus the partner v, or e - c and
-e - d for the ends e of a rectangle's u-piece) and drops them on return.
+endpoint (a cut row or piece break minus the partner v, or e - c and e - d
+for the ends e of a rectangle's u-piece) and drops them on return.
 """
 
 from __future__ import annotations
