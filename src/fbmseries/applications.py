@@ -88,7 +88,7 @@ def merton_bond_price(big_t, h, order: int = 12) -> MertonResult:
 
     f = make_exp(time_int_b((0.0,), big_t))
     res = exp_series(f, 0.0, big_t, hh, order)
-    engine = tuple(float(evaluate(ps, hh)) for ps in res.partial_sums)
+    engine = tuple(float(evaluate(ps)) for ps in res.partial_sums)
 
     gaps = tuple(abs(s - closed) / closed for s in sums)
     return MertonResult(big_t, hh, tuple(sums), engine, closed, gaps)
@@ -180,7 +180,7 @@ def cir_mc_check(big_t, h, cfg: McConfig) -> CirMcCheck:
 
     def fine_and_coarse(ens):
         coarse = GridPath(ens.grid.times[::2], ens.values[:, ::2])
-        return np.stack([evaluate(f, hh, ens.as_grid_path()), evaluate(f, hh, coarse)])
+        return np.stack([evaluate(f, path=ens.as_grid_path()), evaluate(f, path=coarse)])
 
     vals_fine, vals_coarse = simulate(fine_grid, hh, cfg, each=fine_and_coarse)
 

@@ -349,7 +349,7 @@ def _run_expform(args) -> dict:
         res = exp_series(f, r, big_t, h, order, path=path)
     else:
         res = exp_series(f, r, big_t, h, order)
-        vals = [float(v) for v in evaluate(res.terms + res.partial_sums, h)]
+        vals = [float(v) for v in evaluate(res.terms + res.partial_sums)]
         res.terms, res.partial_sums = vals[:order + 1], vals[order + 1:]
         n_paths = 0
     args.r = r

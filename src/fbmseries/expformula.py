@@ -28,13 +28,13 @@ over the ordered simplex.  Five routes are tried per product term:
                   iterated running integral on the level's grid (below),
                   with G_1 and each g_k in closed form at the nodes, so it
                   costs O(i n) closed-form evaluations for n nodes;
-  * quadrature  - the rest at level 1: u_1 is paired with phi_H(u_1, v_1)
-                  as a kernel integral, in closed form for a whole array of
-                  v at once (the u factors are piecewise polynomial, or a
-                  time integral from u_1, which on one path is piecewise
-                  polynomial in u_1), and the v-integrand is evaluated once,
-                  with v bound to the array of the nodes of the level's two
-                  grids;
+  * quadrature  - the rest at level 1: the u_1 factors' kernel moment
+                  against phi_H(u_1, v_1) is taken in closed form for a
+                  whole array of v at once (functional.phi_moment; the u
+                  factors are piecewise polynomial, or a time integral from
+                  u_1, which on one path is piecewise polynomial in u_1),
+                  and the v factors take one evaluate, with v bound to the
+                  array of the nodes of the level's two grids;
   * symmetrized - the rest at levels i >= 2, when every factor holding
                   level variables is a ramp or an indicator (the prefactor
                   may read the path).  D^{2i} F is symmetric in its pairs of
@@ -55,8 +55,8 @@ symmetrized routes; a gap above rel_tol raises EngineError.
 
 Before any level is integrated, exp_series sorts each term's factors once
 by the level variables they hold, which picks the term's route, and builds
-each symmetrized term's box plan once; a term outside all five routes
-raises EngineError there.
+each quadrature and symmetrized term's plan once; a term outside all five
+routes raises EngineError there.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ import numpy as np
 from .functional import (
     Expr,
     GridPath,
-    PhiMoment,
     ZERO,
     _combine_pwpoly,
+    _moment_refusal,
     collect_terms,
     directional,
     evaluate,
@@ -82,6 +82,7 @@ from .functional import (
     is_deterministic,
     make_product,
     make_sum,
+    phi_moment,
     product_factors,
     scale,
     sum_terms,
@@ -169,29 +170,28 @@ def _canonical_cluster(u_facs, v_facs, k) -> tuple:
     return tuple(sorted(to_sexpr(f, ren) for f in u_facs + v_facs))
 
 
-def _u_pair(facs, k, r, big_t) -> Expr:
-    """Replace the u_k factors by the averaged phi_H(u_k, v_k) integral."""
-    his = (big_t, r) if r > 0.0 else (big_t,)
-    return make_sum([scale(PhiMoment(tuple(facs), _uname(k), 0.0, hi, _vname(k)), 0.5)
-                     for hi in his])
-
-
-def _quadrature_value(held, r, big_t, path, rel_tol, level):
-    """int_r^T dv_1 of a level-1 term's factors held (see _sort_factors) on
-    the level's grid, u_1 paired with phi_H(u_1, v_1)."""
+def _quadrature_plan(held):
+    """A level-1 term of the quadrature route, split for its integral: the
+    pair (vf, uf) of its factors held (see _sort_factors) free of u_1 and
+    holding it.  Raises EngineError for a term outside the route."""
     uf = [f for f, names in held if _uname(1) in names]
-    if not uf:
-        raise EngineError(f"level-1 term carries no {_uname(1)} dependence")
-    g_expr = make_product([f for f, names in held if _uname(1) not in names]
-                          + [_u_pair(uf, 1, r, big_t)])
-    if not is_deterministic(g_expr):
+    if why := _moment_refusal(uf, _uname(1)):
+        raise EngineError(f"no level-1 route integrates the term: {why}")
+    return [f for f, names in held if _uname(1) not in names], uf
+
+
+def _quadrature_value(plan, path, rel_tol, level):
+    """int_r^T dv_1 of a level-1 term with the plan (vf, uf) of
+    _quadrature_plan on the level's grid, u_1 paired with phi_H(u_1, v_1)."""
+    vf, uf = plan
+    if not all(is_deterministic(f) for f in vf + uf):
         if path is None:
             raise EngineError(
                 "stochastic simplex integrand has no symbolic route; supply a path")
         if np.ndim(path.values) > 1:
             raise EngineError(
                 "stochastic simplex integrand supports single paths only")
-    return level.integral(g_expr, path, rel_tol)
+    return level.integral(vf, uf, path, rel_tol)
 
 
 def _box_plan(held, i, r, big_t):
@@ -236,18 +236,22 @@ def _box_plan(held, i, r, big_t):
 
 def _check_level(prods, i, r, big_t):
     """The split (s_facs, held, per_level, plan) of each level-i term: its
-    factors as _sort_factors sorts them, and its box plan (_box_plan), or
-    None when it takes another route.  Level 0, evaluated whole, has none.
+    factors as _sort_factors sorts them, and its plan: the (vf, uf) pair of
+    a level-1 quadrature term (_quadrature_plan), the box plan of a
+    symmetrized one (_box_plan), or None when it takes another route.
+    Level 0, evaluated whole, has none.
 
     Raises EngineError, before any integral runs, unless each level-i term
-    (i >= 2) outside the exact, factorized and separable routes fits the
-    symmetrized one, and relabeling the levels maps the set of those terms
-    onto itself (the simplex-to-cube identity needs it).  Swaps of
-    neighbouring levels generate every relabeling, so they are the ones
-    tried.  At r = T every level >= 1 is 0, and nothing is checked."""
+    outside the exact, factorized and separable routes fits the quadrature
+    route (i = 1) or the symmetrized one (i >= 2), and, for i >= 2,
+    relabeling the levels maps the set of those terms onto itself (the
+    simplex-to-cube identity needs it).  Swaps of neighbouring levels
+    generate every relabeling, so they are the ones tried.  At r = T every
+    level >= 1 is 0, and nothing is checked."""
     splits = [_sort_factors(t, i) for t in prods] if i else []
-    plans = [_box_plan(held, i, r, big_t) if i >= 2 and r < big_t and per_level is None
-             else None for _, held, per_level in splits]
+    plans = [None if r == big_t or per_level is not None
+             else _quadrature_plan(held) if i == 1 else _box_plan(held, i, r, big_t)
+             for _, held, per_level in splits]
     terms = [t for t, plan in zip(prods, plans) if plan is not None]
 
     def key(k):  # the term set with levels k and k + 1 swapped (k = 0: as it is)
@@ -389,9 +393,26 @@ class _LevelGrid:
                               f"above the tolerance {rel_tol:.3e}")
         return vals[1]
 
-    def integral(self, g_expr, path, rel_tol):
-        """int_r^T g(v_1) dv_1 of a level-1 integrand."""
-        gs = self._on_both(lambda vs: evaluate(g_expr, self.hh, path, {_vname(1): vs}))
+    def integral(self, vf, uf, path, rel_tol):
+        """int_r^T g(v_1) dv_1 of a level-1 integrand: the product of the
+        factors vf times 1/2 (int_0^T + int_0^r) du_1 of the product of the
+        factors uf against phi_H(u_1, v_1)."""
+        u1, v1 = _uname(1), _vname(1)
+
+        def integrand(vs):
+            # these float operations, in this order, are the ones the golden
+            # files were written with; another order moves their last bits
+            bound = {v1: vs}
+            out = np.full_like(vs, 1.0 if self.r > 0.0 else 0.5)
+            for val in evaluate(vf, path=path, bindings=bound):
+                out *= val
+            mom = phi_moment(uf, u1, 0.0, self.big_t, vs, self.hh, path, bound)
+            if self.r > 0.0:
+                mom = 0.0 + 0.5 * mom + 0.5 * phi_moment(uf, u1, 0.0, self.r, vs,
+                                                         self.hh, path, bound)
+            return out * mom
+
+        gs = self._on_both(integrand)
         vals = [float(grid.integral(g)) for grid, g in zip(self.grids, gs)]
         return self._checked(vals, self.grids[1].integral(np.abs(gs[1])),
                              "level-1 quadrature", rel_tol)
@@ -451,15 +472,14 @@ def _term_value(split, i, r, big_t, hh, path, rel_tol, level):
     of its factors free of the level variables, and the term's value is the
     integral times the prefactor's.  A cluster's exact moment is computed
     once per exp_series call, in level.memo under its fingerprint."""
-    s_facs, held, per_level, plan = split
+    s_facs, _, per_level, plan = split
     s_expr = make_product(s_facs)
     if per_level is None:
         if r == big_t:  # the v-range [r, T] is empty: exactly 0, no gap
             val = level._checked((0.0, 0.0), 0.0, "", rel_tol)
             return s_expr, val, "quadrature" if i == 1 else "symmetrized"
         if i == 1:
-            return (s_expr, _quadrature_value(held, r, big_t, path, rel_tol, level),
-                    "quadrature")
+            return s_expr, _quadrature_value(plan, path, rel_tol, level), "quadrature"
         return s_expr, level.symmetrized(plan, i, rel_tol), "symmetrized"
     keys = [_canonical_cluster(u, v, k + 1) for k, (u, v) in enumerate(per_level)]
     if len(set(keys)) == 1:
@@ -486,7 +506,7 @@ def _level_value(prods, splits, i, r, big_t, hh, path, rel_tol, memo, out):
     None when no term used it, and hits the number of terms whose moments
     came from memo, the exp_series call's memo."""
     if i == 0:
-        out.append((collect_terms(make_sum(prods)), None))
+        out.append((make_sum(prods), None))
         return out, "evaluate", None, 0
     if not prods:
         return out, "vanishes", None, 0
@@ -555,7 +575,7 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     except Exception as err:  # raised after the prefactors before it are evaluated
         failure = err
     if path is not None:
-        values = iter(evaluate([s for level in pairs for s, _ in level], hh, path))
+        values = iter(evaluate([s for level in pairs for s, _ in level], path=path))
     if failure is not None:
         raise failure
     terms, sums, running = [], [], None

@@ -216,6 +216,6 @@ def mc_expect(expr: Expr, h, cfg: McConfig, grid: "TimeGrid | None" = None,
 
 def _samples(expr: Expr, ensemble: FbmEnsemble) -> np.ndarray:
     """expr on every path of the ensemble, one float per path."""
-    out = np.asarray(evaluate(expr, h=ensemble.h, path=ensemble.as_grid_path()),
+    out = np.asarray(evaluate(expr, path=ensemble.as_grid_path()),
                      dtype=float)
     return np.broadcast_to(out, (ensemble.n_paths,))

@@ -24,18 +24,18 @@ operations drive everything else:
                  time integrals split into their observed part on [a, min(b,r)]
                  plus B_{min(b,r)}^k times the remaining length.
 
-Deterministic helper nodes (indicators, polynomials of a free variable,
-ramps max(0, b - max(args)), kernel integrals) appear as derivative output
-and as partially integrated kernel terms.  Evaluation on a path is strict:
-sampling, or integrating between limits of the functional, at a time that
-is not a grid point is an error, never an interpolation.  A time integral
-whose lower limit is a bound variable starts from the path's linear
-interpolant there, so on one path it is a polynomial in that limit on each
-grid cell (TimeIntB.pieces); a kernel integral over that variable is then an
-exact kernel moment, as for the piecewise-polynomial factors.  A
-variable may be bound to an array of values, such as all the nodes of a
-quadrature grid, which one evaluation then handles elementwise (see
-evaluate).
+Deterministic helper nodes (indicators, polynomials of a free variable and
+ramps max(0, b - max(args))) appear as derivative output.  No node binds a
+variable: a kernel integral over one is not a node but a value, the exact
+kernel moment of a list of factors (phi_moment).  Evaluation on a path is
+strict: sampling, or integrating between limits of the functional, at a
+time that is not a grid point is an error, never an interpolation.  A time
+integral whose lower limit is a bound variable starts from the path's
+linear interpolant there, so on one path it is a polynomial in that limit
+on each grid cell (TimeIntB.pieces); its kernel moment in that variable is
+then exact, as for the piecewise-polynomial factors.  A variable may be
+bound to an array of values, such as all the nodes of a quadrature grid,
+which one evaluation then handles elementwise (see evaluate).
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ class _Node:
     rather than nodes (see _kind).
 
     A kind's rules are its methods; the fold rules take the results at the
-    node's operands (or children) and one argument.  Besides the defaults
-    below, every kind defines sexpr, its S-expression given those of its
-    children, and every kind but the n-ary ones defines step, its value
-    given its operand's value.  The class flags say
-    whether a kind reads the path (random), whether it depends on the path
-    only through B_t samples if at all (discrete), whether it has an exact
+    node's operands, its only children, and one argument.  Besides the
+    defaults below, every kind defines sexpr, its S-expression given those
+    of its operands, and every kind but the n-ary ones defines step, its
+    value given its operand's value, the path and the bindings.  The class
+    flags say whether a kind reads the path (random), whether it depends on
+    the path only through B_t samples if at all (discrete), whether it has an exact
     piecewise-polynomial form in one variable (pw; such a kind has pwpoly,
     its concrete piecewise polynomial in a variable it depends on, over
     [lo, hi], or None for an identically zero restriction), and how an
@@ -158,24 +158,19 @@ class _Node:
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def operands(self) -> tuple:
-        """The children a node's value and derivative are computed from."""
+        """The child nodes, from which the node's value and rules follow."""
         return ()
-
-    def children(self) -> tuple:
-        """Every child node; a kernel integral's factors are children but not
-        operands, since they are functions of its bound variable."""
-        return self.operands()
 
     def times(self) -> tuple:
         """The node's own time constants."""
         return ()
 
     def free_vars(self, inner: list, _) -> set:
-        """Unbound names, given those of the children."""
+        """Free variable names, given those of the operands."""
         return set().union(*inner)
 
     def sample_times(self, inner: list, _) -> frozenset:
-        """Times of the B_t samples, given those of the children."""
+        """Times of the B_t samples, given those of the operands."""
         return frozenset().union(*inner)
 
     def derivative(self, ds: list, at) -> Expr:
@@ -208,7 +203,7 @@ class Const(_Node):
     value: float
     pw = True
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return self.value
 
     def sexpr(self, inner, rename) -> str:
@@ -236,7 +231,7 @@ class FbmSample(_Node):
     def sample_times(self, inner, _):
         return frozenset((self.t,))
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return _on(path, "B_t", bindings).value(self.t)
 
     def sexpr(self, inner, rename) -> str:
@@ -276,7 +271,7 @@ class WienerInt(_Node):
             return ZERO
         return WienerInt(self.weight, self.lo, hi)
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return _on(path, "a Wiener integral", bindings).stieltjes(
             self.weight, self.lo, self.hi)
 
@@ -324,7 +319,7 @@ class TimeIntB(_Node):
             path.index_of(c)
         return lo
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         path = _on(path, "a time integral", bindings)
         lo = self._floor(self.lower, path, bindings)
         if np.ndim(lo):
@@ -363,7 +358,7 @@ class RampMax(_Node):
     def free_vars(self, inner, _):
         return {a for a in self.args if isinstance(a, str)}
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return _max([0.0, self.cap - _max(_resolve_args(self.args, bindings))])
 
     def pwpoly(self, ivar, lo, hi, bindings):
@@ -408,7 +403,7 @@ class Indicator(_Node):
     def free_vars(self, inner, _):
         return {self.var}
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         v = _resolve_args([self.var], bindings)[0]
         if np.ndim(v):
             return np.where((self.lo <= v) & (v <= self.hi), 1.0, 0.0)
@@ -433,7 +428,7 @@ class PolyInVar(_Node):
     def free_vars(self, inner, _):
         return {self.var}
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         v = _resolve_args([self.var], bindings)[0]
         out = np.polynomial.polynomial.polyval(v, np.asarray(self.coeffs))
         return out if np.ndim(v) else float(out)
@@ -463,7 +458,7 @@ class HermitePoly(_Node):
     def frozen(self, fs, r):
         return hermite_factor(self.degree, fs[0])
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return hermite_eval(self.degree, x)
 
     def sexpr(self, inner, rename) -> str:
@@ -531,7 +526,7 @@ class Power(_Node):
     def frozen(self, fs, r):
         return make_power(fs[0], self.exponent)
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return x ** self.exponent
 
     def sexpr(self, inner, rename) -> str:
@@ -551,75 +546,15 @@ class Exp(_Node):
     def frozen(self, fs, r):
         return make_exp(fs[0])
 
-    def step(self, x, h, path, bindings):
+    def step(self, x, path, bindings):
         return np.exp(x)
 
     def sexpr(self, inner, rename) -> str:
         return f"(exp {inner[0]})"
 
 
-@_kind
-class PhiMoment(_Node):
-    """Kernel integral int_lo^hi (prod factors)(ivar) phi_H(ivar, partner) d ivar.
-
-    The value is the exact kernel moment, produced once every other
-    variable is bound, for a whole batch of array bindings at once.  The
-    factors are piecewise polynomial in ivar (their breakpoints may involve
-    other free variables), save at most one time integral from ivar of
-    power 1, which on one path is piecewise polynomial in ivar too
-    (TimeIntB.pieces).  Any other factor that reads the path raises
-    UnsupportedNodeError: the exact moment of such a product, or of a higher
-    power, loses digits on narrow grid cells far from the partner.
-    """
-
-    factors: tuple[Expr, ...]
-    ivar: str
-    lo: float
-    hi: float
-    partner: str
-
-    def children(self):
-        return self.factors
-
-    def times(self):
-        return (self.lo, self.hi)
-
-    def free_vars(self, inner, _):
-        out = set().union(*inner)
-        out.add(self.partner)
-        out.discard(self.ivar)
-        return out
-
-    def derivative(self, ds, at):
-        if not all(f.pw for f in self.factors):
-            raise UnsupportedNodeError(
-                "no derivative of a kernel integral with factors outside "
-                "the piecewise polynomials")
-        return ZERO
-
-    def frozen(self, fs, r):
-        return PhiMoment(tuple(freeze(f, r) for f in self.factors),
-                         self.ivar, self.lo, self.hi, self.partner)
-
-    def step(self, x, h, path, bindings):
-        if h is None:
-            raise EvalError("Hurst index required to evaluate a kernel integral")
-        scale_val, ws = _factor_forms(self.factors, self.ivar, self.lo, self.hi,
-                                      path, bindings)
-        if ws is None:
-            return 0.0
-        ws = [list(w.pieces()) if isinstance(w, PiecewisePoly) else w for w in ws]
-        v = _resolve_args([self.partner], bindings)[0]
-        return scale_val * pieces_phi_moment(ws, self.lo, self.hi, v, h)
-
-    def sexpr(self, inner, rename) -> str:
-        return (f"(phimom {_name(self.partner, rename)} "
-                f"{_name(self.ivar, rename)} {_fmt(self.lo)} {_fmt(self.hi)} "
-                f"({' '.join(inner)}))")
-
-
 Expr = Union[Const, FbmSample, WienerInt, TimeIntB, RampMax, Indicator,
-             PolyInVar, HermitePoly, Sum, Product, Power, Exp, PhiMoment]
+             PolyInVar, HermitePoly, Sum, Product, Power, Exp]
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -769,16 +704,16 @@ def collect_terms(expr: Expr) -> Expr:
 # structural queries and the DAG fold
 
 
-def _fold(expr: Expr, rule: str, arg=None, kids: str = "operands", done=None):
-    """node.rule([its results at node.kids()], arg) once per distinct node,
+def _fold(expr: Expr, rule: str, arg=None, done=None):
+    """node.rule([its results at node.operands()], arg) once per distinct node,
     operands first and left to right; the result at expr."""
     if done is None:
         done = {}
     out = done.get(id(expr))
     if out is None:
-        ks = getattr(expr, kids)()
+        ks = expr.operands()
         if ks:
-            ks = [_fold(c, rule, arg, kids, done) for c in ks]
+            ks = [_fold(c, rule, arg, done) for c in ks]
         out = done[id(expr)] = getattr(expr, rule)(ks, arg)
     return out
 
@@ -792,7 +727,7 @@ def nodes(expr: Expr):
         if id(node) not in seen:
             seen.add(id(node))
             yield node
-            stack.extend(reversed(node.children()))
+            stack.extend(reversed(node.operands()))
 
 
 def fbm_times(expr: Expr, done: "dict | None" = None) -> frozenset:
@@ -800,13 +735,13 @@ def fbm_times(expr: Expr, done: "dict | None" = None) -> frozenset:
     sample times}, carries the times of each node across calls; it is keyed
     by identity, so its owner must keep every expr it passed alive while it
     uses done (see directional)."""
-    return _fold(expr, "sample_times", kids="children", done=done)
+    return _fold(expr, "sample_times", done=done)
 
 
 def times(expr: Expr) -> set:
     """Every time constant in the expression: sample times, integral limits,
     Wiener-weight breakpoints inside the limits, ramp caps, the constant
-    arguments of max() and indicator and kernel-integral limits."""
+    arguments of max() and indicator limits."""
     return set().union(*[n.times() for n in nodes(expr)])
 
 
@@ -820,8 +755,8 @@ def is_deterministic(expr: Expr) -> bool:
 
 
 def free_vars(expr: Expr) -> set:
-    """Variable names left unbound; kernel integrals bind their ivar."""
-    return _fold(expr, "free_vars", kids="children")
+    """Variable names the expression holds, to be bound at evaluation."""
+    return _fold(expr, "free_vars")
 
 
 # ---------------------------------------------------------------------------
@@ -1060,30 +995,57 @@ def _batch_shape(bindings) -> tuple:
     return max(shapes, default=())
 
 
-def _factor_forms(factors, ivar, lo, hi, path, bindings):
-    """(scale, forms): the product of the factors constant in ivar, and the
-    forms of the others in order, pwpoly forms or the path form of a time
-    integral from ivar; (0.0, None) once a form vanishes.  The only factor
-    outside the piecewise polynomials it takes is one such time integral
-    of power 1 (see PhiMoment)."""
+def _moment_refusal(factors, ivar) -> "str | None":
+    """Why the product of factors has no exact kernel moment in ivar, or None
+    when it has one: every factor is piecewise polynomial in ivar, save at
+    most one time integral from ivar of power 1 (see phi_moment)."""
     rest = [f for f in factors if not f.pw]
     if rest and not (len(rest) == 1 and isinstance(rest[0], TimeIntB)
                      and rest[0].power == 1 and ivar in rest[0].lower):
-        raise UnsupportedNodeError(
-            f"no exact kernel moment in '{ivar}' of the factors "
-            f"{' '.join(to_sexpr(f) for f in rest)}: only one time integral "
-            f"from '{ivar}', of power 1, may read the path")
+        return (f"no exact kernel moment in '{ivar}' of the factors "
+                f"{' '.join(to_sexpr(f) for f in rest)}: only one time integral "
+                f"from '{ivar}', of power 1, may read the path")
+    return None
+
+
+def _factor_forms(factors, ivar, lo, hi, path, bindings):
+    """(scale, forms): the product of the factors constant in ivar, and the
+    forms of the others in order, pwpoly forms or the path form of a time
+    integral from ivar; (0.0, None) once a form vanishes.  Factors with no
+    exact kernel moment (_moment_refusal) raise UnsupportedNodeError."""
+    if why := _moment_refusal(factors, ivar):
+        raise UnsupportedNodeError(why)
     scale_val, forms = 1.0, []
     for f in factors:
         if not f.pw:
             forms.append(f.pieces(ivar, path, bindings))
         elif ivar not in f.free_vars((), None):  # a pw kind is a leaf
-            scale_val = scale_val * f.step(None, None, None, bindings)
+            scale_val = scale_val * f.step(None, None, bindings)
         elif (w := f.pwpoly(ivar, lo, hi, bindings)) is not None:
             forms.append(w)
         else:
             return 0.0, None
     return scale_val, forms
+
+
+def phi_moment(factors, ivar: str, lo: float, hi: float, v, h,
+               path: "GridPath | None" = None, bindings: "dict | None" = None):
+    """int_lo^hi (prod factors)(ivar) phi_H(ivar, v) d ivar in closed form.
+
+    v may be an array of partners, and the bindings of the other variables
+    arrays of its shape: one call gives every moment of the batch.  The
+    factors are piecewise polynomial in ivar (their breakpoints may involve
+    other bound variables), save at most one time integral from ivar of
+    power 1, which on one path is piecewise polynomial in ivar too
+    (TimeIntB.pieces).  Any other factor that reads the path raises
+    UnsupportedNodeError: the exact moment of such a product, or of a higher
+    power, loses digits on narrow grid cells far from the partner.
+    """
+    scale_val, ws = _factor_forms(factors, ivar, lo, hi, path, bindings)
+    if ws is None:
+        return 0.0
+    ws = [list(w.pieces()) if isinstance(w, PiecewisePoly) else w for w in ws]
+    return scale_val * pieces_phi_moment(ws, lo, hi, v, h)
 
 
 def _combine_pwpoly(factors, ivar, lo, hi, bindings):
@@ -1100,7 +1062,9 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
              bindings: "dict | None" = None):
     """Evaluate on a path (scalar or vectorized across an ensemble).
 
-    h is only needed for kernel integrals; bindings supply free
+    h is unused: no node reads the Hurst index (kernel moments are taken
+    by phi_moment), and the parameter stays so that positional calls
+    evaluate(expr, h, path) keep their meaning.  bindings supply free
     variables.  A binding may be a numpy array: every array binding has
     one shape, each step works elementwise over it, and the value comes
     back in that shape.  A node that reads the path then needs a single
@@ -1126,27 +1090,27 @@ def evaluate(expr: "Expr | list", h=None, path: "GridPath | None" = None,
         raise UnsupportedNodeError(f"evaluate undefined for {type(expr).__name__}")
     plan = _schedule(expr if isinstance(expr, list) else (expr,))
     if path is None or path.values.ndim < 2 or len(path.values) <= _PATH_BLOCK:
-        out = _run(plan, h, path, bindings, shape)
+        out = _run(plan, path, bindings, shape)
     else:
         blocks = (GridPath(path.times, path.values[lo:lo + _PATH_BLOCK])
                   for lo in range(0, len(path.values), _PATH_BLOCK))
-        runs = [_run(plan, h, b, bindings, shape) for b in blocks]
+        runs = [_run(plan, b, bindings, shape) for b in blocks]
         # a root that reads no path is one scalar, the same in every block
         out = [vs[0] if all(np.ndim(v) == 0 for v in vs) else np.concatenate(vs)
                for vs in zip(*runs)]
     return out if isinstance(expr, list) else out[0]
 
 
-def _run(plan: tuple, h, path, bindings, shape) -> list:
+def _run(plan: tuple, path, bindings, shape) -> list:
     """Run a schedule from a copy of its initial values; the values of its
     roots, broadcast to the shape of the array bindings if any."""
     init, steps, outs = plan
     vals = list(init)
     for node, slot, arg, last in steps:
         if arg is None:
-            vals[slot] = node.step(None, h, path, bindings)
+            vals[slot] = node.step(None, path, bindings)
         elif node.combine is None:
-            vals[slot] = node.step(vals[arg], h, path, bindings)
+            vals[slot] = node.step(vals[arg], path, bindings)
         else:
             vals[slot] = node.combine(vals[slot], vals[arg])
         for j in last:
@@ -1254,4 +1218,4 @@ def _args(args, rename) -> str:
 
 def to_sexpr(expr: Expr, rename: "dict | None" = None) -> str:
     """Canonical S-expression text; rename maps variable names (for matching)."""
-    return _fold(expr, "sexpr", rename, kids="children")
+    return _fold(expr, "sexpr", rename)

@@ -153,10 +153,10 @@ def _setup(f: Expr, r: float, grid: TimeGrid, order: int, hh):
     return pts, deltas, args
 
 
-def _package(order, term_exprs, n_counts, hh, path) -> SeriesResult:
+def _package(order, term_exprs, n_counts, path) -> SeriesResult:
     """The series result; with a path, the terms are evaluated on one
     schedule, which computes a node shared across orders once."""
-    terms = term_exprs if path is None else evaluate(term_exprs, h=hh, path=path)
+    terms = term_exprs if path is None else evaluate(term_exprs, path=path)
     sums, diags = [], []
     running = None
     for l, term in enumerate(terms):
@@ -232,4 +232,4 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
 
     term_exprs = [layer.get(l, ZERO) for l in range(order + 1)]
     n_counts = [0 if t == ZERO else len(sum_terms(t)) for t in term_exprs]
-    return _package(order, term_exprs, n_counts, hh, path)
+    return _package(order, term_exprs, n_counts, path)

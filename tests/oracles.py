@@ -250,7 +250,7 @@ def tree_evaluate(expr, h=None, path=None, bindings=None):
 
 def tree_size(expr):
     """Node count of the expression as a tree: shared subtrees count each time."""
-    return 1 + sum(tree_size(c) for c in expr.children())
+    return 1 + sum(tree_size(c) for c in expr.operands())
 
 
 def one_shot_ensemble(grid, h, cfg):
@@ -448,7 +448,7 @@ def reference_expansion(f, r, grid, order, h, path=None):
                 contributions.append(scale(x, (-1.0) ** l * coeff))
         term_exprs.append(make_sum(contributions))
         n_counts.append(n_combos)
-    return _package(order, term_exprs, n_counts, hh, path)
+    return _package(order, term_exprs, n_counts, path)
 
 
 def path_from_dict(values: dict) -> GridPath:

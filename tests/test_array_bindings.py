@@ -1,11 +1,12 @@
 """Array bindings through evaluate: every step equals the per-element scalar loop.
 
 A numpy array bound to a free variable makes each evaluation step work
-elementwise.  These tests bind arrays, evaluate once, and compare with one
-scalar evaluate per element: exactly where the two run the same float
-operations, to rtol 1e-14 where the array step sums in another order (time
-integrals from a bound limit) or cuts a kernel moment at every breakpoint
-of the batch.
+elementwise, and a kernel moment (phi_moment) takes a whole batch of
+partners and bindings in one call.  These tests bind arrays, evaluate or
+take the moment once, and compare with one scalar call per element:
+exactly where the two run the same float operations, to rtol 1e-14 where
+the array step sums in another order (time integrals from a bound limit)
+or cuts a kernel moment at every breakpoint of the batch.
 """
 
 import numpy as np
@@ -16,13 +17,13 @@ from fbmseries.functional import (
     GridPath,
     Indicator,
     OffGridTimeError,
-    PhiMoment,
     PolyInVar,
     RampMax,
     TimeIntB,
     evaluate,
     fbm_sample,
     make_product,
+    phi_moment,
 )
 
 H = 0.7
@@ -36,19 +37,30 @@ def single_path(times=TIMES, seed=1):
     return GridPath(times, vals)
 
 
-def scalar_loop(expr, path, bindings):
-    """One scalar evaluate per element of the array bindings."""
+def scalar_loop(value, bindings):
+    """value(bindings) once per element of the array bindings, each scalar."""
     shape = next(np.shape(b) for b in bindings.values() if np.ndim(b))
     out = np.empty(shape)
     for i in np.ndindex(shape):
-        out[i] = evaluate(expr, H, path, {k: float(b[i]) if np.ndim(b) else b
-                                          for k, b in bindings.items()})
+        out[i] = value({k: float(b[i]) if np.ndim(b) else b
+                        for k, b in bindings.items()})
     return out
 
 
 def check(expr, bindings, path=None, exact=True):
-    got = evaluate(expr, H, path, bindings)
-    want = scalar_loop(expr, path, bindings)
+    agree(lambda b: evaluate(expr, H, path, b), bindings, exact)
+
+
+def moment(factors, hi, path=None):
+    """The kernel moment over u in [0, hi] of the factors, against the
+    partner bound to v, as a function of the bindings."""
+    return lambda b: phi_moment(factors, "u", 0.0, hi, b["v"], H, path, b)
+
+
+def agree(value, bindings, exact=True):
+    """value(bindings) on the array bindings against the scalar loop."""
+    got = value(bindings)
+    want = scalar_loop(value, bindings)
     assert got.shape == want.shape
     if exact:
         assert np.array_equal(got, want)
@@ -107,34 +119,33 @@ class TestKernelMoments:
     # pieces left of a floor below the range, or right of one above the
     # cap, are empty
     def test_breakpoints_from_the_bound_partner(self):
-        node = PhiMoment((RampMax(1.0, (0.0, "u", "v")),), "u", 0.0, 1.0, "v")
-        check(node, {"v": GRID_VALUES[1:]}, exact=False)
-
-    def test_times_an_indicator_of_the_partner(self):
-        node = PhiMoment((RampMax(1.0, (0.0, "u", "v")),), "u", 0.0, 1.0, "v")
-        check(make_product([node, Indicator("v", 0.2, 0.7)]), {"v": GRID_VALUES[1:]},
+        agree(moment((RampMax(1.0, (0.0, "u", "v")),), 1.0), {"v": GRID_VALUES[1:]},
               exact=False)
 
+    def test_times_an_indicator_of_the_partner(self):
+        mom = moment((RampMax(1.0, (0.0, "u", "v")),), 1.0)
+        agree(lambda b: evaluate(Indicator("v", 0.2, 0.7), H, None, b) * mom(b),
+              {"v": GRID_VALUES[1:]}, exact=False)
+
     def test_zero_length_pieces_and_floors_above_the_cap(self):
-        node = PhiMoment((Indicator("u", 0.1, 0.5), RampMax(0.8, (0.3, "u", "w")),
-                          PolyInVar((1.0, 2.0), "u")), "u", 0.0, 0.6, "v")
+        mom = moment((Indicator("u", 0.1, 0.5), RampMax(0.8, (0.3, "u", "w")),
+                      PolyInVar((1.0, 2.0), "u")), 0.6)
         v, w = np.meshgrid(GRID_VALUES[1:], GRID_VALUES)
-        check(node, {"v": v, "w": w}, exact=False)
+        agree(mom, {"v": v, "w": w}, exact=False)
 
     def test_factor_constant_in_the_integration_variable(self):
-        node = PhiMoment((RampMax(0.9, (0.0, "w")), Indicator("u", 0.0, 0.4)),
-                         "u", 0.0, 1.0, "v")
-        check(node, {"v": GRID_VALUES[1:], "w": GRID_VALUES[::-1][:-1]}, exact=False)
+        mom = moment((RampMax(0.9, (0.0, "w")), Indicator("u", 0.0, 0.4)), 1.0)
+        agree(mom, {"v": GRID_VALUES[1:], "w": GRID_VALUES[::-1][:-1]}, exact=False)
 
     def test_scalar_partner_with_an_array_floor(self):
-        node = PhiMoment((RampMax(1.0, (0.2, "u", "w")),), "u", 0.0, 1.0, "v")
-        check(node, {"v": 0.4, "w": GRID_VALUES}, exact=False)
+        agree(moment((RampMax(1.0, (0.2, "u", "w")),), 1.0), {"v": 0.4, "w": GRID_VALUES},
+              exact=False)
 
     def test_residual_integral_loops_over_the_partners(self):
         # a time integral from u, piecewise polynomial in u on one path: the
         # moments of all partners at once, each the scalar one
-        node = PhiMoment((TimeIntB((0.0, "u"), 0.5, 1),), "u", 0.0, 1.0, "v")
-        check(node, {"v": np.array([0.2, 0.5, 0.9])}, single_path())
+        agree(moment((TimeIntB((0.0, "u"), 0.5, 1),), 1.0, single_path()),
+              {"v": np.array([0.2, 0.5, 0.9])}, exact=False)
 
 
 class TestShapes:

@@ -733,3 +733,18 @@ def test_cluster_moments_come_from_the_call_memo():
         diags = exp_series(_integrated_exponential(1.0, 1.0), 0.0, 1.0, 0.75, 6).diagnostics
         assert [d["memo_hits"] for d in diags] == [0, 0, 1, 1, 1, 1, 1]
         assert all(d["n_terms"] == 1 for d in diags)
+
+
+def test_level_one_term_without_an_exact_moment_is_refused_before_integration(
+        monkeypatch):
+    # D_u D_v exp(-int_0^1 B^3) holds int_{max(0, u)}^1 B^2, whose kernel
+    # moment in u_1 has no exact path form: EngineError from the level check,
+    # before any level-1 integral runs
+    integrals, real = [], expformula._LevelGrid.integral
+    monkeypatch.setattr(expformula._LevelGrid, "integral",
+                        lambda *a, **k: integrals.append(1) or real(*a, **k))
+    f = make_exp(scale(time_int_b((0.0,), 1.0, 3), -1.0))
+    path = _random_path(sorted({i / 16 for i in range(17)} | {0.3}))
+    with pytest.raises(EngineError, match="no exact kernel moment in '_u1'.*IB2"):
+        exp_series(f, 0.3, 1.0, 0.7, 1, path=path)
+    assert integrals == []

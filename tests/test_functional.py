@@ -21,7 +21,6 @@ from fbmseries.functional import (
     Indicator,
     OffGridTimeError,
     PolyInVar,
-    PhiMoment,
     Product,
     RampMax,
     Sum,
@@ -45,6 +44,7 @@ from fbmseries.functional import (
     make_product,
     make_sum,
     nodes,
+    phi_moment,
     ramp_max,
     scale,
     time_int_b,
@@ -103,10 +103,8 @@ class TestQueries:
 
     def test_times_lists_every_time_constant(self):
         e = make_product([RampMax(0.9, (0.2, "u")), Indicator("u", 0.1, 0.6),
-                          PhiMoment((Indicator("w", 0.05, 0.4),), "w", 0.0, 0.7, "u"),
                           parse("WI(1;0.3,0.8)"), time_int_b((0.15, "u"), 0.95)])
-        assert times(e) == {0.9, 0.2, 0.1, 0.6, 0.05, 0.4, 0.0, 0.7, 0.3, 0.8,
-                            0.15, 0.95}
+        assert times(e) == {0.9, 0.2, 0.1, 0.6, 0.3, 0.8, 0.15, 0.95}
 
     def test_discrete_and_deterministic(self):
         assert is_discrete(parse("B(0.5)^2*B(1)"))
@@ -217,11 +215,6 @@ class TestMalliavin:
             want = evaluate(free, path=path, bindings={"u": tau})
             got = evaluate(directional(f, tau), path=path)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_malliavin_of_residual_integral_unsupported(self):
-        node = PhiMoment((fbm_sample(0.5),), "u", 0.0, 1.0, "v")
-        with pytest.raises(UnsupportedNodeError):
-            directional(node, "w")
 
 
 class TestFreeze:
@@ -348,23 +341,21 @@ class TestEvaluate:
         assert np.array_equal(paths.stieltjes(w, 0.125, 1.0), want)
 
     def test_phi_moment_indicator(self):
-        node = PhiMoment((Indicator("u", 0.0, 0.5),), "u", 0.0, 1.0, "v")
-        got = evaluate(node, h=0.7, bindings={"v": 0.8})
+        got = phi_moment((Indicator("u", 0.0, 0.5),), "u", 0.0, 1.0, 0.8, 0.7)
         assert got == pytest.approx(phi_antiderivative(0.0, 0.5, 0.8, 0.7), rel=1e-13)
 
     def test_phi_moment_integer_constant_factor(self):
         # a hand-built integer constant scales the moment like its float
         def moment(c):
-            node = PhiMoment((c, Indicator("u", 0.0, 0.5)), "u", 0.0, 1.0, "v")
-            return evaluate(node, 0.7, bindings={"v": 0.3})
+            return phi_moment((c, Indicator("u", 0.0, 0.5)), "u", 0.0, 1.0, 0.3, 0.7)
 
         assert moment(Const(2)) == moment(Const(2.0)) == 1.6003489760274316
 
     def test_phi_moment_ramp_with_other_var(self):
         # breakpoint of the ramp depends on a second bound variable
-        node = PhiMoment((RampMax(1.0, (0.2, "u", "w")),), "u", 0.0, 1.0, "v")
         h, v, wv = 0.72, 0.4, 0.55
-        got = evaluate(node, h=h, bindings={"v": v, "w": wv})
+        got = phi_moment((RampMax(1.0, (0.2, "u", "w")),), "u", 0.0, 1.0, v, h,
+                         bindings={"w": wv})
         want = quad_phi_moment(lambda u: max(0.0, 1.0 - max(0.2, u, wv)),
                                0.0, 1.0, v, h)
         assert got == pytest.approx(want, rel=1e-9)
@@ -373,10 +364,9 @@ class TestEvaluate:
         # the closed form agrees with the singularity-absorbing quadrature of
         # the pointwise integrand, split at the ramp's kinks
         ramp = RampMax(1.0, (0.2, "u"))
-        exact = PhiMoment((ramp,), "u", 0.0, 1.0, "v")
         h = 0.68
         for v in (0.15, 0.5, 0.95):
-            a = evaluate(exact, h=h, bindings={"v": v})
+            a = phi_moment((ramp,), "u", 0.0, 1.0, v, h)
             b = phi_weighted_integral(lambda us: evaluate(ramp, h, None, {"u": us}),
                                       0.0, 1.0, v, h, breaks=[0.2, 1.0], rel_tol=1e-10)
             assert b == pytest.approx(a, rel=1e-8)

@@ -14,12 +14,12 @@ import pytest
 from fbmseries.functional import (
     EvalError,
     GridPath,
-    PhiMoment,
     TimeGrid,
     TimeIntB,
     UnsupportedNodeError,
     evaluate,
     fbm_sample,
+    phi_moment,
 )
 from fbmseries.kernel import Interval, PiecewisePoly, phi_poly_moment
 from fbmseries.quadrature import phi_weighted_integral
@@ -51,13 +51,12 @@ def test_moment_matches_adaptive_quadrature(cells, floor, hi, h):
         node, bindings, at = TimeIntB((times[1], "u"), R, 1), {}, times[1]
     else:  # a bound lower limit between grid times
         node, bindings, at = TimeIntB((0.0, "u", "w"), R, 1), {"w": 0.17}, 0.17
-    moment = PhiMoment((node,), "u", 0.0, hi, "v")
 
     def integrand(us):
         return evaluate(node, h, path, {**bindings, "u": us})
 
     for v in PARTNERS:
-        got = evaluate(moment, h, path, {**bindings, "v": v})
+        got = phi_moment((node,), "u", 0.0, hi, v, h, path, bindings)
         want = phi_weighted_integral(integrand, 0.0, hi, v, h,
                                      breaks=sorted({*times, at}), rel_tol=1e-12)
         assert abs(got - want) <= 1e-10 * abs(want), v
@@ -71,11 +70,12 @@ def test_one_cell_moment_is_the_hand_written_quadratic(h):
     path = GridPath((0.0, t1), (y0, y1))
     slope = (y1 - y0) / t1
     quad = (0.5 * (y0 + y1) * t1, 0.5 * (slope * t1 - y0 - y1), -0.5 * slope)
-    node = PhiMoment((TimeIntB((0.0, "u"), t1, 1),), "u", 0.0, T, "v")
+    factors = (TimeIntB((0.0, "u"), t1, 1),)
     for v in (0.2, t1, 0.95):
         want = phi_poly_moment(PiecewisePoly.from_poly(quad, 0.0, t1),
                                Interval(0.0, T), v, h)
-        assert evaluate(node, h, path, {"v": v}) == pytest.approx(want, rel=1e-14, abs=0)
+        assert phi_moment(factors, "u", 0.0, T, v, h, path) == pytest.approx(
+            want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("factors", [
@@ -84,15 +84,14 @@ def test_one_cell_moment_is_the_hand_written_quadratic(h):
     (TimeIntB((0.0, "u"), R, 1), fbm_sample(R)),
 ], ids=["two-path-factors", "power-2", "path-factor-constant-in-u"])
 def test_other_path_reading_factors_are_refused(factors):
-    node = PhiMoment(factors, "u", 0.0, T, "v")
     with pytest.raises(UnsupportedNodeError, match="IB"):
-        evaluate(node, 0.7, grid_path(PATHS["3-cell"]), {"v": 0.5})
+        phi_moment(factors, "u", 0.0, T, 0.5, 0.7, grid_path(PATHS["3-cell"]))
 
 
 def test_an_ensemble_is_refused():
     times = PATHS["3-cell"]
     ensemble = GridPath(times, np.stack([grid_path(times, s).values for s in range(3)]))
-    node = PhiMoment((TimeIntB((0.0, "u"), R, 1),), "u", 0.0, T, "v")
+    factors = (TimeIntB((0.0, "u"), R, 1),)
     for v in (0.5, np.array([0.4, 0.6])):
         with pytest.raises(EvalError):
-            evaluate(node, 0.7, ensemble, {"v": v})
+            phi_moment(factors, "u", 0.0, T, v, 0.7, ensemble)

@@ -2,16 +2,21 @@
 
 perfbench/tracer.py wraps expformula._level_value, whose first argument it
 counts as the level's product terms and whose item 1 of the result it reads
-as the route string, and taylor._package, whose second argument it counts as
-the order terms.  A change that breaks either shows here by name, not only
-as a failed case of a traced benchmark run.
+as the route string, taylor._package, whose second argument it counts as
+the order terms, and every binding of functional.evaluate, whose third
+argument it reads as the path.  A change that breaks any of them shows here
+by name, not only as a failed case of a traced benchmark run.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
+
+from fbmseries import expformula, functional
 from fbmseries.expformula import exp_series
-from fbmseries.functional import TimeGrid
+from fbmseries.functional import GridPath, TimeGrid, fbm_sample
 from fbmseries.parser import parse
 from fbmseries.taylor import backward_taylor
 
@@ -39,3 +44,22 @@ def test_tracer_counts_routes_and_terms_of_both_engines():
     assert t.counts["route.factorized"] == 1
     assert after_levels > 0
     assert t.counts["functional.result_nodes"] > after_levels
+
+
+def test_evaluate_keeps_the_path_third():
+    params = list(inspect.signature(functional.evaluate).parameters)
+    assert params[:3] == ["expr", "h", "path"]
+
+
+def test_tracer_counts_the_paths_of_a_positional_evaluate():
+    ensemble = GridPath((0.0, 0.5, 1.0), np.arange(9.0).reshape(3, 3))
+    t = _load_tracer().Tracer()
+    t.install([])
+    try:
+        assert hasattr(expformula.evaluate, "__wrapped__")
+        t.active = True
+        before = t.counts["functional.evaluate_values"]
+        expformula.evaluate(fbm_sample(0.5), 0.7, ensemble)
+    finally:
+        t.uninstall()
+    assert t.counts["functional.evaluate_values"] == before + 3
