@@ -145,7 +145,7 @@ class TestKernelMoments:
         # a time integral from u, piecewise polynomial in u on one path: the
         # moments of all partners at once, each the scalar one
         agree(moment((TimeIntB((0.0, "u"), 0.5, 1),), 1.0, single_path()),
-              {"v": np.array([0.2, 0.5, 0.9])}, exact=False)
+              {"v": np.array([0.2, 0.5, 0.9])})
 
 
 class TestShapes:
