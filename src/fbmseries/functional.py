@@ -101,13 +101,17 @@ class _Node:
     The intern table holds weak references, so an entry goes when its node
     does.  Its key is the kind, the fields, and one extra part per plain
     field: a nonzero float as it is, anything else by repr, which keeps
-    0.0 apart from -0.0 and 1 apart from 1.0.  A kind with one plain field,
-    such as Const, builds that key inline, without the generic
-    comprehension.  The table is not locked: two threads building equal
-    nodes at once may get two nodes, which collect_terms then keeps as
-    separate terms.
+    0.0 apart from -0.0 and 1 apart from 1.0.  A kind with no plain field
+    (Sum, Product, Exp) keys on the kind and the fields alone, and a kind
+    with one, such as Const, builds its extra part inline; only the kinds
+    with several plain fields run the generic comprehension.  The table is
+    not locked: two threads building equal nodes at once may get two nodes,
+    which collect_terms then keeps as separate terms.
     _plain lists the positions of the fields that hold plain values
-    rather than nodes (see _kind).
+    rather than nodes, _setters the slot setter of each field, and _post
+    whether the kind checks its fields in __post_init__; _kind makes all
+    three once, so a new node sets its slots through the setters.  No kind
+    is subclassed, so the hot paths test a kind with type(x) is K.
 
     A kind's rules are its methods; the fold rules take the results at the
     node's operands, its only children, and one argument.  Besides the
@@ -131,8 +135,12 @@ class _Node:
     combine = None
 
     def __new__(cls, *args):
+        if len(args) != len(cls._setters):
+            raise TypeError(f"{cls.__name__} takes {len(cls._setters)} fields")
         plain = cls._plain
-        if len(plain) == 1:  # _exact inlined for the hot one-field kinds
+        if not plain:  # Sum, Product, Exp: the key is the kind and the fields
+            key = (cls, *args)
+        elif len(plain) == 1:  # _exact inlined for the hot one-field kinds
             v = args[plain[0]]
             key = (cls, *args, v if type(v) is float and v else repr(v))
         else:
@@ -142,13 +150,10 @@ class _Node:
             node = ref()
             if node is not None:
                 return node
-        names = cls.__match_args__
-        if len(args) != len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields")
         node = object.__new__(cls)
-        for name, value in zip(names, args):
-            object.__setattr__(node, name, value)
-        if hasattr(node, "__post_init__"):
+        for set_field, value in zip(cls._setters, args):
+            set_field(node, value)
+        if cls._post:
             node.__post_init__()
         ref = _interned[key] = _Ref(node, _forget)
         ref.key = key
@@ -187,6 +192,8 @@ def _kind(cls):
     Fields annotated with Expr hold nodes, the others plain values."""
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
     cls._plain = tuple(i for i, f in enumerate(fields(cls)) if "Expr" not in f.type)
+    cls._setters = tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+    cls._post = hasattr(cls, "__post_init__")
     return cls
 
 
@@ -610,8 +617,8 @@ def make_sum(terms: Iterable[Expr]) -> Expr:
     flat = []
     const = 0.0
     for t in terms:
-        for u in t.terms if isinstance(t, Sum) else (t,):
-            if isinstance(u, Const):
+        for u in t.terms if type(t) is Sum else (t,):
+            if type(u) is Const:
                 const += u.value
             else:
                 flat.append(u)
@@ -624,8 +631,8 @@ def make_product(factors: Iterable[Expr]) -> Expr:
     flat = []
     const, lead = 1.0, ONE  # lead: a factor that is the node Const(const), if any
     for f in factors:
-        for u in f.factors if isinstance(f, Product) else (f,):
-            if isinstance(u, Const):
+        for u in f.factors if type(f) is Product else (f,):
+            if type(u) is Const:
                 const *= u.value
                 if u.value == const:
                     lead = u
@@ -681,12 +688,12 @@ def collect_terms(expr: Expr) -> Expr:
     give; only a bucket that merges builds a node.  A sum with nothing to
     merge comes back itself.  Buckets keep the order of first occurrence.
     """
-    if not isinstance(expr, Sum):
+    if type(expr) is not Sum:
         return expr
     buckets = {}
     for t in expr.terms:
-        key = t.factors if isinstance(t, Product) else (t,)
-        coeff, key = ((key[0].value, key[1:]) if isinstance(key[0], Const)
+        key = t.factors if type(t) is Product else (t,)
+        coeff, key = ((key[0].value, key[1:]) if type(key[0]) is Const
                       else (1.0, key))
         acc = buckets.get(key)
         if acc is None:
@@ -1152,14 +1159,14 @@ def _emit(node: Expr, slots: dict, init: list, steps: list, reader: dict) -> int
     ops = node.operands()
     if node.combine is not None:
         acc, k = node.empty, 0
-        while k < len(ops) and isinstance(ops[k], Const):
+        while k < len(ops) and type(ops[k]) is Const:
             acc = node.combine(acc, ops[k].value)
             k += 1
         init.append(acc)
         ops = ops[k:]
     elif ops:
         init.append(None)
-    elif isinstance(node, Const):
+    elif type(node) is Const:
         init.append(node.value)
     else:
         init.append(None)

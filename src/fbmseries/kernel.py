@@ -28,7 +28,8 @@ endpoint y, a float or an array, it takes sign(y) and log|y| once and each
 Phi_m(y) and y**k the first time it is asked for, by the same float
 operations as a lone evaluation.  Each moment call builds one table per
 endpoint (a cut row or piece break minus the partner v, or e - c and e - d
-for the ends e of a rectangle's u-piece) and drops them on return.
+for the ends e of a rectangle's u-piece; equal neighbouring cut rows share
+one) and drops them on return.
 """
 
 from __future__ import annotations
@@ -256,12 +257,12 @@ def _piece_at(w: PiecewisePoly, x: float):
     return None
 
 
-def _mono_phi_moment(i: int, ta: _Endpoint, tb: _Endpoint, v):
-    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y (v float or
-    array), from the tables of a - v and b - v."""
+def _mono_phi_moment(i: int, ints: list, vps: list):
+    """Exact int_a^b u^i phi_H(u, v) du via the shift u = v + y, from
+    ints[j] = int_{a-v}^{b-v} y^j phi_H(y) dy and vps[k] = v**k."""
     total = 0.0
     for j in range(i + 1):
-        total += math.comb(i, j) * v ** (i - j) * _int_pow_phi(j, 0, ta, tb)
+        total += math.comb(i, j) * vps[i - j] * ints[j]
     return total
 
 
@@ -281,10 +282,13 @@ def phi_poly_moment(w: PiecewisePoly, iv: Interval, v, h):
     if clipped is None:
         return total
     ends = [_Endpoint(x - v, h) for x in clipped.breaks]
+    vps = [v ** k for k in range(max(len(c) for c in clipped.coeffs))]
     for c, ta, tb in zip(clipped.coeffs, ends, ends[1:]):
+        top = max((i for i, ci in enumerate(c) if ci != 0.0), default=-1)
+        ints = [_int_pow_phi(j, 0, ta, tb) for j in range(top + 1)]
         for i, ci in enumerate(c):
             if ci != 0.0:
-                total += ci * _mono_phi_moment(i, ta, tb, v)
+                total += ci * _mono_phi_moment(i, ints, vps)
     return total
 
 
@@ -296,18 +300,38 @@ def pieces_phi_moment(ws, lo: float, hi: float, v, h):
     reversed.  Limits, coefficients and v may be arrays of one batch shape.
     [lo, hi] is cut at every limit, sorted per element, so each cell lies
     in one piece of each w_k or in none, and the cell's product polynomial
-    takes the closed form; an empty cell gives exactly 0.
+    takes the closed form.  A cell empty in every element, or outside every
+    piece of some w_k, adds exactly 0 and is skipped.  A cell's polynomial
+    reads only the pieces whose limits, over the batch, can hold one of its
+    midpoints; a cut row equal to the one before it shares that row's
+    endpoint table; and each v**k, and each cell's integral of y^j phi_H,
+    is taken once.  So every value has the bits of a scan of every piece
+    for every cell.
     """
     limits = [np.clip(x, lo, hi) for w in ws for a, b, _ in w for x in (a, b)]
     cuts = np.sort(np.broadcast_arrays(lo, hi, *limits, v)[:-1], axis=0)
-    ends = [_Endpoint(x - v, h) for x in cuts]
-    total = 0.0
-    for a, b, ta, tb in zip(cuts[:-1], cuts[1:], ends, ends[1:]):
-        mid = 0.5 * (a + b)
-        poly = [1.0]
-        for w in ws:
-            coeffs = [0.0] * max(len(c) for _, _, c in w)
-            for pa, pb, c in w:
+    rows = cuts.reshape(len(cuts), -1)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    flat = mids.reshape(len(mids), -1)
+    low, high = flat.min(axis=1), flat.max(axis=1)
+    # holds[k][p, cell]: piece p of w_k can hold the cell's midpoint
+    holds = [(np.array([np.min(a) for a, _, _ in w])[:, None] <= high)
+             & (low < np.array([np.max(b) for _, b, _ in w])[:, None]) for w in ws]
+    equal = rows[1:] == rows[:-1]
+    keep = ~equal.all(axis=1) & np.all([hk.any(axis=0) for hk in holds], axis=0)
+    same = (equal & (np.signbit(rows[1:]) == np.signbit(rows[:-1]))).all(axis=1)
+    ends = [_Endpoint(cuts[0] - v, h)]
+    for x, repeat in zip(cuts[1:], same):
+        ends.append(ends[-1] if repeat else _Endpoint(x - v, h))
+    vps = [v ** k for k in range(1 + sum(max(len(c) for _, _, c in w) - 1 for w in ws))]
+    shapes = [np.shape(cj) for w in ws for _, _, c in w for cj in c]
+    total = np.zeros(np.broadcast_shapes(np.shape(cuts[0]), *shapes))[()]
+    for cell in np.flatnonzero(keep):
+        mid, poly = mids[cell], [1.0]
+        for w, hk in zip(ws, holds):
+            held = [w[p] for p in np.flatnonzero(hk[:, cell])]
+            coeffs = [0.0] * max(len(c) for _, _, c in held)
+            for pa, pb, c in held:
                 inside = (pa <= mid) & (mid < pb)
                 for j, cj in enumerate(c):
                     coeffs[j] = coeffs[j] + np.where(inside, cj, 0.0)
@@ -315,8 +339,9 @@ def pieces_phi_moment(ws, lo: float, hi: float, v, h):
             poly = [sum(poly[k] * coeffs[n - k] for k in range(len(poly))
                         if 0 <= n - k < len(coeffs))
                     for n in range(len(poly) + len(coeffs) - 1)]
+        ints = [_int_pow_phi(j, 0, ends[cell], ends[cell + 1]) for j in range(len(poly))]
         for i, ci in enumerate(poly):
-            total = total + ci * _mono_phi_moment(i, ta, tb, v)
+            total = total + ci * _mono_phi_moment(i, ints, vps)
     return total
 
 

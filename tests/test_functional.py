@@ -15,12 +15,14 @@ from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import (
     ONE,
     Const,
+    Exp,
     FbmSample,
     GridPath,
     HermitePoly,
     Indicator,
     OffGridTimeError,
     PolyInVar,
+    Power,
     Product,
     RampMax,
     Sum,
@@ -535,6 +537,56 @@ class TestInterning:
         two_int, two = Const(2), Const(2.0)
         assert two_int is not two
         assert type(two_int.value) is int and type(two.value) is float
+
+    def test_one_plain_field_keys_keep_zero_sign_and_number_type(self):
+        assert Const(0.0) is ZERO and Const(-0.0) is Const(-0.0)
+        assert Const(-0.0) is not Const(0.0)
+        assert Const(1) is Const(1) and Const(1.0) is ONE
+        assert Const(1) is not Const(1.0)
+        b = FbmSample(0.5)
+        assert Power(b, 2) is Power(b, 2) and Power(b, 2) is not Power(b, 3)
+
+    def test_kinds_without_plain_fields_intern_on_their_operands(self):
+        b, c = FbmSample(0.5), FbmSample(1.0)
+        assert Sum((b, c)) is Sum((b, c)) is make_sum([b, c])
+        assert Product((b, c)) is Product((b, c)) is make_product([b, c])
+        assert Exp(b) is Exp(b) is make_exp(b)
+        assert Sum((b, c)) is not Sum((c, b)) and Product((b, c)) is not Product((c, b))
+        # the operand tuple is the key; the kind keeps a sum and a product apart
+        assert Sum((b, c)) is not Product((b, c))
+        assert Exp(b) is not Exp(c)
+
+    def test_kinds_with_several_plain_fields_intern_as_before(self):
+        assert Indicator("u", 0.0, 1.0) is Indicator("u", 0.0, 1.0)
+        assert Indicator("u", -0.0, 1.0) is not Indicator("u", 0.0, 1.0)
+        assert Indicator("u", 0.0, 1) is not Indicator("u", 0.0, 1.0)
+        assert Indicator("v", 0.0, 1.0) is not Indicator("u", 0.0, 1.0)
+        assert TimeIntB((0.0, "u"), 1.0, 2) is TimeIntB((0.0, "u"), 1.0, 2)
+        assert TimeIntB((0.0, "u"), 1.0, 2) is not TimeIntB((0.0, "u"), 1.0, 1)
+        assert TimeIntB((-0.0, "u"), 1.0, 2) is not TimeIntB((0.0, "u"), 1.0, 2)
+        assert RampMax(1.0, (0.5, "u")) is RampMax(1.0, (0.5, "u"))
+        assert RampMax(1, (0.5, "u")) is not RampMax(1.0, (0.5, "u"))
+
+    @pytest.mark.parametrize("exponent", [-1, 2.0])
+    def test_power_checks_its_exponent_on_every_construction(self, exponent):
+        # a refused node is never interned, so asking again raises again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                Power(FbmSample(0.5), exponent)
+
+    @pytest.mark.parametrize("build, kind, n", [
+        (lambda: Const(), "Const", 1),
+        (lambda: Const(1.0, 2.0), "Const", 1),
+        (lambda: FbmSample(), "FbmSample", 1),
+        (lambda: Power(FbmSample(0.5)), "Power", 2),
+        (lambda: Indicator("u", 0.0), "Indicator", 3),
+        (lambda: Sum(), "Sum", 1),
+        (lambda: Exp(ONE, ONE), "Exp", 1),
+    ], ids=["Const()", "Const(1,2)", "FbmSample()", "Power(b)", "Indicator(u,0)",
+            "Sum()", "Exp(1,1)"])
+    def test_a_wrong_number_of_fields_is_a_type_error(self, build, kind, n):
+        with pytest.raises(TypeError, match=rf"^{kind} takes {n} fields$"):
+            build()
 
     def test_nodes_visits_each_distinct_node_once(self):
         x = parse("exp(0.5*B(1))")

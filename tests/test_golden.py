@@ -16,8 +16,12 @@ were still drawn in line with its Cholesky product; and an `expform`
 entry on three paths, exp(0.5*IB(0,1))*B(1), whose levels take the
 factorized and separable routes with frozen prefactors shared across
 levels, as the package printed it when each level's prefactors and
-cluster moments were still evaluated term by term.  A change that keeps
-the numbers keeps every byte.
+cluster moments were still evaluated term by term; and the level-1 entry
+on exp(-IB2(0,1)) at refinement 64, whose path form has 65 pieces, as the
+package printed it when each cell of the kernel moment still scanned every
+piece, with a multi-threaded BLAS (its path's 128-point Cholesky factor
+has other bits on one BLAS thread, OPENBLAS_NUM_THREADS=1).  A change
+that keeps the numbers keeps every byte.
 
 tests/golden/engines.json holds, per backward_taylor case, the SHA-1 of each
 symbolic term and the hex floats of the terms on a few paths.  The blocked
@@ -90,6 +94,9 @@ COMMANDS = [
     ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
      "--expr", "IB2(0,1)^2", "--order", "2", "--mc.paths", "1",
      "--mc.seed", "5", "--format", "json"],
+    ["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+     "--expr", "exp(-IB2(0,1))", "--order", "1", "--mc.paths", "1",
+     "--mc.refinement", "64", "--format", "json"],
 ]
 
 # commands whose paths simulate draws in more than one block

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in that
 module, every private top-level name is used somewhere in the package,
-every node kind is slotted, and the symbolic layer imports no quadrature.
+every node kind is slotted and none is subclassed, and the symbolic layer
+imports no quadrature.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -8,6 +9,7 @@ only inside string annotations, which an ast-only check would miss.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 from typing import get_args
@@ -80,6 +82,16 @@ def test_node_kinds_have_slots_and_no_instance_dict():
         assert "__slots__" in vars(kind), kind.__name__
         assert kind.__dictoffset__ == 0, kind.__name__
     assert not hasattr(functional.Const(1.0), "__dict__")
+
+
+def test_no_node_kind_is_subclassed():
+    # the hot constructors and walks test a kind with type(x) is K, which
+    # a subclass of K would fail where isinstance(x, K) holds
+    for module in MODULES:
+        if module.stem != "__main__":
+            importlib.import_module(f"fbmseries.{module.stem}")
+    for kind in get_args(functional.Expr):
+        assert kind.__subclasses__() == [], kind.__name__
 
 
 def test_functional_imports_nothing_from_quadrature():

@@ -260,6 +260,30 @@ class TestEndpointTables:
                 assert pieces_phi_moment(one, lo, hi, float(v), h) \
                     == reference_pieces_phi_moment(one, lo, hi, float(v), h)
 
+    @staticmethod
+    def chain(floor):
+        """A path-like form: a constant piece below floor, then twelve cubic
+        pieces on [max(t_m, floor), t_{m+1}] that share their limits."""
+        ts = np.linspace(0.0, 1.0, 13)
+        return [[(0.0, floor, (0.7,))]
+                + [(np.maximum(ts[m], floor), ts[m + 1], (0.3 + 0.1 * m, -0.2, 0.05 * m, 0.4))
+                   for m in range(12)]]
+
+    @pytest.mark.parametrize("h", H)
+    def test_a_chain_of_pieces_keeps_every_bit(self, h):
+        # over [0, 0.3] the pieces above 0.3 leave cells of zero length, and
+        # the batch of floors empties some pieces in some elements only
+        vs = np.array([0.05, 0.3, 0.45, 0.8, 1.0])
+        for floor in (0.0, 0.35, np.array([0.0, 0.2, 0.25, 0.6, 0.9])):
+            for hi in (1.0, 0.3):
+                ws = self.chain(floor)
+                assert np.array_equal(pieces_phi_moment(ws, 0.0, hi, vs, h),
+                                      reference_pieces_phi_moment(ws, 0.0, hi, vs, h))
+                if np.ndim(floor) == 0:
+                    for v in (0.25, 0.5):
+                        assert pieces_phi_moment(ws, 0.0, hi, v, h) \
+                            == reference_pieces_phi_moment(ws, 0.0, hi, v, h)
+
     @pytest.mark.parametrize("h", H)
     def test_poly_rect_integral_keeps_every_bit(self, h):
         # wv starts at wu's break 0.6, so e - c is 0 there
@@ -288,6 +312,10 @@ class TestEndpointTables:
             "pieces_phi_moment scalar": lambda: pieces_phi_moment(
                 [[(0.1, 0.6, (1.0, 0.3, -0.2, 0.1))], [(0.35, 1.1, (0.5, -0.2))]],
                 0.05, 1.25, 0.45, h),
+            # neighbouring pieces share a limit, and the limits above 0.3
+            # all clip to 0.3, so the sorted cut rows repeat
+            "pieces_phi_moment repeated cuts": lambda: pieces_phi_moment(
+                self.chain(0.0), 0.0, 0.3, np.array([0.1, 0.5, 0.9]), h),
         }
         for name, call in calls.items():
             first = _exp_arguments(call)
