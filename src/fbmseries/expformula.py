@@ -79,6 +79,7 @@ from .functional import (
     expand,
     free_vars,
     freeze,
+    gc_paused,
     is_deterministic,
     make_product,
     make_sum,
@@ -519,6 +520,7 @@ def _level_value(prods, splits, i, r, big_t, hh, path, rel_tol, memo, out):
     return out, "+".join(sorted(routes)), level.error, level.hits
 
 
+@gc_paused()
 def exp_series(f: Expr, r: float, big_t: float, h, order: int,
                path: "GridPath | None" = None,
                rel_tol: float = 1e-9) -> SeriesResult:
@@ -543,6 +545,12 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
     is integrated, so a node they share is computed once; when an integral
     raises, the prefactors before it are evaluated first, so that an error
     of theirs surfaces as it would have in term order.
+
+    The call runs with the cyclic garbage collector paused (gc_paused): the
+    DAG it builds and its memos hold no reference cycle, so an automatic
+    collection would scan them and free nothing.  The pause is
+    process-wide; cyclic garbage that another thread makes meanwhile waits
+    until the call returns.
     """
     hh = _hval(h)
     r, big_t = float(r), float(big_t)

@@ -41,7 +41,9 @@ which one evaluation then handles elementwise (see evaluate).
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
+import gc
 import math
 import operator
 import weakref
@@ -90,6 +92,32 @@ def _forget(ref, table=_interned):
 def _exact(value):
     """Key part of a plain field (see _Node)."""
     return value if type(value) is float and value else repr(value)
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, as a with block or a decorator.
+
+    An engine call interns tens of thousands of nodes and memo entries, and
+    each allocation counts towards an automatic collection that scans them
+    all and frees nothing: nodes refer only to their operands, the intern
+    table holds weak references, and the per-call memos refer to the nodes
+    but no node to them, so the DAG and everything built on it is acyclic
+    and reference counting frees it.  Pausing changes no value.  The
+    collector is enabled again on the way out, also when the block raises,
+    but only if it was enabled on the way in, so a nested call, or a call
+    made with the collector off, leaves it as it was; of two calls that
+    overlap in two threads, the one that ends last may run its end with the
+    collector on.  The pause is process-wide: cyclic garbage made meanwhile
+    by another thread waits for the next collection after the block ends.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class _Node:

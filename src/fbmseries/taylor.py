@@ -42,6 +42,7 @@ from .functional import (
     evaluate,
     fbm_sample,
     fbm_times,
+    gc_paused,
     hermite_factor,
     is_discrete,
     make_product,
@@ -55,24 +56,27 @@ from .results import SeriesResult
 
 class DerivativeMemo:
     """collect_terms(directional(expr, at)) memoized for one engine call,
-    and the sample times of the expressions it is asked for.
+    the sample times of the expressions it is asked for, and the kernel
+    integrals of the rectangles psi_orders asks for.
 
     The derivatives taken at one grid time share one directional memo, so a
     node that recurs across the expressions differentiated there is
     differentiated once, and a repeated (expr, at) request returns the
     collected result.  Likewise the sample times of each distinct node are
-    collected once.  The memo is keyed by node identity, so it keeps every
-    expression it differentiated or timed alive; no node refers back to it,
-    and dropping it frees everything it holds.
+    collected once, and each distinct rectangle is integrated once.  The
+    memo is keyed by node identity, so it keeps every expression it
+    differentiated or timed alive; no node refers back to it, and dropping
+    it frees everything it holds.
     """
 
-    __slots__ = ("_done", "_collected", "_times", "_timed")
+    __slots__ = ("_done", "_collected", "_times", "_timed", "_rects")
 
     def __init__(self):
         self._done = {}        # at -> {id(node): D_at node}
         self._collected = {}   # (id(expr), at) -> (expr, collected D_at expr)
         self._times = {}       # id(node) -> its sample times
         self._timed = []       # the expressions timed, kept alive
+        self._rects = {}       # (lo, hi, a, b, hh) -> iint_{[lo,hi]x[a,b]} phi_H
 
     def __call__(self, expr: Expr, at: float) -> Expr:
         hit = self._collected.get((id(expr), at))
@@ -85,6 +89,13 @@ class DerivativeMemo:
         self._timed.append(expr)
         return fbm_times(expr, self._times)
 
+    def rect(self, lo: float, hi: float, a: float, b: float, hh: float) -> float:
+        key = (lo, hi, a, b, hh)
+        val = self._rects.get(key)
+        if val is None:
+            val = self._rects[key] = rect_integral(Interval(lo, hi), Interval(a, b), hh)
+        return val
+
 
 def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
                t_final: float, derive: "DerivativeMemo | None" = None) -> list:
@@ -92,8 +103,9 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
 
     One depth-first walk over the cells shares every derivative chain
     across the multi-indices of all orders, instead of redoing the chains
-    per order and per composition.  derive takes the derivatives; a caller
-    passes its own memo to share them with its other calls.
+    per order and per composition.  derive takes the derivatives and the
+    cells' kernel integrals; a caller passes its own memo to share them
+    with its other calls.
     """
     hh = _hval(h)
     derive = derive or DerivativeMemo()
@@ -101,8 +113,7 @@ def psi_orders(x: Expr, a: float, b: float, k_max: int, h,
         return [x] + [ZERO] * k_max
     cuts = sorted(t for t in derive.sample_times(x) | {t_final} if 0.0 < t <= t_final)
     cells = list(zip([0.0] + cuts[:-1], cuts))
-    rng = Interval(a, b)
-    rects = [rect_integral(Interval(lo, hi), rng, hh) for lo, hi in cells]
+    rects = [derive.rect(lo, hi, a, b, hh) for lo, hi in cells]
     acc = [[] for _ in range(k_max + 1)]
     # depth first over (cell, orders used, derivative, coefficient); the
     # children of a cell are pushed in reverse so they pop in order j = 0, 1, ..
@@ -169,6 +180,7 @@ def _package(order, term_exprs, n_counts, path) -> SeriesResult:
     return SeriesResult(order, terms, sums, diags)
 
 
+@gc_paused()
 def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
                     path: "GridPath | None" = None) -> SeriesResult:
     """Truncated backward Taylor series for E[f | path up to r].
@@ -196,6 +208,12 @@ def backward_taylor(f: Expr, r: float, grid: TimeGrid, order: int, h,
     (expression, time) pair is collected once.  With a path, the order + 1
     terms are evaluated on one schedule, so a node they share is computed
     once and dropped after its last use by any term.
+
+    The call runs with the cyclic garbage collector paused (gc_paused): the
+    DAG it builds and its memo hold no reference cycle, so an automatic
+    collection would scan them and free nothing.  The pause is
+    process-wide; cyclic garbage that another thread makes meanwhile waits
+    until the call returns.
     """
     hh = _hval(h)
     pts, deltas, args = _setup(f, r, grid, order, hh)

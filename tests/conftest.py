@@ -1,5 +1,6 @@
 """Shared fixtures of the test suite."""
 
+import gc
 import threading
 
 import pytest
@@ -13,3 +14,13 @@ def no_thread_left_running():
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     assert not left, f"threads left running: {left}"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled: the
+    engines pause it only for the length of a call."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the cyclic garbage collector was left disabled"

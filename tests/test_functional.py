@@ -1,6 +1,7 @@
 """Symbolic calculus tests: derivatives, freezing, strict evaluation, parsing."""
 
 import gc
+import io
 import math
 import tracemalloc
 import weakref
@@ -9,7 +10,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from fbmseries import functional
+from fbmseries import cli, expformula, functional, taylor
 from fbmseries.expformula import exp_series
 from fbmseries.fbm import McConfig, simulate
 from fbmseries.functional import (
@@ -619,9 +620,27 @@ class TestInterning:
         lambda f: freeze(f, 0.3),
         lambda f: evaluate(f, path=sample_path(3, n=4)),
         lambda f: backward_taylor(f, 0.3, GRID, 4, 0.7),
-    ], ids=["grid_time", "free", "freeze", "evaluate", "backward_taylor"])
+        lambda f: exp_series(f, 0.0, 1.0, 0.7, 3),
+        lambda f: exp_series(parse("exp(-IB2(0,1))"), 0.3, 1.0, 0.7, 1,
+                             path=sample_path(4, times=(0.0, 0.15, 0.3, 0.65, 1.0))),
+        lambda f: exp_series(parse("exp(-IB2(0,1))"), 0.0, 1.0, 0.7, 2),
+        lambda f: cli.main(["taylor", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+                            "--grid", "0,0.25,0.5,0.75,1", "--expr", "exp(0.25*B(1))",
+                            "--order", "3", "--mc.paths", "4", "--format", "json"],
+                           stdout=io.StringIO()),
+        lambda f: cli.main(["expform", "--hurst", "0.7", "--T", "1", "--r", "0.3",
+                            "--expr", "IB(0,1)*B(1)", "--order", "2", "--mc.paths", "1",
+                            "--format", "json"], stdout=io.StringIO()),
+    ], ids=["grid_time", "free", "freeze", "evaluate", "backward_taylor",
+            "exp_series_exact", "exp_series_quadrature", "exp_series_symmetrized",
+            "cli_taylor", "cli_expform"])
     def test_leaves_no_reference_cycle(self, op):
+        # the engines run with the cyclic collector paused, which frees
+        # nothing only while these leave no cycle behind.  The CLI's parser
+        # is built first: argparse's help formatters, made once per process
+        # when it is built, refer to each other
         f = parse("exp(0.5*B(1))*B(0.5)^2+B(0.25)*B(0.75)")
+        cli._build_parser()
         gc.collect()
         gc.disable()
         try:
@@ -640,6 +659,59 @@ class TestInterning:
         del f, d
         assert probe() is None
         assert len(functional._interned) == before
+
+
+# each engine on exp(0.5 B_1) B_.5, and a function it calls after its
+# argument checks
+_ENGINES = {
+    "backward_taylor": (lambda r, order: backward_taylor(
+        parse("exp(0.5*B(1))*B(0.5)"), r, GRID, order, 0.7), taylor, "psi_orders"),
+    "exp_series": (lambda r, order: exp_series(
+        parse("exp(0.5*B(1))*B(0.5)"), r, 1.0, 0.7, order), expformula, "_level_value"),
+}
+
+
+class TestCollectorPause:
+    """Each engine runs with the cyclic collector off and leaves it as it
+    found it, however the call ends."""
+
+    @pytest.fixture(params=[True, False], ids=["found_on", "found_off"])
+    def found_on(self, request):
+        if not request.param:
+            gc.disable()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_paused_during_the_call_and_restored(self, monkeypatch, engine, found_on):
+        call, module, name = _ENGINES[engine]
+        seen = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: seen.append(gc.isenabled()) or real(*a, **k))
+        call(0.3, 3)
+        assert seen and not any(seen)
+        assert gc.isenabled() is found_on
+
+    @pytest.mark.parametrize("r, order, raised", [
+        (0.3, -1, ValueError), (-0.1, 2, ValueError), (1.5, 2, ValueError),
+        (0.3, 3, KeyboardInterrupt),
+    ], ids=["order", "r_below", "r_above", "interrupt"])
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_restored_when_the_call_raises(self, monkeypatch, engine, r, order, raised,
+                                           found_on):
+        # an argument check raises before the engine reaches the function
+        # patched here; a valid call raises a BaseException mid-call, as a
+        # time limit's alarm would
+        call, module, name = _ENGINES[engine]
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, name, interrupted)
+        with pytest.raises(raised):
+            call(r, order)
+        assert gc.isenabled() is found_on
 
 
 def _shared_terms():

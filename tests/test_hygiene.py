@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in that
 module, every private top-level name is used somewhere in the package,
-every node kind is slotted and none is subclassed, and the symbolic layer
-imports no quadrature.
+every node kind is slotted and none is subclassed, the symbolic layer
+imports no quadrature, and no other module imports gc.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -106,3 +106,18 @@ def test_functional_imports_nothing_from_quadrature():
         else:
             continue
         assert not any("quadrature" in n.split(".") for n in names), ast.unparse(node)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "functional.py"],
+                         ids=lambda p: p.name)
+def test_only_functional_imports_gc(module):
+    # the cyclic collector is paused and restored in one place,
+    # functional.gc_paused, around the calls that build the acyclic DAG
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert "gc" not in [n.split(".")[0] for n in names], ast.unparse(node)

@@ -134,6 +134,21 @@ def test_backward_taylor_differentiates_each_node_once_per_time(monkeypatch):
     assert len(calls) == len(set(calls)) <= 10_000
 
 
+def test_backward_taylor_integrates_each_rectangle_once(monkeypatch):
+    # every psi_orders call integrated its own cells: 1064 calls for 177
+    # distinct rectangles per taylor-deep pass
+    f, grid, h, path = _memo_case()
+    calls = []
+
+    def counted(u_iv, v_iv, hh):
+        calls.append((u_iv, v_iv, hh))
+        return rect_integral(u_iv, v_iv, hh)
+
+    monkeypatch.setattr(taylor, "rect_integral", counted)
+    backward_taylor(f, 0.3, grid, 6, h, path=path)
+    assert len(calls) == len(set(calls)) > 0
+
+
 def _count_constructions(monkeypatch) -> list:
     """The kinds of every node construction (intern lookups included) from now on."""
     calls, real = [], functional._Node.__new__
