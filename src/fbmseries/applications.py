@@ -52,6 +52,14 @@ from .kernel import _hval
 from .special import beta_fn, stirling2, stirling_falling_sum
 
 
+def _require_finite(**values):
+    """Refuse a NaN or infinite input by name, so that a bad argument is
+    told apart from an output that overflows."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class MertonResult:
     """Bond-price series for F = exp(int_0^T B_s ds) conditioned at r = 0.
@@ -74,6 +82,7 @@ def merton_bond_price(big_t, h, order: int = 12) -> MertonResult:
     """Dual-route evaluation of E~[exp(int_0^T B_s ds)] up to `order`."""
     hh = _hval(h)
     big_t = float(big_t)
+    _require_finite(T=big_t)
     if big_t <= 0.0:
         raise ValueError("horizon must be positive")
     if order < 0:
@@ -115,6 +124,7 @@ def cir_small_t(big_t, h) -> CirExpansion:
     """Truncated expansion of E[exp(-int_0^T B_s^2 ds)] for small T."""
     hh = _hval(h)
     big_t = float(big_t)
+    _require_finite(T=big_t)
     if big_t < 0.0:
         raise ValueError("horizon must be >= 0")
     c1 = -1.0 / (2.0 * hh + 1.0)
@@ -166,6 +176,7 @@ def cir_mc_check(big_t, h, cfg: McConfig) -> CirMcCheck:
     """
     hh = _hval(h)
     big_t = float(big_t)
+    _require_finite(T=big_t)
     if big_t < 0.0:
         raise ValueError("horizon must be >= 0")
     if big_t == 0.0:
@@ -226,6 +237,7 @@ def lognormal_cf_series(z, big_t, h, sigma, mu: float = 0.0,
     """
     hh = _hval(h)
     big_t = float(big_t)
+    _require_finite(z=z, T=big_t, sigma=sigma, mu=mu)
     if big_t <= 0.0:
         raise ValueError("horizon must be positive")
     if n_max < 0:
@@ -255,6 +267,7 @@ def lognormal_moment(p: int, big_t, h, sigma, n_max: int = 60) -> float:
         raise ValueError("moment order must be a nonnegative integer")
     hh = _hval(h)
     big_t = float(big_t)
+    _require_finite(T=big_t, sigma=sigma)
     if big_t <= 0.0:
         raise ValueError("horizon must be positive")
     if n_max < 0:

@@ -36,10 +36,11 @@ over the ordered simplex.  Five routes are tried per product term:
                   and the v factors take one evaluate, with v bound to the
                   array of the nodes of the level's two grids;
   * symmetrized - the rest at levels i >= 2, when every factor holding
-                  level variables is a ramp or an indicator (the prefactor
-                  may read the path).  D^{2i} F is symmetric in its pairs of
-                  arguments, so the simplex integral of the level's term set
-                  is 1/i! times its integral over the cube [r, T]^i.  A ramp
+                  level variables is a ramp or a piecewise polynomial in
+                  one variable (the prefactor may read the path).  D^{2i} F
+                  is symmetric in its pairs of arguments, so the simplex
+                  integral of the level's term set is 1/i! times its
+                  integral over the cube [r, T]^i.  A ramp
                   (cap - max(c, x, y, ...))^+ is int_c^cap 1{x < s} 1{y < s} ... ds,
                   so at fixed s each level's (u_k, v_k) integral is a box
                   moment of the kernel in closed form; what is left is an
@@ -62,6 +63,7 @@ routes raises EngineError there.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -586,19 +588,18 @@ def exp_series(f: Expr, r: float, big_t: float, h, order: int,
         values = iter(evaluate([s for level in pairs for s, _ in level], path=path))
     if failure is not None:
         raise failure
-    terms, sums, running = [], [], None
-    for i, level in enumerate(pairs):
-        if path is None:
-            val = level[0][0] if i == 0 else (
-                collect_terms(make_sum([scale(s, v) for s, v in level])) if level else ZERO)
-            running = val if running is None else collect_terms(make_sum([running, val]))
-        else:
-            vals = [next(values) if v is None else v * next(values) for _, v in level]
-            val = functools.reduce(operator.add, vals) if vals else 0.0
-            running = val if running is None else running + val
-        terms.append(val)
-        sums.append(running)
-    return SeriesResult(order=order, terms=terms, partial_sums=sums,
+    if path is None:
+        terms = [pairs[0][0][0]] + [
+            collect_terms(make_sum([scale(s, v) for s, v in level])) if level else ZERO
+            for level in pairs[1:]]
+    else:
+        vals = [[next(values) if v is None else v * next(values) for _, v in level]
+                for level in pairs]
+        terms = [functools.reduce(operator.add, vs) if vs else 0.0 for vs in vals]
+    add = operator.add if path is not None else (
+        lambda a, b: collect_terms(make_sum([a, b])))
+    return SeriesResult(order=order, terms=terms,
+                        partial_sums=list(itertools.accumulate(terms, add)),
                         diagnostics=diags)
 
 

@@ -24,8 +24,10 @@ operations drive everything else:
                  time integrals split into their observed part on [a, min(b,r)]
                  plus B_{min(b,r)}^k times the remaining length.
 
-Deterministic helper nodes (indicators, polynomials of a free variable and
-ramps max(0, b - max(args))) appear as derivative output.  No node binds a
+Deterministic helper nodes appear as derivative output: a piecewise
+polynomial in one free variable (Piecewise: the indicator of [0, t], the
+weight of a Wiener integral, a ramp in one variable) and a ramp
+max(0, b - max(args)) over several variables (RampMax).  No node binds a
 variable: a kernel integral over one is not a node but a value, the exact
 kernel moment of a list of factors (phi_moment).  Evaluation on a path is
 strict: sampling, or integrating between limits of the functional, at a
@@ -147,12 +149,14 @@ class _Node:
     of its operands, and every kind but the n-ary ones defines step, its
     value given its operand's value, the path and the bindings.  The class
     flags say whether a kind reads the path (random), whether it depends on
-    the path only through B_t samples if at all (discrete), whether it has an exact
-    piecewise-polynomial form in one variable (pw; such a kind has pwpoly,
-    its concrete piecewise polynomial in a variable it depends on, over
-    [lo, hi], or None for an identically zero restriction), and how an
-    n-ary kind folds an operand's value into its own, in place where it can
-    (combine), starting from its value with no operands (empty).
+    the path only through B_t samples if at all (discrete), whether it is an
+    exact piecewise polynomial in each variable it holds (pw: Const,
+    Piecewise and RampMax; the two that hold a variable have pwpoly, the
+    form in a variable they hold over [lo, hi]: from Piecewise a
+    PiecewisePoly, or None for an identically zero restriction, and from
+    RampMax pieces whose limits may be arrays), and how an n-ary kind folds
+    an operand's value into its own, in place where it can (combine),
+    starting from its value with no operands (empty).
     """
 
     __slots__ = ("__weakref__",)
@@ -257,7 +261,7 @@ class FbmSample(_Node):
 
     def derivative(self, ds, at):
         if isinstance(at, str):
-            return Indicator(at, 0.0, self.t)
+            return Piecewise(PiecewisePoly.indicator(0.0, self.t), at)
         return ONE if at <= self.t else ZERO
 
     def frozen(self, fs, r):
@@ -292,13 +296,8 @@ class WienerInt(_Node):
             if self.lo <= at <= self.hi:
                 return Const(float(self.weight(at)))
             return ZERO
-        terms = []
-        for a, b, c in self.weight.pieces():
-            aa, bb = max(a, self.lo), min(b, self.hi)
-            if aa < bb:
-                terms.append(make_product([PolyInVar(tuple(float(x) for x in c), at),
-                                           Indicator(at, aa, bb)]))
-        return make_sum(terms)
+        w = self.weight.restrict(self.lo, self.hi)
+        return ZERO if w is None else Piecewise(w, at)
 
     def frozen(self, fs, r):
         hi = min(self.hi, r)
@@ -311,10 +310,7 @@ class WienerInt(_Node):
             self.weight, self.lo, self.hi)
 
     def sexpr(self, inner, rename) -> str:
-        pieces = " ".join(
-            f"({_fmt(a)} {_fmt(b)} {' '.join(_fmt(c) for c in cs)})"
-            for a, b, cs in self.weight.pieces())
-        return f"(WI ({pieces}) {_fmt(self.lo)} {_fmt(self.hi)})"
+        return f"(WI {_pieces_sexpr(self.weight)} {_fmt(self.lo)} {_fmt(self.hi)})"
 
 
 @_kind
@@ -381,7 +377,8 @@ class TimeIntB(_Node):
 
 @_kind
 class RampMax(_Node):
-    """max(0, cap - max(args)); args mix constants and variable names."""
+    """max(0, cap - max(args)); args mix constants and at least two variable
+    names (ramp_max folds a ramp in one variable into a Piecewise)."""
 
     cap: float
     args: tuple
@@ -397,83 +394,43 @@ class RampMax(_Node):
         return _max([0.0, self.cap - _max(_resolve_args(self.args, bindings))])
 
     def pwpoly(self, ivar, lo, hi, bindings):
-        others = [a for a in self.args if a != ivar]
-        floor = _max(_resolve_args(others, bindings)) if others else 0.0
-        # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0 after
+        # w(u) = cap - max(floor, u): constant below floor, linear to cap, 0
+        # after; the floor of the other arguments may be an array, which makes
+        # the limits of the pieces arrays, of which some may be empty
+        floor = _max(_resolve_args([a for a in self.args if a != ivar], bindings))
         pieces_lo, pieces_hi = max(lo, 0.0), min(hi, self.cap)
-        if np.ndim(floor):  # a batch of floors: pieces, of which some are empty
-            knee = np.clip(floor, pieces_lo, pieces_hi)
-            return [(pieces_lo, knee, (np.maximum(self.cap - floor, 0.0),)),
-                    (knee, pieces_hi, (self.cap, -1.0))]
-        if floor >= self.cap:
-            return None
-        breaks, coeffs = [pieces_lo], []
-        knee = min(max(floor, pieces_lo), pieces_hi)
-        if knee > pieces_lo:
-            breaks.append(knee)
-            coeffs.append((self.cap - floor,))
-        if pieces_hi > knee:
-            breaks.append(pieces_hi)
-            coeffs.append((self.cap, -1.0))
-        if not coeffs:
-            return None
-        return PiecewisePoly(tuple(breaks), tuple(coeffs))
+        knee = np.clip(floor, pieces_lo, pieces_hi)
+        return [(pieces_lo, knee, (np.maximum(self.cap - floor, 0.0),)),
+                (knee, pieces_hi, (self.cap, -1.0))]
 
     def sexpr(self, inner, rename) -> str:
         return f"(ramp {_fmt(self.cap)} (max {_args(self.args, rename)}))"
 
 
 @_kind
-class Indicator(_Node):
-    """1_{[lo, hi]}(var)."""
+class Piecewise(_Node):
+    """weight(var) for a piecewise polynomial weight, zero off its breaks:
+    the indicator 1_{[0,t]}(u) = D_u B_t, the weight f(u) 1_{[a,b]}(u) =
+    D_u int_a^b f dB, and a ramp (cap - max(c, u))^+ in one variable."""
 
+    weight: PiecewisePoly
     var: str
-    lo: float
-    hi: float
     pw = True
 
     def times(self):
-        return (self.lo, self.hi)
+        return self.weight.breaks
 
     def free_vars(self, inner, _):
         return {self.var}
 
     def step(self, x, path, bindings):
-        v = _resolve_args([self.var], bindings)[0]
-        if np.ndim(v):
-            return np.where((self.lo <= v) & (v <= self.hi), 1.0, 0.0)
-        return 1.0 if self.lo <= v <= self.hi else 0.0
+        return self.weight(_resolve_args([self.var], bindings)[0])
 
     def pwpoly(self, ivar, lo, hi, bindings):
-        aa, bb = max(self.lo, lo), min(self.hi, hi)
-        return PiecewisePoly.indicator(aa, bb) if aa < bb else None
+        return self.weight.restrict(lo, hi)
 
     def sexpr(self, inner, rename) -> str:
-        return f"(ind {_name(self.var, rename)} {_fmt(self.lo)} {_fmt(self.hi)})"
-
-
-@_kind
-class PolyInVar(_Node):
-    """Polynomial in a free variable, ascending coefficients."""
-
-    coeffs: tuple
-    var: str
-    pw = True
-
-    def free_vars(self, inner, _):
-        return {self.var}
-
-    def step(self, x, path, bindings):
-        v = _resolve_args([self.var], bindings)[0]
-        out = np.polynomial.polynomial.polyval(v, np.asarray(self.coeffs))
-        return out if np.ndim(v) else float(out)
-
-    def pwpoly(self, ivar, lo, hi, bindings):
-        return PiecewisePoly.from_poly(self.coeffs, lo, hi) if lo < hi else None
-
-    def sexpr(self, inner, rename) -> str:
-        cs = " ".join(_fmt(c) for c in self.coeffs)
-        return f"(poly {_name(self.var, rename)} {cs})"
+        return f"(pw {_name(self.var, rename)} {_pieces_sexpr(self.weight)})"
 
 
 @_kind
@@ -588,8 +545,8 @@ class Exp(_Node):
         return f"(exp {inner[0]})"
 
 
-Expr = Union[Const, FbmSample, WienerInt, TimeIntB, RampMax, Indicator,
-             PolyInVar, HermitePoly, Sum, Product, Power, Exp]
+Expr = Union[Const, FbmSample, WienerInt, TimeIntB, RampMax, Piecewise,
+             HermitePoly, Sum, Product, Power, Exp]
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -621,13 +578,25 @@ def _split_args(args: Iterable) -> tuple:
 
 
 def ramp_max(cap: float, args: Iterable) -> Expr:
+    """max(0, cap - max(args)) for variables over [0, horizon]: a constant
+    without names, a Piecewise from 0 with one, a RampMax with several."""
     args = _split_args(args)
     cap = float(cap)
-    if all(not isinstance(a, str) for a in args):
+    names = [a for a in args if isinstance(a, str)]
+    if not names:
         return Const(max(0.0, cap - args[0]))
     if not isinstance(args[0], str) and args[0] >= cap:
         return ZERO
-    return RampMax(cap, args)
+    if len(names) > 1:
+        return RampMax(cap, args)
+    if cap <= 0.0:  # the variable is >= 0
+        return ZERO
+    floor = args[0] if len(args) == 2 else 0.0
+    if floor > 0.0:
+        w = PiecewisePoly((0.0, floor, cap), ((cap - floor,), (cap, -1.0)))
+    else:
+        w = PiecewisePoly((0.0, cap), ((cap, -1.0),))
+    return Piecewise(w, names[0])
 
 
 def time_int_b(lower: Iterable, upper: float, power: int = 1) -> Expr:
@@ -776,7 +745,7 @@ def fbm_times(expr: Expr, done: "dict | None" = None) -> frozenset:
 def times(expr: Expr) -> set:
     """Every time constant in the expression: sample times, integral limits,
     Wiener-weight breakpoints inside the limits, ramp caps, the constant
-    arguments of max() and indicator limits."""
+    arguments of max() and the breaks of piecewise-polynomial leaves."""
     return set().union(*[n.times() for n in nodes(expr)])
 
 
@@ -1239,6 +1208,11 @@ def product_factors(term: Expr) -> tuple:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _pieces_sexpr(weight: PiecewisePoly) -> str:
+    return "(" + " ".join(f"({_fmt(a)} {_fmt(b)} {' '.join(_fmt(c) for c in cs)})"
+                          for a, b, cs in weight.pieces()) + ")"
 
 
 def _name(n, rename) -> str:

@@ -30,7 +30,9 @@ evaluated by recurrence, which keeps high orders numerically stable.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from .functional import (
     Expr,
@@ -168,15 +170,9 @@ def _package(order, term_exprs, n_counts, path) -> SeriesResult:
     """The series result; with a path, the terms are evaluated on one
     schedule, which computes a node shared across orders once."""
     terms = term_exprs if path is None else evaluate(term_exprs, path=path)
-    sums, diags = [], []
-    running = None
-    for l, term in enumerate(terms):
-        if path is None:
-            running = term if running is None else make_sum([running, term])
-        else:
-            running = term if running is None else running + term
-        sums.append(running)
-        diags.append({"order": l, "n_terms": n_counts[l]})
+    add = operator.add if path is not None else lambda a, b: make_sum([a, b])
+    sums = list(itertools.accumulate(terms, add))
+    diags = [{"order": l, "n_terms": n} for l, n in enumerate(n_counts)]
     return SeriesResult(order, terms, sums, diags)
 
 

@@ -10,7 +10,8 @@ engines (assumption_a_sequence, assumption_b_sequence) and the unfrozen
 derivative levels of the exponential formula (derivative_levels) live here
 too, as only the tests use them.  The reference_* kernel moments take every
 Phi_m afresh for each term, as the kernel did before its endpoint tables;
-the tables must give the same bits.
+the tables must give the same bits.  indicator and poly_in_var spell the
+Piecewise leaves of an indicator and of a polynomial on a range.
 """
 
 import math
@@ -24,16 +25,26 @@ from scipy import integrate
 from fbmseries.expformula import second_derivative
 from fbmseries.fbm import FbmEnsemble, covariance
 from fbmseries.functional import (ZERO, Const, Exp, FbmSample, GridPath,
-                                  HermitePoly, Power, Product, Sum,
+                                  HermitePoly, Piecewise, Power, Product, Sum,
                                   UnsupportedNodeError, collect_terms,
                                   directional, evaluate, fbm_times,
                                   hermite_factor, is_discrete, make_product,
                                   make_sum, scale)
-from fbmseries.kernel import _hval, phi
+from fbmseries.kernel import PiecewisePoly, _hval, phi
 from fbmseries.special import hermite_eval
 from fbmseries.taylor import _package, _setup, psi_orders
 
 warnings.filterwarnings("ignore", category=integrate.IntegrationWarning)
+
+
+def indicator(var, lo, hi):
+    """1_{[lo, hi]}(var), its limits kept as given."""
+    return Piecewise(PiecewisePoly((lo, hi), ((1.0,),)), var)
+
+
+def poly_in_var(coeffs, var, lo=0.0, hi=1.0):
+    """The polynomial of ascending coefficients in var on [lo, hi], 0 off it."""
+    return Piecewise(PiecewisePoly((lo, hi), (tuple(coeffs),)), var)
 
 
 def quad_phi_moment(w, lo, hi, v, h, epsabs=1e-13, epsrel=1e-12):

@@ -9,8 +9,10 @@ import pytest
 from fbmseries.applications import (CirMcCheck, cir_mc_check, cir_small_t,
                                     lognormal_cf_series, lognormal_moment,
                                     merton_bond_price)
+from fbmseries.expformula import exp_series
 from fbmseries.fbm import McConfig, mc_expect
-from fbmseries.functional import fbm_sample, make_exp, scale
+from fbmseries.functional import evaluate, fbm_sample, make_exp, scale
+from fbmseries.parser import parse
 
 
 class TestMertonBondPrice:
@@ -142,6 +144,17 @@ class TestLognormalCharacteristicFunction:
             acc += term
             assert ps == acc
         assert ser.value == ser.partial_sums[-1]
+
+    @pytest.mark.parametrize("z, s, h", [(0.7, 0.5, 0.75), (0.3, 1.0, 0.6),
+                                         (1.5, 0.25, 0.9)])
+    def test_engine_levels_are_the_series_terms(self, z, s, h):
+        # the paper's third example, E[exp(-z exp(s B_1))] at r = 0: level n
+        # of the exponential formula is term n of the expansion at iz
+        res = exp_series(parse(f"exp(-{z}*exp({s}*B(1)))"), 0.0, 1.0, h, 5)
+        want = lognormal_cf_series(1j * z, 1.0, h, s, 0.0, 5).terms
+        assert len(res.terms) == len(want) == 6
+        for term, w in zip(res.terms, want):
+            assert evaluate(term) == pytest.approx(w.real, rel=1e-12, abs=0.0)
 
     def test_terms_eventually_grow(self):
         ser = lognormal_cf_series(1.0, 1.0, 0.75, 1.0, 0.0, 30)

@@ -15,16 +15,18 @@ import pytest
 from fbmseries.functional import (
     EvalError,
     GridPath,
-    Indicator,
     OffGridTimeError,
-    PolyInVar,
+    Piecewise,
     RampMax,
     TimeIntB,
     evaluate,
     fbm_sample,
     make_product,
     phi_moment,
+    ramp_max,
 )
+
+from oracles import indicator, poly_in_var
 
 H = 0.7
 TIMES = tuple(k / 8 for k in range(9))
@@ -79,15 +81,29 @@ class TestLeaves:
         u, w = np.meshgrid(GRID_VALUES, GRID_VALUES)
         check(RampMax(0.6, (0.1, "u", "w")), {"u": u, "w": w})
 
+    @pytest.mark.parametrize("args", [(0.3, "u"), (0.0, "u"), ("u",)],
+                             ids=["c=0.3", "c=0", "no constant"])
+    def test_one_variable_ramp_is_its_formula(self, args):
+        # a Piecewise from 0, bit for bit max(0, cap - max(c, u)) for u in
+        # [0, 1]: at u = c, at the cap 0.6 and above it, scalar and array
+        ramp = ramp_max(0.6, args)
+        assert isinstance(ramp, Piecewise)
+        consts = [a for a in args if not isinstance(a, str)]
+        want = np.array([max(0.0, 0.6 - max(consts + [u])) for u in GRID_VALUES.tolist()])
+        scalars = [evaluate(ramp, H, None, {"u": u}) for u in GRID_VALUES.tolist()]
+        assert all(type(x) is float for x in scalars)
+        assert np.array(scalars).tobytes() == want.tobytes()
+        assert evaluate(ramp, H, None, {"u": GRID_VALUES}).tobytes() == want.tobytes()
+
     def test_indicator_endpoints(self):
-        check(Indicator("u", 0.25, 0.75), {"u": GRID_VALUES})
+        check(indicator("u", 0.25, 0.75), {"u": GRID_VALUES})
 
     def test_polynomial_in_a_variable(self):
-        check(PolyInVar((0.5, -1.0, 3.0, 0.25), "u"), {"u": GRID_VALUES})
+        check(poly_in_var((0.5, -1.0, 3.0, 0.25), "u"), {"u": GRID_VALUES})
 
     def test_mixed_product_on_a_path(self):
-        expr = make_product([RampMax(1.0, (0.0, "v", "w")), Indicator("w", 0.2, 0.9),
-                             PolyInVar((0.5, -1.0), "v"), fbm_sample(0.5)])
+        expr = make_product([RampMax(1.0, (0.0, "v", "w")), indicator("w", 0.2, 0.9),
+                             poly_in_var((0.5, -1.0), "v"), fbm_sample(0.5)])
         v, w = np.meshgrid(GRID_VALUES, GRID_VALUES[::-1])
         check(expr, {"v": v, "w": w}, single_path())
 
@@ -124,17 +140,17 @@ class TestKernelMoments:
 
     def test_times_an_indicator_of_the_partner(self):
         mom = moment((RampMax(1.0, (0.0, "u", "v")),), 1.0)
-        agree(lambda b: evaluate(Indicator("v", 0.2, 0.7), H, None, b) * mom(b),
+        agree(lambda b: evaluate(indicator("v", 0.2, 0.7), H, None, b) * mom(b),
               {"v": GRID_VALUES[1:]}, exact=False)
 
     def test_zero_length_pieces_and_floors_above_the_cap(self):
-        mom = moment((Indicator("u", 0.1, 0.5), RampMax(0.8, (0.3, "u", "w")),
-                      PolyInVar((1.0, 2.0), "u")), 0.6)
+        mom = moment((indicator("u", 0.1, 0.5), RampMax(0.8, (0.3, "u", "w")),
+                      poly_in_var((1.0, 2.0), "u")), 0.6)
         v, w = np.meshgrid(GRID_VALUES[1:], GRID_VALUES)
         agree(mom, {"v": v, "w": w}, exact=False)
 
     def test_factor_constant_in_the_integration_variable(self):
-        mom = moment((RampMax(0.9, (0.0, "w")), Indicator("u", 0.0, 0.4)), 1.0)
+        mom = moment((ramp_max(0.9, (0.0, "w")), indicator("u", 0.0, 0.4)), 1.0)
         agree(mom, {"v": GRID_VALUES[1:], "w": GRID_VALUES[::-1][:-1]}, exact=False)
 
     def test_scalar_partner_with_an_array_floor(self):
@@ -150,10 +166,10 @@ class TestKernelMoments:
 
 class TestShapes:
     def test_value_takes_the_shape_of_the_bindings(self):
-        got = evaluate(make_product([Indicator("u", 0.0, 2.0), fbm_sample(0.5)]), H,
+        got = evaluate(make_product([indicator("u", 0.0, 2.0), fbm_sample(0.5)]), H,
                        single_path(), {"u": np.zeros((2, 3))})
         assert got.shape == (2, 3)
-        got = evaluate([Indicator("u", 0.0, 1.0)], H, None, {"u": np.zeros(4)})
+        got = evaluate([indicator("u", 0.0, 1.0)], H, None, {"u": np.zeros(4)})
         assert got[0].shape == (4,)
 
     def test_bindings_of_different_shapes_are_refused(self):
@@ -165,12 +181,12 @@ class TestShapes:
         # 24 paths against 24 nodes would broadcast without a word
         ensemble = GridPath(TIMES, np.random.default_rng(2).normal(size=(24, len(TIMES))))
         nodes = np.linspace(0.0, 1.0, 24)
-        for node in (make_product([Indicator("u", 0.0, 0.5), fbm_sample(0.5)]),
+        for node in (make_product([indicator("u", 0.0, 0.5), fbm_sample(0.5)]),
                      TimeIntB((0.0, "u"), 1.0, 1)):
             with pytest.raises(EvalError, match="single path"):
                 evaluate(node, H, ensemble, {"u": nodes})
             assert evaluate(node, H, ensemble, {"u": 0.25}).shape == (24,)
         # a node that does not read the path evaluates as without one
-        ramp = RampMax(1.0, (0.0, "u"))
+        ramp = ramp_max(1.0, (0.0, "u"))
         assert np.array_equal(evaluate(ramp, H, ensemble, {"u": nodes}),
                               evaluate(ramp, H, None, {"u": nodes}))

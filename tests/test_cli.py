@@ -253,6 +253,23 @@ class TestExitCodes:
         assert run_cli(argv)[0] == 2
         assert "grid times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["cir", "--T", "nan"], "T=nan"),
+        (["cir", "--T", "inf"], "T=inf"),
+        (["cir", "--T", "inf", "--mc.paths", "10"], "T=inf"),
+        (["merton", "--T", "inf"], "T=inf"),
+        (["merton", "--T", "nan"], "T=nan"),
+        (["lognormal", "--T", "nan", "--sigma", "1", "--p", "2"], "T=nan"),
+        (["lognormal", "--T", "1", "--sigma", "nan", "--p", "2"], "sigma=nan"),
+        (["lognormal", "--T", "1", "--sigma", "1", "--z", "nan"], "z=nan"),
+        (["lognormal", "--T", "1", "--sigma", "1", "--z", "1", "--mu", "inf"], "mu=inf"),
+    ], ids=lambda a: a if isinstance(a, str) else " ".join(a[:3]))
+    def test_non_finite_input_is_configuration(self, argv, bad, capsys):
+        # refused by name before it can reach the output's non-finite check
+        assert run_cli([argv[0], "--hurst", "0.7", *argv[1:]]) == (2, "")
+        err = capsys.readouterr().err
+        assert f"must be finite, got {bad}" in err and "non-finite" not in err
+
     @pytest.mark.parametrize("r", ["-1", "inf", "nan"])
     def test_taylor_r_off_the_grid_is_reported_as_r(self, r, capsys):
         # r is checked before the simulation grid that would carry it

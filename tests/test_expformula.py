@@ -17,7 +17,6 @@ from fbmseries.fbm import McConfig, mc_expect
 from fbmseries.functional import (
     Expr,
     GridPath,
-    Indicator,
     OffGridTimeError,
     TimeGrid,
     ZERO,
@@ -39,7 +38,7 @@ from fbmseries.parser import parse
 from fbmseries.quadrature import QuadratureError, gauss_nodes, graded_points
 from fbmseries.taylor import backward_taylor
 
-from oracles import assumption_b_sequence, derivative_levels
+from oracles import assumption_b_sequence, derivative_levels, indicator
 
 
 def _random_path(times, n_paths=None, seed=3):
@@ -195,7 +194,7 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         exp_series(f, 0.0, 1.0, 0.7, -1)
     with pytest.raises(ValueError):
-        exp_series(Indicator("x", 0.0, 1.0), 0.0, 1.0, 0.7, 1)
+        exp_series(indicator("x", 0.0, 1.0), 0.0, 1.0, 0.7, 1)
 
 
 def test_assumption_bound_certifies_exponential():

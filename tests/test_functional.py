@@ -20,9 +20,8 @@ from fbmseries.functional import (
     FbmSample,
     GridPath,
     HermitePoly,
-    Indicator,
     OffGridTimeError,
-    PolyInVar,
+    Piecewise,
     Power,
     Product,
     RampMax,
@@ -59,8 +58,8 @@ from fbmseries.parser import ParseError, parse
 from fbmseries.quadrature import phi_weighted_integral
 from fbmseries.taylor import backward_taylor
 
-from oracles import (grid_partials, path_from_dict, quad_phi_moment, tree_evaluate,
-                     tree_size)
+from oracles import (grid_partials, indicator, path_from_dict, poly_in_var,
+                     quad_phi_moment, tree_evaluate, tree_size)
 
 GRID = TimeGrid((0.0, 0.25, 0.5, 0.75, 1.0))
 
@@ -89,8 +88,14 @@ class TestConstructors:
     def test_ramp_folding(self):
         assert ramp_max(1.0, (0.3, 0.6)) == Const(0.4)
         assert ramp_max(0.5, (0.9, "u")) == ZERO
-        r = ramp_max(1.0, (0.3, "u"))
-        assert isinstance(r, RampMax) and r.args == (0.3, "u")
+        r = ramp_max(1.0, (0.3, "u", "w"))
+        assert isinstance(r, RampMax) and r.args == (0.3, "u", "w")
+        # one variable, which ranges over [0, horizon]: pieces from 0
+        w = PiecewisePoly((0.0, 0.3, 1.0), ((1.0 - 0.3,), (1.0, -1.0)))
+        assert ramp_max(1.0, (0.3, "u")) == Piecewise(w, "u")
+        assert ramp_max(1.0, ("u",)) == ramp_max(1.0, (-0.5, "u")) == Piecewise(
+            PiecewisePoly((0.0, 1.0), ((1.0, -1.0),)), "u")
+        assert ramp_max(0.0, ("u",)) == ramp_max(-1.0, (-2.0, "u")) == ZERO
 
     def test_time_int_folding(self):
         assert time_int_b((0.8,), 0.5) == ZERO
@@ -105,15 +110,16 @@ class TestQueries:
         assert max(times(e)) == 1.0
 
     def test_times_lists_every_time_constant(self):
-        e = make_product([RampMax(0.9, (0.2, "u")), Indicator("u", 0.1, 0.6),
+        e = make_product([ramp_max(0.9, (0.2, "u", "w")), indicator("u", 0.1, 0.6),
                           parse("WI(1;0.3,0.8)"), time_int_b((0.15, "u"), 0.95)])
         assert times(e) == {0.9, 0.2, 0.1, 0.6, 0.3, 0.8, 0.15, 0.95}
+        assert times(ramp_max(0.9, (0.2, "u"))) == {0.0, 0.2, 0.9}
 
     def test_discrete_and_deterministic(self):
         assert is_discrete(parse("B(0.5)^2*B(1)"))
         assert is_discrete(parse("exp(B(1))"))
         assert not is_discrete(parse("IB2(0,1)"))
-        assert is_deterministic(Indicator("u", 0.0, 1.0))
+        assert is_deterministic(indicator("u", 0.0, 1.0))
         assert not is_deterministic(parse("B(0.25)"))
 
     def test_free_vars(self):
@@ -123,22 +129,32 @@ class TestQueries:
 
 class TestMalliavin:
     def test_sample_rule(self):
-        assert directional(fbm_sample(0.7), "u") == Indicator("u", 0.0, 0.7)
+        assert directional(fbm_sample(0.7), "u") == indicator("u", 0.0, 0.7)
 
     def test_wiener_rule(self):
         w = WienerInt(PiecewisePoly.from_poly((1.0, 2.0), 0.0, 1.0), 0.0, 1.0)
         d = directional(w, "u")
-        assert d == make_product([PolyInVar((1.0, 2.0), "u"), Indicator("u", 0.0, 1.0)])
+        assert d == poly_in_var((1.0, 2.0), "u", 0.0, 1.0)
+
+    def test_wiener_rule_of_two_pieces_is_one_node(self):
+        weight = PiecewisePoly((0.0, 0.4, 1.0), ((1.0, 2.0), (0.5, -1.0, 3.0)))
+        d = directional(WienerInt(weight, 0.25, 0.75), "u")
+        assert d == Piecewise(weight.restrict(0.25, 0.75), "u")
+        assert d.weight.breaks == (0.25, 0.4, 0.75)
+        us = np.array([0.0, 0.25, 0.3, 0.4, 0.6, 0.75, 0.8])
+        assert evaluate(d, None, None, {"u": us}).tolist() == [
+            0.0, weight(0.25), weight(0.3), weight(0.4), weight(0.6), weight(0.75), 0.0]
 
     def test_time_integral_rules(self):
-        assert directional(time_int_b((0.2,), 1.0), "u") == RampMax(1.0, (0.2, "u"))
+        assert directional(time_int_b((0.2,), 1.0), "u") == Piecewise(
+            PiecewisePoly((0.0, 0.2, 1.0), ((1.0 - 0.2,), (1.0, -1.0))), "u")
         d = directional(time_int_b((0.0,), 1.0, 2), "u")
         assert d == scale(TimeIntB((0.0, "u"), 1.0, 1), 2.0)
 
     def test_chain_rule_exp(self):
         f = make_exp(fbm_sample(1.0))
         d = directional(f, "u")
-        assert d == make_product([f, Indicator("u", 0.0, 1.0)])
+        assert d == make_product([f, indicator("u", 0.0, 1.0)])
 
     def test_second_derivative_of_cubic(self):
         # D_u D_v (B_t^2 B_T): six chain terms collapse to three products
@@ -344,13 +360,13 @@ class TestEvaluate:
         assert np.array_equal(paths.stieltjes(w, 0.125, 1.0), want)
 
     def test_phi_moment_indicator(self):
-        got = phi_moment((Indicator("u", 0.0, 0.5),), "u", 0.0, 1.0, 0.8, 0.7)
+        got = phi_moment((indicator("u", 0.0, 0.5),), "u", 0.0, 1.0, 0.8, 0.7)
         assert got == pytest.approx(phi_antiderivative(0.0, 0.5, 0.8, 0.7), rel=1e-13)
 
     def test_phi_moment_integer_constant_factor(self):
         # a hand-built integer constant scales the moment like its float
         def moment(c):
-            return phi_moment((c, Indicator("u", 0.0, 0.5)), "u", 0.0, 1.0, 0.3, 0.7)
+            return phi_moment((c, indicator("u", 0.0, 0.5)), "u", 0.0, 1.0, 0.3, 0.7)
 
         assert moment(Const(2)) == moment(Const(2.0)) == 1.6003489760274316
 
@@ -366,7 +382,7 @@ class TestEvaluate:
     def test_residual_integral_matches_exact_moment(self):
         # the closed form agrees with the singularity-absorbing quadrature of
         # the pointwise integrand, split at the ramp's kinks
-        ramp = RampMax(1.0, (0.2, "u"))
+        ramp = ramp_max(1.0, (0.2, "u"))
         h = 0.68
         for v in (0.15, 0.5, 0.95):
             a = phi_moment((ramp,), "u", 0.0, 1.0, v, h)
@@ -531,10 +547,10 @@ class TestInterning:
         # 0.0 == -0.0 and 2 == 2.0, but the serialized forms differ
         assert Const(-0.0) is not ZERO
         assert to_sexpr(Const(-0.0)) == "-0.0"
-        plus = PolyInVar((0.0, 1.0), "u")
-        minus = PolyInVar((-0.0, 1.0), "u")
+        plus = poly_in_var((0.0, 1.0), "u")
+        minus = poly_in_var((-0.0, 1.0), "u")
         assert minus is not plus
-        assert to_sexpr(minus) == "(poly u -0.0 1.0)"
+        assert to_sexpr(minus) == "(pw u ((0.0 1.0 -0.0 1.0)))"
         two_int, two = Const(2), Const(2.0)
         assert two_int is not two
         assert type(two_int.value) is int and type(two.value) is float
@@ -555,15 +571,15 @@ class TestInterning:
         assert Exp(b) is not Exp(c)
 
     def test_kinds_with_several_plain_fields_intern_as_before(self):
-        assert Indicator("u", 0.0, 1.0) is Indicator("u", 0.0, 1.0)
-        assert Indicator("u", -0.0, 1.0) is not Indicator("u", 0.0, 1.0)
-        assert Indicator("u", 0.0, 1) is not Indicator("u", 0.0, 1.0)
-        assert Indicator("v", 0.0, 1.0) is not Indicator("u", 0.0, 1.0)
+        assert indicator("u", 0.0, 1.0) is indicator("u", 0.0, 1.0)
+        assert indicator("u", -0.0, 1.0) is not indicator("u", 0.0, 1.0)
+        assert indicator("u", 0.0, 1) is not indicator("u", 0.0, 1.0)
+        assert indicator("v", 0.0, 1.0) is not indicator("u", 0.0, 1.0)
         assert TimeIntB((0.0, "u"), 1.0, 2) is TimeIntB((0.0, "u"), 1.0, 2)
         assert TimeIntB((0.0, "u"), 1.0, 2) is not TimeIntB((0.0, "u"), 1.0, 1)
         assert TimeIntB((-0.0, "u"), 1.0, 2) is not TimeIntB((0.0, "u"), 1.0, 2)
-        assert RampMax(1.0, (0.5, "u")) is RampMax(1.0, (0.5, "u"))
-        assert RampMax(1, (0.5, "u")) is not RampMax(1.0, (0.5, "u"))
+        assert RampMax(1.0, (0.5, "u", "w")) is RampMax(1.0, (0.5, "u", "w"))
+        assert RampMax(1, (0.5, "u", "w")) is not RampMax(1.0, (0.5, "u", "w"))
 
     @pytest.mark.parametrize("exponent", [-1, 2.0])
     def test_power_checks_its_exponent_on_every_construction(self, exponent):
@@ -577,10 +593,10 @@ class TestInterning:
         (lambda: Const(1.0, 2.0), "Const", 1),
         (lambda: FbmSample(), "FbmSample", 1),
         (lambda: Power(FbmSample(0.5)), "Power", 2),
-        (lambda: Indicator("u", 0.0), "Indicator", 3),
+        (lambda: Piecewise(PiecewisePoly.indicator(0.0, 1.0)), "Piecewise", 2),
         (lambda: Sum(), "Sum", 1),
         (lambda: Exp(ONE, ONE), "Exp", 1),
-    ], ids=["Const()", "Const(1,2)", "FbmSample()", "Power(b)", "Indicator(u,0)",
+    ], ids=["Const()", "Const(1,2)", "FbmSample()", "Power(b)", "Piecewise(w)",
             "Sum()", "Exp(1,1)"])
     def test_a_wrong_number_of_fields_is_a_type_error(self, build, kind, n):
         with pytest.raises(TypeError, match=rf"^{kind} takes {n} fields$"):
@@ -812,8 +828,8 @@ class TestInPlaceEvaluation:
         u, w = np.linspace(0.0, 1.0, 9), np.linspace(0.1, 0.9, 9)
         kept = [a.copy() for a in (vals, u, w)]
         path, bindings = GridPath(GRID.times, vals), {"u": u, "w": w}
-        ind, poly = Indicator("u", 0.0, 0.5), PolyInVar((1.0, 2.0), "w")
-        roots = [Sum((ind, poly, self.B5)), Product((RampMax(1.0, ("u",)), poly, Const(3.0))),
+        ind, poly = indicator("u", 0.0, 0.5), poly_in_var((1.0, 2.0), "w")
+        roots = [Sum((ind, poly, self.B5)), Product((ramp_max(1.0, ("u",)), poly, Const(3.0))),
                  Product((time_int_b(("u",), 1.0), self.B5)), Sum((HermitePoly(1, poly), ind)),
                  make_product([Const(2.0), poly, ind])]
         got = evaluate(roots, path=path, bindings=bindings)

@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in that
 module, every private top-level name is used somewhere in the package,
-every node kind is slotted and none is subclassed, the symbolic layer
-imports no quadrature, and no other module imports gc.
+every node kind is slotted, built by package code and not subclassed,
+the kinds with a pwpoly are the piecewise-polynomial ones that hold a
+variable, the symbolic layer imports no quadrature, and no other module
+imports gc.
 
 A name counts as used when it appears, as a whole word, anywhere in the
 module's text outside its own import statement; that covers names used
@@ -82,6 +84,23 @@ def test_node_kinds_have_slots_and_no_instance_dict():
         assert "__slots__" in vars(kind), kind.__name__
         assert kind.__dictoffset__ == 0, kind.__name__
     assert not hasattr(functional.Const(1.0), "__dict__")
+
+
+def test_every_node_kind_is_built_by_package_code():
+    # a kind that only the tests construct is dead code
+    called = {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+              for module in MODULES for n in ast.walk(ast.parse(module.read_text()))
+              if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))}
+    kinds = {kind.__name__ for kind in get_args(functional.Expr)}
+    assert kinds <= called, sorted(kinds - called)
+
+
+def test_pwpoly_exactly_on_the_pw_kinds_that_hold_a_variable():
+    # _factor_forms asks a pw factor that holds the integration variable for
+    # its pwpoly and takes any other pw factor, such as Const, as a scale
+    for kind in get_args(functional.Expr):
+        holds_var = kind.free_vars is not functional._Node.free_vars
+        assert hasattr(kind, "pwpoly") == (kind.pw and holds_var), kind.__name__
 
 
 def test_no_node_kind_is_subclassed():
