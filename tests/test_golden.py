@@ -36,6 +36,14 @@ quadrature cross-check on its grid and on the bisected grid, as hex floats,
 as the 3-D tensor-product sums gave them before the y-integrals were
 separated out; a reordering of the same sums keeps them to rounding.  That
 script leaves it as it is.
+
+tests/golden/parse.json holds, for a fixed corpus of expression texts each
+parsed without a grid and with the grid (0, 0.5, 1), the S-expression of the
+parsed functional or the [exception type, message, offset] it raised, as
+the parser first gave them with one rule per atom kind.  The corpus covers
+every atom and operator, grid symbols in and out of range, Wiener weight
+polynomials, nesting 100 levels deep and truncated, mutated and
+trailing-garbage inputs.  The script above rewrites it too.
 """
 
 import hashlib
@@ -57,6 +65,7 @@ from fbmseries.taylor import backward_taylor
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
 ENGINES = pathlib.Path(__file__).parent / "golden" / "engines.json"
 CIR4 = pathlib.Path(__file__).parent / "golden" / "cir4.json"
+PARSE = pathlib.Path(__file__).parent / "golden" / "parse.json"
 
 COMMANDS = [
     ["taylor", "--hurst", "0.7", "--r", "0.3", "--grid", "0,0.25,0.5,0.75,1",
@@ -125,6 +134,85 @@ ENGINE_CASES = [
 # (expr, grid, order, paths) evaluated in blocks of _BLOCK paths
 _BLOCK = 8
 BLOCKED_ENGINE_CASES = [("exp(0.1*B(1.0))", _G4, 6, 20)]
+
+
+PARSE_GRID = (0.0, 0.5, 1.0)
+
+_PARSE_WHOLE = [
+    # numbers, samples and grid symbols
+    "0", "1", "0.5", ".5", "1.", "2e3", "1.5E-2", "2e+1", "007", "0.0",
+    "B(0.5)", "B(0)", "B(1)", "B(.25)", "B(1.5)", "B(1e-3)", "B(T)", "B(t1)",
+    "B(t2)", "B(t0)", "B(t3)", "B(t01)", "B(t10)", "B(tt)", "B(x)", "B(s)",
+    "  B( 1 )  ", "\tB(1)\n",
+    # Wiener integrals and their weight polynomials
+    "WI(1;0,1)", "WI(s;0,1)", "WI(s^2;0,1)", "WI(s^0;0,1)", "WI(1+s;0,1)",
+    "WI(1-0.5*s^2;0,1)", "WI(2*s^3+s-1;0,0.5)", "WI(s+s;0,1)", "WI(s-s;0,1)",
+    "WI(0;0,1)", "WI(0*s;0,1)", "WI(1-1;0,1)", "WI(0-0*s;0,1)", "WI(0.5*s;t1,T)",
+    "WI(3*s^2-2*s+1-s^2;0.25,0.75)", "WI(1e3*s^12;0,1)", "WI(1;0,T)",
+    "WI(1;t1,t2)", "WI(1;t2,t1)", "WI(1;0.5,0.5)", "WI(1;1,0.5)", "WI(1;0,2)",
+    "WI(s;0.5,1.5)", "WI(-s;0,1)", "WI(s*2;0,1)", "WI(2s;0,1)", "WI(s^;0,1)",
+    "WI(s^1.5;0,1)", "WI(2*;0,1)", "WI(2*x;0,1)", "WI(x;0,1)", "WI(;0,1)",
+    "WI(1,0,1)", "WI(1;0;1)", "WI(1;0,1", "WI(1;0,1,2)", "WI(1;T,T)", "WI(1;0,t3)",
+    "WI 1;0,1", "WI", "WI(1;0,1)^2*B(1)", "WI(1;1,0.5", "WI(1;T,0.5,1)",
+    # time integrals and exp
+    "IB(0,1)", "IB2(0,1)", "IB(0.25,0.5)", "IB(0,T)", "IB2(t1,T)", "IB(1,0)",
+    "IB(0.5,0.5)", "IB(0,1", "IB(1,0", "IB(0 1)", "IB(0,)", "IB(,1)", "IB3(0,1)",
+    "IB(0,1.5)", "IB2(t1,t1)", "IB(t0,1)", "IB(0;1)", "IB2", "IB(0,1)^3",
+    "exp(B(1))", "exp(0)", "exp(1)", "exp(-B(1))", "exp(exp(B(1)))",
+    "exp(B(1)", "exp B(1)", "exp()", "exp(1000)", "exp(0.5e11T)", "exp(2^2000",
+    "EXP(1)", "Exp(B(1))", "ex(1)", "exp", "exp(1)(2)",
+    # grouping, operators and folding
+    "(B(1))", "((B(1)))", "()", "(", ")", "", " ", "B(1)+B(0.5)", "B(1)-B(0.5)",
+    "B(1)*B(0.5)", "-B(1)", "--B(1)", "-(-B(1))", "B(1)^2", "B(1)^0", "B(1)^1",
+    "B(1)^10", "B(1)^2^2", "B(1)^-1", "B(1)^1.5", "B(1)^1e1", "B(1)^", "B(1)^x",
+    "2^3", "2^2000", "-2^2", "(-2)^2", "B(1)-B(1)", "B(1)+-B(1)", "B(1)*-B(1)",
+    "B(1)**2", "B(1)++B(1)", "B(1)+", "B(1)*", "3*B(1)*2", "0*B(1)", "B(1)*0",
+    "B(1)+0", "1+2-3", "2*3", "-0", "-0.0*B(1)", "0.1+0.2", "B(0)*B(1)",
+    "B(0.5)*B(0.5)", "-", "*B(1)", "+B(1)", "^2",
+    # trailing garbage and stray characters
+    "B(1)/2", "B(1)%2", "B(1)@", "B(1) B(1)", "B(1))", "B(1),", "B(1);",
+    "B(1)x", "B(1)2", "B(1)s", "B[1]", "b(1)", "B1", "B", "B(", "B()", "B(1",
+    "B(1,2)", "B(-1)", "B(+1)", "B(1e)", "1e", "1.2.3", "..5", "1e+", "$", "B(1)#",
+    "é", "B(1) é", "B(1)\x00",
+    # the functionals of the examples and goldens
+    "B(0.5)^2*B(1)", "exp(0.5*B(1))*B(0.5)", "B(0.25)*B(0.5)*B(0.75)*B(1.0)",
+    "exp(0.06*B(0.5)+0.08*B(1.0))", "exp(-IB2(0,1))", "IB2(0,1)*B(1)",
+    "exp(0.5*IB(0,1))*B(1)", "WI(1+s;0,1)*B(1)", "IB2(0,1)^2", "exp(IB(0,1))",
+    "exp(-0.7*exp(0.5*B(1)))", "B(t1)*B(T)-WI(s;t1,T)+IB(0,t2)",
+    # nesting
+    "(" * 100 + "B(1)" + ")" * 100, "exp(" * 100 + "B(1)" + ")" * 100,
+    "-" * 100 + "B(1)", "(" * 100 + "B(1)" + ")" * 99,
+]
+
+
+def _parse_corpus():
+    """The whole inputs, then every proper prefix of one long input, every
+    one-character deletion from another, and valid inputs with garbage
+    appended; each text once, at its first place."""
+    long = "exp(0.5*WI(1-s^2;t1,T))*IB2(0,t1)^2+B(T)"
+    mutated = "WI(2*s^3-s;0.25,T)*exp(-B(t1))"
+    out = list(_PARSE_WHOLE)
+    out += [long[:i] for i in range(1, len(long))]
+    out += [mutated[:i] + mutated[i + 1:] for i in range(len(mutated))]
+    out += [base + tail for base in ("B(T)", "IB(0,1)", "exp(1)")
+            for tail in (")", ",", ";", "x", "1", "(", "^", "-", "(1)")]
+    return list(dict.fromkeys(out))
+
+
+PARSE_INPUTS = _parse_corpus()
+
+
+def _parse_run(src, grid):
+    try:
+        out = to_sexpr(parse(src, TimeGrid(grid) if grid else None))
+    except Exception as exc:
+        out = [type(exc).__name__, str(exc), getattr(exc, "offset", None)]
+    return {"src": src, "grid": grid, "out": out}
+
+
+def _parse_runs():
+    return [_parse_run(src, grid) for src in PARSE_INPUTS
+            for grid in (None, list(PARSE_GRID))]
 
 
 def _engine_run(case):
@@ -201,6 +289,15 @@ def test_cir4_sums_match_their_golden(row):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(want)), name
 
 
+def test_parse_golden_covers_every_input():
+    assert [g["src"] for g in json.loads(PARSE.read_text())[::2]] == PARSE_INPUTS
+
+
+def test_parse_results_match_their_golden():
+    want = json.loads(PARSE.read_text())
+    assert [g for g, w in zip(_parse_runs(), want) if g != w] == []
+
+
 def _in_file_order(commands):
     """The commands in the order of the golden file, new ones at its end,
     so a rewrite with the same output leaves every byte of it in place."""
@@ -216,3 +313,4 @@ if __name__ == "__main__":
     ENGINES.write_text(json.dumps([_engine_run(c) for c in ENGINE_CASES]
                                   + [_blocked_engine_run(c) for c in BLOCKED_ENGINE_CASES],
                                   indent=1) + "\n")
+    PARSE.write_text(json.dumps(_parse_runs(), indent=1) + "\n")
