@@ -96,22 +96,29 @@ def _split(doc: dict, prefix: str) -> tuple:
     return scalars, lists
 
 
+def _rows(lists: dict, cell) -> list:
+    """The header and the n-indexed rows of a document's list keys, each
+    value rendered by cell; a cell past the end of a short list is blank."""
+    keys = list(lists)
+    rows = [["n"] + keys]
+    for i in range(max(len(v) for v in lists.values())):
+        rows.append([str(i)] + [cell(lists[k][i]) if i < len(lists[k]) else ""
+                                for k in keys])
+    return rows
+
+
+def _table_cell(v) -> str:
+    if isinstance(v, (list, tuple)):
+        return ",".join(_render_num(x) for x in v)
+    return _render_num(v)
+
+
 def render_table(doc: dict) -> str:
     """Aligned text rendering; a pure function of the output document."""
     lines, lists = _split(doc, "")
     if lists:
-        def cell(v):
-            if isinstance(v, (list, tuple)):
-                return ",".join(_render_num(x) for x in v)
-            return _render_num(v)
-
-        keys = list(lists)
-        n = max(len(v) for v in lists.values())
-        rows = [["n"] + keys]
-        for i in range(n):
-            rows.append([str(i)] + [cell(lists[k][i]) if i < len(lists[k]) else ""
-                                    for k in keys])
-        widths = [max(len(r[j]) for r in rows) for j in range(len(keys) + 1)]
+        rows = _rows(lists, _table_cell)
+        widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
         if lines:
             lines.append("")
         for r in rows:
@@ -126,13 +133,7 @@ def _csv_text(doc: dict) -> str:
         return "\n".join(lines) + "\n"
     lines, lists = _split(doc, "# ")
     if lists:
-        keys = list(lists)
-        n = max(len(v) for v in lists.values())
-        lines.append(",".join(["n"] + keys))
-        for i in range(n):
-            row = [str(i)] + [_render_num(lists[k][i]) if i < len(lists[k]) else ""
-                              for k in keys]
-            lines.append(",".join(row))
+        lines += [",".join(r) for r in _rows(lists, _render_num)]
     return "\n".join(lines) + "\n"
 
 

@@ -384,6 +384,11 @@ class RampMax(_Node):
     args: tuple
     pw = True
 
+    def __post_init__(self):
+        if len({a for a in self.args if isinstance(a, str)}) < 2:
+            raise ValueError(f"RampMax needs two distinct variable names, got {self.args}; "
+                             "ramp_max folds fewer into a Piecewise or a Const")
+
     def times(self):
         return (self.cap, *[a for a in self.args if not isinstance(a, str)])
 

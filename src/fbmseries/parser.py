@@ -16,13 +16,13 @@ Grammar (whitespace insensitive; offsets in error messages are 1-based):
 
 Grid symbols t1..tJ and T resolve against a TimeGrid when one is supplied;
 using them without a grid, or any unknown name, is a parse error.  Times
-are validated against [0, T] when the grid is known.
+are validated against [0, T] when the grid is known.  A number literal must
+be finite, and nesting deeper than the interpreter's stack can follow is a
+parse error too.
 """
 
-from __future__ import annotations
-
+import math
 import re
-from dataclasses import dataclass
 
 from .functional import (
     Const,
@@ -48,256 +48,171 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
+# every character starts one of these, so the matches tile the source
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[-+*^();,]))")
+    r"|(?P<op>[-+*^();,])|(?P<space>\s+)|(?P<bad>.)")
+# T is the last grid time, tK the K-th
+_GRID_SYMBOL = re.compile(r"T|t(\d+)")
+# The call atoms, name '(' arg (sep arg)* ')'.  Each gives the rule of every
+# argument with the separator before it; what it is called when its last two
+# arguments, a time interval, are empty (None: it takes no interval); and
+# the constructor of its node.
+_CALLS = {
+    "B": ((("(", "time"),), None, fbm_sample),
+    "WI": ((("(", "weight_poly"), (";", "time"), (",", "time")), "Wiener integral",
+           lambda w, a, b: WienerInt(PiecewisePoly.from_poly(w, a, b), a, b)),
+    "IB": ((("(", "time"), (",", "time")), "time integral",
+           lambda a, b: time_int_b((a,), b, 1)),
+    "IB2": ((("(", "time"), (",", "time")), "time integral",
+            lambda a, b: time_int_b((a,), b, 2)),
+    "exp": ((("(", "expr"),), None, make_exp),
+}
 
 
-def _tokenize(src: str):
+def _tokenize(src: str) -> list:
+    """(kind, text, 0-based position) tuples, closed by an 'end' token."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(src) - len(stripped)
-            raise ParseError(f"unexpected character '{src[bad]}'", bad + 1)
-        if m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(src)))
-    return tokens
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character '{m[0]}'", m.start() + 1)
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m[0], m.start()))
+    return tokens + [("end", "", len(src))]
 
 
 class _Parser:
     def __init__(self, src: str, grid: "TimeGrid | None"):
-        self.src = src
         self.grid = grid
         self.tokens = _tokenize(src)
         self.i = 0
 
-    # -- token stream -------------------------------------------------------
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
+    def take(self, kind: str, texts=None):
+        """Consume and return the next token if it is of this kind and, when
+        texts is given, one of them; otherwise None."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        if tok[0] == kind and (texts is None or tok[1] in texts):
+            self.i += 1
+            return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected '{op}'", tok.pos + 1)
-        return self.advance()
+    def expect(self, op: str):
+        if self.take("op", op) is None:
+            self.fail(f"expected '{op}'")
 
     def fail(self, message: str):
-        raise ParseError(message, self.peek().pos + 1)
-
-    # -- grammar ------------------------------------------------------------
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input '{tok.text}'", tok.pos + 1)
-        return e
+        raise ParseError(message, self.tokens[self.i][2] + 1)
 
     def expr(self) -> Expr:
-        terms = [self.term()]
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        terms = []
+        op = ("op", "+", None)  # the sign of the first term
+        while op is not None:
             nxt = self.term()
-            terms.append(nxt if op == "+" else scale(nxt, -1.0))
+            terms.append(nxt if op[1] == "+" else scale(nxt, -1.0))
+            op = self.take("op", "+-")
         return make_sum(terms)
 
     def term(self) -> Expr:
         factors = [self.unary()]
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
+        while self.take("op", "*"):
             factors.append(self.unary())
         return make_product(factors)
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        """unary, with factor folded in: one frame fewer per nesting level."""
+        if self.take("op", "-"):
             return scale(self.unary(), -1.0)
-        return self.factor()
-
-    def factor(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.take("op", "^"):
             return make_power(base, self.uint())
         return base
 
     def uint(self) -> int:
-        tok = self.peek()
-        if tok.kind != "num" or not tok.text.isdigit():
+        text = self.tokens[self.i][1]
+        if not text.isdigit():  # only a number token is all digits
             self.fail("expected a nonnegative integer exponent")
-        self.advance()
-        return int(tok.text)
+        self.i += 1
+        return int(text)
 
-    def number(self) -> float:
-        tok = self.peek()
-        if tok.kind != "num":
-            self.fail("expected a number")
-        self.advance()
-        return float(tok.text)
+    def number(self, tok) -> float:
+        value = float(tok[1])
+        if not math.isfinite(value):
+            raise ParseError(f"a number must be finite, got {tok[1]}", tok[2] + 1)
+        return value
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            return self._const()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        tok = self.take("num")
+        if tok is not None:
+            return Const(self.number(tok))
+        if self.take("op", "("):
             e = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        if tok.kind == "name":
-            if tok.text == "B":
-                return self._sample()
-            if tok.text == "WI":
-                return self._wiener()
-            if tok.text == "IB":
-                return self._time_int(1)
-            if tok.text == "IB2":
-                return self._time_int(2)
-            if tok.text == "exp":
-                self.advance()
-                self.expect_op("(")
-                e = self.expr()
-                self.expect_op(")")
-                return make_exp(e)
-            raise ParseError(f"unknown symbol '{tok.text}'", tok.pos + 1)
-        self.fail("expected an expression")
-
-    def _const(self) -> Expr:
-        return Const(self.number())
-
-    def _sample(self) -> Expr:
-        self.advance()
-        self.expect_op("(")
-        t = self.time()
-        self.expect_op(")")
-        return fbm_sample(t)
-
-    def _wiener(self) -> Expr:
-        self.advance()
-        self.expect_op("(")
-        coeffs = self.weight_poly()
-        self.expect_op(";")
-        a = self.time()
-        self.expect_op(",")
-        b = self.time()
-        close = self.peek()
-        self.expect_op(")")
-        if b <= a:
-            raise ParseError("Wiener integral needs a nonempty interval",
-                             close.pos + 1)
-        return WienerInt(PiecewisePoly.from_poly(coeffs, a, b), a, b)
-
-    def _time_int(self, power: int) -> Expr:
-        self.advance()
-        self.expect_op("(")
-        a = self.time()
-        self.expect_op(",")
-        b = self.time()
-        close = self.peek()
-        self.expect_op(")")
-        if b <= a:
-            raise ParseError("time integral needs a nonempty interval",
-                             close.pos + 1)
-        return time_int_b((a,), b, power)
+        tok = self.take("name", _CALLS)
+        if tok is None:
+            kind, text, _ = self.tokens[self.i]
+            self.fail(f"unknown symbol '{text}'" if kind == "name" else "expected an expression")
+        rules, interval, build = _CALLS[tok[1]]
+        args = []
+        for sep, rule in rules:
+            self.expect(sep)
+            args.append(getattr(self, rule)())
+        close = self.tokens[self.i]
+        self.expect(")")
+        if interval is not None and args[-1] <= args[-2]:
+            raise ParseError(f"{interval} needs a nonempty interval", close[2] + 1)
+        return build(*args)
 
     def weight_poly(self) -> tuple:
         coeffs = {}
-
-        def add(power, coef):
-            coeffs[power] = coeffs.get(power, 0.0) + coef
-
-        sign = 1.0
-        while True:
-            tok = self.peek()
-            if tok.kind == "num":
-                c = sign * self.number()
-                if self.peek().kind == "op" and self.peek().text == "*":
-                    self.advance()
-                    add(self._s_power(), c)
-                else:
-                    add(0, c)
-            elif tok.kind == "name" and tok.text == "s":
-                add(self._s_power(), sign)
+        op = ("op", "+", None)  # the sign of the first term
+        while op is not None:
+            sign = 1.0 if op[1] == "+" else -1.0
+            tok = self.take("num")
+            if tok is None:
+                c, power = sign, self.s_power("expected a polynomial in s")
             else:
-                self.fail("expected a polynomial in s")
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text in "+-":
-                sign = 1.0 if nxt.text == "+" else -1.0
-                self.advance()
-                continue
-            break
-        top = max(coeffs)
-        return tuple(coeffs.get(i, 0.0) for i in range(top + 1))
+                c = sign * self.number(tok)
+                power = (self.s_power("expected the integration symbol s")
+                         if self.take("op", "*") else 0)
+            coeffs[power] = coeffs.get(power, 0.0) + c
+            op = self.take("op", "+-")
+        return tuple(coeffs.get(i, 0.0) for i in range(max(coeffs) + 1))
 
-    def _s_power(self) -> int:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != "s":
-            self.fail("expected the integration symbol s")
-        self.advance()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return self.uint()
-        return 1
+    def s_power(self, message: str) -> int:
+        """'s' ('^' UINT)?; message says what was expected if 's' is not next."""
+        if self.take("name", ("s",)) is None:
+            self.fail(message)
+        return self.uint() if self.take("op", "^") else 1
 
     def time(self) -> float:
-        tok = self.peek()
-        if tok.kind == "num":
-            t = self.number()
-            self._check_time(t, tok)
-            return t
-        if tok.kind == "name":
-            if tok.text == "T":
-                if self.grid is None:
-                    raise ParseError("symbol 'T' needs a time grid", tok.pos + 1)
-                self.advance()
-                return self.grid.final_time
-            m = re.fullmatch(r"t(\d+)", tok.text)
-            if m:
-                if self.grid is None:
-                    raise ParseError(f"symbol '{tok.text}' needs a time grid",
-                                     tok.pos + 1)
-                idx = int(m.group(1))
-                if not (1 <= idx <= self.grid.n_cells):
-                    raise ParseError(f"grid symbol '{tok.text}' outside t1..t{self.grid.n_cells}",
-                                     tok.pos + 1)
-                self.advance()
-                return self.grid.times[idx]
-        self.fail("expected a time")
-
-    def _check_time(self, t: float, tok: _Token):
-        if t < 0.0:
-            raise ParseError(f"time {t} is negative", tok.pos + 1)
-        if self.grid is not None and t > self.grid.final_time:
-            raise ParseError(f"time {t} exceeds the horizon {self.grid.final_time}",
-                             tok.pos + 1)
+        kind, text, _ = tok = self.tokens[self.i]
+        m = _GRID_SYMBOL.fullmatch(text)  # only a name token can match
+        if kind == "num":
+            t = self.number(tok)
+            if self.grid is not None and t > self.grid.final_time:
+                self.fail(f"time {t} exceeds the horizon {self.grid.final_time}")
+        elif m is None:
+            self.fail("expected a time")
+        elif self.grid is None:
+            self.fail(f"symbol '{text}' needs a time grid")
+        else:
+            idx = self.grid.n_cells if m[1] is None else int(m[1])
+            if not 1 <= idx <= self.grid.n_cells:
+                self.fail(f"grid symbol '{text}' outside t1..t{self.grid.n_cells}")
+            t = self.grid.times[idx]
+        self.i += 1
+        return t
 
 
 def parse(src: str, grid: "TimeGrid | None" = None) -> Expr:
     """Parse a functional expression; grid enables the t1..tJ and T symbols."""
-    return _Parser(src, grid).parse()
+    parser = _Parser(src, grid)
+    try:
+        e = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.tokens[parser.i][2] + 1) from None
+    if parser.take("end") is None:
+        parser.fail(f"unexpected trailing input '{parser.tokens[parser.i][1]}'")
+    return e

@@ -53,12 +53,15 @@ def stirling2(j: int, k: int) -> int:
 
 
 def stirling_falling_sum(p: int, n: int) -> int:
-    """Exact sum_{l=0}^{p} p!/(p-l)! {2n, l}, which collapses to p^(2n)."""
+    """Exact sum_{l=0}^{p} p!/(p-l)! {2n, l}, which collapses to p^(2n).
+
+    The terms past l = 2n vanish, since {2n, l} = 0 there, so the loop stops
+    at min(p, 2n)."""
     if p < 0 or n < 0:
         raise ValueError("need p >= 0 and n >= 0")
     total = 0
     falling = 1
-    for l in range(p + 1):
+    for l in range(min(p, 2 * n) + 1):
         total += falling * stirling2(2 * n, l)
         falling *= p - l
     return total

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,7 @@ class TestExitCodes:
         (["lognormal", "--T", "1", "--sigma", "nan", "--p", "2"], "sigma=nan"),
         (["lognormal", "--T", "1", "--sigma", "1", "--z", "nan"], "z=nan"),
         (["lognormal", "--T", "1", "--sigma", "1", "--z", "1", "--mu", "inf"], "mu=inf"),
+        (["expform", "--T", "1", "--expr", "1e400", "--order", "1"], "1e400"),
     ], ids=lambda a: a if isinstance(a, str) else " ".join(a[:3]))
     def test_non_finite_input_is_configuration(self, argv, bad, capsys):
         # refused by name before it can reach the output's non-finite check
@@ -278,6 +280,23 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "need 0 <= r <= horizon, got r=" in err and "grid times" not in err
+
+    @pytest.mark.parametrize("expr", ["(" * 1000 + "B(1)" + ")" * 1000,
+                                      "exp(" * 1000 + "B(1)" + ")" * 1000],
+                             ids=["parentheses", "exp"])
+    def test_nesting_too_deep_to_parse_is_configuration(self, expr, capsys):
+        assert run_cli(["expform", "--hurst", "0.7", "--T", "1", "--expr", expr,
+                        "--order", "1"]) == (2, "")
+        assert "expression nested too deeply" in capsys.readouterr().err
+
+    def test_huge_moment_order_overflows_at_once(self, capsys):
+        # the Stirling sums stop at l = 2n, so p = 100000 takes no big-integer
+        # loop over p; the float conversion then overflows, an engine error
+        start = time.perf_counter()
+        assert run_cli(["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "1",
+                        "--p", "100000"]) == (3, "")
+        assert time.perf_counter() - start < 5.0
+        assert "too large to convert to float" in capsys.readouterr().err
 
     def test_negative_moment_order_is_configuration(self):
         assert run_cli(["lognormal", "--hurst", "0.7", "--T", "1", "--sigma", "1",

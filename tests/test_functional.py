@@ -581,6 +581,14 @@ class TestInterning:
         assert RampMax(1.0, (0.5, "u", "w")) is RampMax(1.0, (0.5, "u", "w"))
         assert RampMax(1, (0.5, "u", "w")) is not RampMax(1.0, (0.5, "u", "w"))
 
+    @pytest.mark.parametrize("args", [("u",), (0.2,), (0.2, "u"), ("u", "u")])
+    def test_ramp_max_node_needs_two_variable_names(self, args):
+        # fewer names have no kernel moment as a RampMax; ramp_max folds them
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ramp_max folds fewer"):
+                RampMax(1.0, args)
+        assert not isinstance(ramp_max(1.0, args), RampMax)
+
     @pytest.mark.parametrize("exponent", [-1, 2.0])
     def test_power_checks_its_exponent_on_every_construction(self, exponent):
         # a refused node is never interned, so asking again raises again
